@@ -2,7 +2,8 @@
 traces, recurrence tables, series and the refined-counterexample search.
 
 Exit status is 0 exactly when the executed checks report zero violations,
-1 when violations were found and 2 on usage errors or infeasible bounds.
+1 when violations were found and 2 on usage errors, infeasible bounds or a
+failure to write the output.
 Identical invocations produce byte-identical output.
 """
 
@@ -253,8 +254,8 @@ def cmd_bijection(cfg: RunConfig) -> int:
         )
         return 2
     name = cfg.bijection
-    if name in ("shift-sub-2k", "shift-add-one") and cfg.k is None:
-        print("%s needs --k" % name, file=sys.stderr)
+    if name in ("shift-sub-2k", "shift-add-one") and (cfg.k is None or cfg.k < 1):
+        print("%s needs --k >= 1" % name, file=sys.stderr)
         return 2
     kind = cfg.family.kind if cfg.family.kind in ("P", "B") else "P"
     rows = trace_bijection(name, n, k=cfg.k, kind=kind, i=cfg.family.i)
@@ -418,14 +419,19 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for bound in ("max_n", "n"):
+    for bound in ("max_n", "n", "fixed_length"):
         v = getattr(args, bound, None)
         if v is not None and v < 0:
             parser.error("%s must be >= 0" % bound)
     if getattr(args, "oracle_limit", 0) < 0:
         parser.error("oracle limit must be >= 0")
     cfg = _config(parser, args)
-    return _COMMANDS[cfg.command](cfg)
+    try:
+        return _COMMANDS[cfg.command](cfg)
+    except OSError as e:
+        # an I/O failure is neither a verdict nor a violation
+        print("evenodd: %s" % e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,44 +15,75 @@ increasing n with i=1 computed before i=2 at each cell.
 
 import json
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .partitions import FamilySpec, counts_by_length
 
 
 class CountTable:
-    """Memoized table of refined counts for one recursion system."""
+    """Lazily filled table of refined counts for one recursion system.
+
+    A cell t(i, m, n) can be nonzero only when n >= m^2 + a*m, so row n of
+    index i is a list over m = 0 .. M(n), the largest m with m^2 + a*m <= n.
+    Every other cell is a structural zero.  A row holds about sqrt(n) cells,
+    so a table filled to weight N holds O(N^1.5) cells, not the O(N^2) with
+    m <= n.
+
+    Why the zeros are safe.  Take a cell with m >= 1, n >= 1 and
+    n < m^2 + a*m, and assume every such cell of smaller weight (or of i=1 at
+    the same weight) is 0.  Each reference (m', n') of its equation is again
+    below the bound:
+
+        (m-1, n-2m-a):    n' < (m-1)^2 + a(m-1)  iff  n < m^2 + a*m + 1
+        (m, n-2m):        n' < n < m^2 + a*m
+        (m-1, n-2m-a+1):  n' < (m-1)^2 + a(m-1)  iff  n < m^2 + a*m
+        t(1, m, n):       the same cell, with i=1
+
+    A reference below the bound is a base zero (m' <= 0 or n' <= 0) or zero
+    by the assumption; it is never the base cell (0, 0) = 1, which meets the
+    bound.  So the cell is 0, by induction on n.  The third line also shows
+    that (m-1, n-2m-a+1) is a stored cell whenever (m, n) is.
+    """
 
     def __init__(self, variant: str, offset: int):
         self.variant = variant
         self.offset = offset
-        self._cells = {}
-        self._filled_to = -1
-
-    def _get(self, i, m, n):
-        if m == 0 and n == 0:
-            return 1
-        if m <= 0 or n <= 0:
-            return 0
-        if m > n:
-            # no partition of n has more than n parts
-            return 0
-        return self._cells[(i, m, n)]
+        # _rows[i - 1][n][m] is t(i, m, n) for m <= M(n); filled in n order
+        self._rows = ([], [])
 
     def _fill(self, upto):
         a = self.offset
-        for n in range(self._filled_to + 1, upto + 1):
-            for m in range(1, n + 1):
-                v1 = self._get(1, m - 1, n - 2 * m - a) + self._get(2, m, n - 2 * m)
-                self._cells[(1, m, n)] = v1
-                self._cells[(2, m, n)] = v1 + self._get(2, m - 1, n - 2 * m - a + 1)
-        self._filled_to = max(self._filled_to, upto)
+        rows1, rows2 = self._rows
+        for n in range(len(rows1), upto + 1):
+            top = (isqrt(a * a + 4 * n) - a) // 2  # M(n)
+            row1, row2 = [0] * (top + 1), [0] * (top + 1)
+            if n == 0:
+                row1[0] = row2[0] = 1
+            for m in range(1, top + 1):
+                lo, mid = n - 2 * m - a, n - 2 * m
+                v1 = rows1[lo][m - 1] if lo >= 0 and m <= len(rows1[lo]) else 0
+                if mid >= 0 and m < len(rows2[mid]):
+                    v1 += rows2[mid][m]
+                row1[m] = v1
+                row2[m] = v1 + rows2[lo + 1][m - 1]
+            rows1.append(row1)
+            rows2.append(row2)
+
+    def row(self, i, n):
+        """The stored cells t(i, 0 .. M(n), n); every longer length counts 0."""
+        if i not in (1, 2):
+            raise ValueError("i must be 1 or 2")
+        if n >= len(self._rows[0]):
+            self._fill(n)
+        return self._rows[i - 1][n]
 
     def value(self, i, m, n):
         if i not in (1, 2):
             raise ValueError("i must be 1 or 2")
-        if n > self._filled_to and 0 < m <= n:
-            self._fill(n)
-        return self._get(i, m, n)
+        if m <= 0 or n <= 0 or m * (m + self.offset) > n:
+            # structural zeros, answered without filling
+            return 1 if m == 0 and n == 0 else 0
+        return self.row(i, n)[m]
 
 
 def system1() -> CountTable:
@@ -71,16 +102,11 @@ def system3(k: int) -> CountTable:
     return CountTable("System3(k=%d)" % k, 2 * k - 1)
 
 
-def table_value(t: CountTable, i: int, m: int, n: int) -> int:
-    """Value of the table cell (i, m, n); negative indices hit the base cases."""
-    return t.value(i, m, n)
-
-
 def family_count_via_table(t: CountTable, i: int, n: int) -> int:
     """Total count at weight n as the sum of refined counts over lengths."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(t.value(i, m, n) for m in range(0, n + 1))
+    return sum(t.row(i, n))
 
 
 @dataclass
@@ -221,7 +247,7 @@ def shift_identity_check(k: int, i: int, max_n: int) -> VerificationReport:
         for n in range(0, max_n + 1):
             for m in range(0, n + 1):
                 lhs = at(odd, m, n)
-                rhs = at(base, m, n - 2 * m * k) if n - 2 * m * k <= max_n else 0
+                rhs = at(base, m, n - 2 * m * k)
                 if lhs != rhs:
                     report.violations.append(_cell(i, m, n, rhs, lhs))
                 lhs = at(even, m, n)

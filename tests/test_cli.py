@@ -129,6 +129,26 @@ def test_bijection_shift_needs_k(capsys):
     assert code == 2 and "--k" in err
 
 
+def test_bijection_shift_rejects_k_zero(capsys):
+    code, out, err = run(capsys, "bijection", "shift-sub-2k", "--k", "0", "--n", "5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--k" in err
+
+
+def test_negative_fixed_length_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "B", "--n", "5", "--fixed-length", "-1"])
+    assert exc.value.code == 2
+    assert "fixed_length must be >= 0" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, "count", "--family", "P", "--n", "6", "--out", target)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and target in err
+
+
 def test_bijection_json_trace_keys(capsys):
     code, out, _ = run(
         capsys, "bijection", "B-case-min2", "--n", "6", "--format", "json"

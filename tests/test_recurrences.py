@@ -12,7 +12,6 @@ from evenodd.recurrences import (
     system1,
     system2,
     system3,
-    table_value,
     variant_for_min_part,
     verify_system,
 )
@@ -20,19 +19,76 @@ from evenodd.recurrences import (
 
 def test_base_cells():
     t = system1()
-    assert table_value(t, 2, 0, 0) == 1
-    assert table_value(t, 1, 0, 0) == 1
-    assert table_value(t, 1, -1, 5) == 0
-    assert table_value(t, 2, 3, -1) == 0
-    assert table_value(t, 1, 0, 4) == 0
-    assert table_value(t, 2, 9, 4) == 0  # more parts than weight
+    assert t.value(2, 0, 0) == 1
+    assert t.value(1, 0, 0) == 1
+    assert t.value(1, -1, 5) == 0
+    assert t.value(2, 3, -1) == 0
+    assert t.value(1, 0, 4) == 0
+    assert t.value(2, 9, 4) == 0  # more parts than weight
 
 
 def test_known_cells():
     t = system1()
-    assert table_value(t, 2, 2, 6) == 2  # (5,1) and (3,3)
-    assert table_value(t, 1, 1, 2) == 1  # (2)
-    assert table_value(t, 1, 2, 6) == 1  # (3,3)
+    assert t.value(2, 2, 6) == 2  # (5,1) and (3,3)
+    assert t.value(1, 1, 2) == 1  # (2)
+    assert t.value(1, 2, 6) == 1  # (3,3)
+
+
+def _dense_table(offset, max_n):
+    """Reference fill of the same recurrence over every cell with m <= n."""
+    cells = {}
+
+    def get(i, m, n):
+        if m == 0 and n == 0:
+            return 1
+        if m <= 0 or n <= 0 or m > n:
+            return 0
+        return cells[(i, m, n)]
+
+    a = offset
+    for n in range(max_n + 1):
+        for m in range(1, n + 1):
+            v1 = get(1, m - 1, n - 2 * m - a) + get(2, m, n - 2 * m)
+            cells[(1, m, n)] = v1
+            cells[(2, m, n)] = v1 + get(2, m - 1, n - 2 * m - a + 1)
+    return get
+
+
+# minimum parts 1..7 select System1, System2(k) and System3(k) for k = 1, 2, 3
+@pytest.mark.parametrize("min_part", range(1, 8))
+def test_bounded_rows_match_dense_fill(min_part):
+    max_n = 250
+    whole = variant_for_min_part(min_part)
+    dense = _dense_table(whole.offset, max_n)
+    cells = [(i, m, n) for n in range(max_n + 1) for m in range(n + 1) for i in (1, 2)]
+    whole.value(1, 1, max_n)  # one fill to max_n
+    stepped = variant_for_min_part(min_part)
+    for upto in (50, 120, 250):
+        stepped.value(1, 1, upto)  # incremental fills
+    for t in (whole, stepped):
+        assert [t.value(*c) for c in cells] == [dense(*c) for c in cells], t.variant
+
+
+def test_structural_zeros_do_not_fill(monkeypatch):
+    t = system1()
+
+    def no_fill(upto):
+        raise AssertionError("filled to %d" % upto)
+
+    monkeypatch.setattr(t, "_fill", no_fill)
+    assert t.value(1, 0, 10**9) == 0
+    assert t.value(2, 10**5, 10**9) == 0
+    assert t.value(2, 5, 24) == 0  # 5^2 > 24: past the bound
+
+
+@pytest.mark.parametrize("min_part", range(1, 8))
+def test_family_count_sums_the_row(min_part):
+    t = variant_for_min_part(min_part)
+    for i in (1, 2):
+        for n in range(301):
+            assert family_count_via_table(t, i, n) == sum(
+                t.value(i, m, n) for m in range(n + 1)
+            ), (t.variant, i, n)
 
 
 def test_invalid_index():
