@@ -2,8 +2,9 @@
 traces, recurrence tables, series and the refined-counterexample search.
 
 Exit status is 0 exactly when the executed checks report zero violations,
-1 when violations were found and 2 on usage errors, infeasible bounds or a
-failure to write the output.
+1 when violations were found, 2 on usage errors, infeasible bounds or a
+failure to write the output, and 3 on an internal error (a crash is never a
+verdict).
 Identical invocations produce byte-identical output.
 """
 
@@ -29,6 +30,7 @@ from .recurrences import (
 
 DEFAULT_ORACLE_LIMIT = 60
 DEFAULT_DP_MAX_N = 200
+MAX_TABLE_DUMP_N = 1000
 
 
 @dataclass
@@ -315,6 +317,13 @@ def cmd_series(cfg: RunConfig) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     max_n = cfg.max_n if cfg.max_n is not None else DEFAULT_DP_MAX_N
+    if max_n > MAX_TABLE_DUMP_N:
+        print(
+            "table dumps render all (max_n+1)(max_n+2) cells; max_n %d exceeds "
+            "the dump limit %d" % (max_n, MAX_TABLE_DUMP_N),
+            file=sys.stderr,
+        )
+        return 2
     table = variant_for_min_part(cfg.family.min_part)
     cells = [
         (i, m, n, table.value(i, m, n))
@@ -432,6 +441,10 @@ def main(argv=None) -> int:
         # an I/O failure is neither a verdict nor a violation
         print("evenodd: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        # a crash must not read as "violations found" (exit 1)
+        print("evenodd: internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .partitions import FamilySpec, counts_by_length
+from .partitions import FamilySpec, count_family, counts_by_length
 
 
 class CountTable:
@@ -222,36 +222,31 @@ def shift_identity_check(k: int, i: int, max_n: int) -> VerificationReport:
 
         p[2k+1](m, n) = p(m, n - 2mk)        b[2k+1](m, n) = b(m, n - 2mk)
         p[2k](m, n)   = p[2k+1](m, n + m)    b[2k](m, n)   = b[2k+1](m, n + m)
+
+    Every left side is read from a whole column (one enumeration per weight
+    n <= max_n, split by length).  A right side is read per cell: the base
+    count p(m, n - 2mk) as one fixed-length enumeration (0 at a negative
+    weight), and p[2k+1](m, n + m) from the odd-shift column when
+    n + m <= max_n, else as one fixed-length enumeration.  So no member is
+    enumerated at a cell that no equation reads.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     report = VerificationReport("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n)
     for kind in ("P", "B"):
-        base = {n: counts_by_length(n, FamilySpec(kind, i, 1)) for n in range(max_n + 1)}
-        odd = {n: counts_by_length(n, FamilySpec(kind, i, 2 * k + 1)) for n in range(max_n + 1)}
+        f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
+        odd = {n: counts_by_length(n, f_odd) for n in range(max_n + 1)}
         even = {n: counts_by_length(n, FamilySpec(kind, i, 2 * k)) for n in range(max_n + 1)}
-        # the right side of the even-shift equation needs odd-shift counts
-        # beyond max_n (weight n + m)
-        odd_hi = {
-            n: counts_by_length(n, FamilySpec(kind, i, 2 * k + 1))
-            for n in range(max_n + 1, 2 * max_n + 1)
-        }
-        odd_all = {**odd, **odd_hi}
-
-        def at(table, m, n):
-            # negative weight counts nothing; everything else is oracle data
-            if n < 0:
-                return 0
-            return table[n][m]
-
         for n in range(0, max_n + 1):
             for m in range(0, n + 1):
-                lhs = at(odd, m, n)
-                rhs = at(base, m, n - 2 * m * k)
+                lhs = odd[n][m]
+                w = n - 2 * m * k
+                rhs = count_family(w, f_base, fixed_length=m) if w >= 0 else 0
                 if lhs != rhs:
                     report.violations.append(_cell(i, m, n, rhs, lhs))
-                lhs = at(even, m, n)
-                rhs = at(odd_all, m, n + m)
+                lhs = even[n][m]
+                w = n + m
+                rhs = odd[w][m] if w <= max_n else count_family(w, f_odd, fixed_length=m)
                 if lhs != rhs:
                     report.violations.append(_cell(i, m, n, rhs, lhs))
     return report

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from evenodd import cli
 from evenodd.cli import main
 
 
@@ -147,6 +148,22 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "count", "--family", "P", "--n", "6", "--out", target)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and target in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def crash(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "count", crash)
+    code, out, err = run(capsys, "count", "--family", "P", "--n", "6")
+    assert code == 3 and out == ""
+    assert err == "evenodd: internal error: RuntimeError: boom\n"
+
+
+def test_table_dump_limit(capsys):
+    code, out, err = run(capsys, "table", "--max-n", "1001")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "limit 1000" in err
 
 
 def test_bijection_json_trace_keys(capsys):

@@ -197,11 +197,16 @@ def test_count_family_refined():
 
 
 def test_counts_by_length_matches_count_family():
-    for n in range(0, 16):
-        for f in (FamilySpec("P", 1), FamilySpec("B", 2), FamilySpec("A", 2)):
+    # the fixed-length branches of the P and B enumerators prune on their
+    # own, so each is checked against the whole column split by length
+    specs = [
+        FamilySpec(kind, i, j) for kind in ("P", "B") for i in (1, 2) for j in range(1, 8)
+    ] + [FamilySpec("A", 2)]
+    for n in range(0, 25):
+        for f in specs:
             c = counts_by_length(n, f)
             for m in range(0, n + 1):
-                assert c[m] == count_family(n, f, fixed_length=m)
+                assert c[m] == count_family(n, f, fixed_length=m), (f, n, m)
 
 
 def test_i_monotonicity():

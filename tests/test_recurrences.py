@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from evenodd import partitions
 from evenodd.partitions import FamilySpec, count_family
 from evenodd.recurrences import (
     VerificationReport,
@@ -190,6 +191,30 @@ def test_shift_identity_check_clean():
     assert r.ok
     with pytest.raises(ValueError):
         shift_identity_check(0, 2, 5)
+
+
+# (enumerator, dropped member, its minimum part, the one violation expected
+# from shift_identity_check(1, 2, 20)): the first member of each kind sits at
+# an odd-shift cell above max_n, read by the even-shift equation at
+# (m=4, n=20); the second at a base cell, read by the odd-shift equation at
+# (m=2, n=6+4)
+DROPPED = [
+    ("_p_members_fixed", (9, 7, 5, 3), 3, {"i": 2, "m": 4, "n": 20, "expected": 0, "actual": 1}),
+    ("_p_members_fixed", (3, 3), 1, {"i": 2, "m": 2, "n": 10, "expected": 1, "actual": 2}),
+    ("_enumerate_B", (9, 7, 5, 3), 3, {"i": 2, "m": 4, "n": 20, "expected": 0, "actual": 1}),
+    ("_enumerate_B", (4, 2), 1, {"i": 2, "m": 2, "n": 10, "expected": 1, "actual": 2}),
+]
+
+
+@pytest.mark.parametrize("enumerator,member,min_part,violation", DROPPED)
+def test_shift_check_sees_a_dropped_member(monkeypatch, enumerator, member, min_part, violation):
+    original = getattr(partitions, enumerator)
+
+    def dropping(n, i, j, m):
+        return [p for p in original(n, i, j, m) if (p, j) != (member, min_part)]
+
+    monkeypatch.setattr(partitions, enumerator, dropping)
+    assert shift_identity_check(1, 2, 20).violations == [violation]
 
 
 def test_shift_spot_value():
