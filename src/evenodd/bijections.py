@@ -40,7 +40,8 @@ def _require(cond, clause):
 
 
 def _require_member(p, f):
-    _require(is_member(p, f), "not a member of %s" % f.label())
+    if not is_member(p, f):
+        raise BijectionDomainError("not a member of %s" % f.label())
 
 
 def _check_codomain(image, f, name):

@@ -5,16 +5,19 @@ Exit status is 0 exactly when the executed checks report zero violations,
 1 when violations were found, 2 on usage errors, infeasible bounds or a
 failure to write the output, and 3 on an internal error (a crash is never a
 verdict).
-Identical invocations produce byte-identical output.
+Identical invocations produce byte-identical output.  Output is rendered
+while it is written, so a run that exits 2 or 3 part way may leave partial
+output behind; only the exit status says that a run finished.
 """
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .bijections import BIJECTION_NAMES, trace_bijection
 from .partitions import FamilySpec, count_family, counts_by_length, enumerate_family
@@ -84,40 +87,73 @@ def _config(parser, args) -> RunConfig:
     )
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+_EMIT_BATCH_CHARS = 1 << 16  # text joined into one write
+
+
+def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    """Write an iterable of string chunks to --out or stdout, in batches.
+
+    The target is opened before the first chunk is rendered, and chunks are
+    rendered only as they are written, so a failure mid-stream leaves the
+    output written so far in place.
+    """
+    target = open(cfg.output_path, "w") if cfg.output_path else nullcontext(sys.stdout)
+    with target as fh:
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _EMIT_BATCH_CHARS:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
 
 
 def _fmt_partition(p) -> str:
-    return "(" + ",".join(str(x) for x in p) + ")"
+    return "(" + ",".join(map(str, p)) + ")"
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+class _Line:
+    """A file whose write returns its text, so csv writerow returns one line."""
+
+    def write(self, text):
+        return text
+
+
+def _csv_lines(header, rows):
+    line = csv.writer(_Line(), lineterminator="\n").writerow
+    yield line(header)
+    yield from map(line, rows)
+
+
+_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json_encode(obj) + "\n"
 
 
-def _render_report(cfg: RunConfig, report: VerificationReport, rows) -> str:
+def _json_array(items, open_="[", close="]\n"):
+    """Chunks of a JSON array whose items are already encoded: the same bytes
+    as _json_text of the decoded list."""
+    yield open_
+    sep = ""
+    for item in items:
+        yield sep + item
+        sep = ","
+    yield close
+
+
+def _render_report(cfg: RunConfig, report: VerificationReport, rows):
     if cfg.output_format == "json":
-        return _json_text(report.to_dict())
+        return [_json_text(report.to_dict())]
     if cfg.output_format == "csv":
-        return _csv_text(
+        return _csv_lines(
             ["i", "m", "n", "expected", "actual"],
-            [
+            (
                 [v["i"], "" if v["m"] is None else v["m"], v["n"], v["expected"], v["actual"]]
                 for v in report.violations
-            ],
+            ),
         )
     lines = ["%s %s max_n=%d" % (report.system, report.family, report.max_n)]
     lines += rows
@@ -127,7 +163,7 @@ def _render_report(cfg: RunConfig, report: VerificationReport, rows) -> str:
             "  i=%s m=%s n=%s expected=%s actual=%s"
             % (v["i"], v["m"], v["n"], v["expected"], v["actual"])
         )
-    return "\n".join(lines) + "\n"
+    return [line + "\n" for line in lines]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -218,11 +254,12 @@ def cmd_count(cfg: RunConfig) -> int:
         else:
             c = family_count_via_table(table, f.i, n)
     if cfg.output_format == "json":
-        _emit(cfg, _json_text({"count": c, "n": n}))
+        chunks = [_json_text({"count": c, "n": n})]
     elif cfg.output_format == "csv":
-        _emit(cfg, _csv_text(["n", "count"], [[n, c]]))
+        chunks = _csv_lines(["n", "count"], [[n, c]])
     else:
-        _emit(cfg, "%d\n" % c)
+        chunks = ["%d\n" % c]
+    _emit(cfg, chunks)
     return 0
 
 
@@ -236,13 +273,14 @@ def cmd_list(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    members = list(enumerate_family(n, f, cfg.fixed_length))
+    members = enumerate_family(n, f, cfg.fixed_length)
     if cfg.output_format == "json":
-        _emit(cfg, _json_text([list(p) for p in members]))
+        chunks = _json_array("[" + ",".join(map(str, p)) + "]" for p in members)
     elif cfg.output_format == "csv":
-        _emit(cfg, _csv_text(["parts"], [[" ".join(str(x) for x in p)] for p in members]))
+        chunks = _csv_lines(["parts"], ([" ".join(map(str, p))] for p in members))
     else:
-        _emit(cfg, "".join(_fmt_partition(p) + "\n" for p in members))
+        chunks = (_fmt_partition(p) + "\n" for p in members)
+    _emit(cfg, chunks)
     return 0
 
 
@@ -263,34 +301,34 @@ def cmd_bijection(cfg: RunConfig) -> int:
     rows = trace_bijection(name, n, k=cfg.k, kind=kind, i=cfg.family.i)
     ok = all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)
     if cfg.output_format == "json":
-        _emit(cfg, _json_text([r.to_dict() for r in rows]))
+        chunks = _json_array(_json_encode(r.to_dict()) for r in rows)
     elif cfg.output_format == "csv":
-        _emit(
-            cfg,
-            _csv_text(
-                ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
+        chunks = _csv_lines(
+            ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
+            (
                 [
-                    [
-                        r.bijection,
-                        " ".join(str(x) for x in r.input),
-                        "" if r.case is None else r.case,
-                        "" if r.output is None else " ".join(str(x) for x in r.output),
-                        r.domain_ok,
-                        r.codomain_ok,
-                    ]
-                    for r in rows
-                ],
+                    r.bijection,
+                    " ".join(map(str, r.input)),
+                    "" if r.case is None else r.case,
+                    "" if r.output is None else " ".join(map(str, r.output)),
+                    r.domain_ok,
+                    r.codomain_ok,
+                ]
+                for r in rows
             ),
         )
     else:
-        lines = []
-        for r in rows:
-            mid = " -> case %d ->" % r.case if r.case is not None else " ->"
-            verdict = "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED"
-            lines.append(
-                "%s%s %s %s" % (_fmt_partition(r.input), mid, _fmt_partition(r.output), verdict)
+        chunks = (
+            "%s%s %s %s\n"
+            % (
+                _fmt_partition(r.input),
+                " -> case %d ->" % r.case if r.case is not None else " ->",
+                _fmt_partition(r.output),
+                "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED",
             )
-        _emit(cfg, "".join(line + "\n" for line in lines))
+            for r in rows
+        )
+    _emit(cfg, chunks)
     return 0 if ok else 1
 
 
@@ -307,12 +345,27 @@ def cmd_series(cfg: RunConfig) -> int:
             [family_count_via_table(table, f.i, n) for n in range(degree + 1)]
         )
     if cfg.output_format == "json":
-        _emit(cfg, _json_text(s.to_decimal_strings()))
+        chunks = [_json_text(s.to_decimal_strings())]
     elif cfg.output_format == "csv":
-        _emit(cfg, _csv_text(["degree", "coefficient"], list(enumerate(s.coeffs))))
+        chunks = _csv_lines(["degree", "coefficient"], enumerate(s.coeffs))
     else:
-        _emit(cfg, "".join("%d: %d\n" % (n, c) for n, c in enumerate(s.coeffs)))
+        chunks = ("%d: %d\n" % (n, c) for n, c in enumerate(s.coeffs))
+    _emit(cfg, chunks)
     return 0
+
+
+def _table_cells(table, max_n):
+    """The "i,m,n,count" cells of each (i, n) row of a table dump, as one
+    list per row, in dump order.  The stored cells come from table.row; the
+    lengths past them up to n are structural zeros, written without lookups.
+    """
+    for i in (1, 2):
+        for n in range(max_n + 1):
+            row = table.row(i, n)
+            zero = "%d,%%d,%d,0" % (i, n)
+            yield ["%d,%d,%d,%d" % (i, m, n, c) for m, c in enumerate(row)] + [
+                zero % m for m in range(len(row), n + 1)
+            ]
 
 
 def cmd_table(cfg: RunConfig) -> int:
@@ -325,20 +378,20 @@ def cmd_table(cfg: RunConfig) -> int:
         )
         return 2
     table = variant_for_min_part(cfg.family.min_part)
-    cells = [
-        (i, m, n, table.value(i, m, n))
-        for i in (1, 2)
-        for n in range(0, max_n + 1)
-        for m in range(0, n + 1)
-    ]
+    rows = _table_cells(table, max_n)
     if cfg.output_format == "json":
-        _emit(cfg, _json_text({"variant": table.variant, "cells": [list(c) for c in cells]}))
-    elif cfg.output_format == "csv":
-        _emit(cfg, _csv_text(["i", "m", "n", "count"], [list(c) for c in cells]))
+        chunks = _json_array(
+            ("[" + "],[".join(cells) + "]" for cells in rows),
+            '{"cells":[',
+            '],"variant":%s}\n' % _json_encode(table.variant),
+        )
     else:
-        lines = ["%s cells (i,m,n,count)" % table.variant]
-        lines += ["%d,%d,%d,%d" % c for c in cells]
-        _emit(cfg, "".join(line + "\n" for line in lines))
+        if cfg.output_format == "csv":
+            head = "i,m,n,count\n"
+        else:
+            head = "%s cells (i,m,n,count)\n" % table.variant
+        chunks = chain([head], ("\n".join(cells) + "\n" for cells in rows))
+    _emit(cfg, chunks)
     return 0
 
 
@@ -354,18 +407,17 @@ def cmd_witness(cfg: RunConfig) -> int:
     w = refined_AB_witness(cfg.family.i, max_n)
     if cfg.output_format == "json":
         if w is None:
-            _emit(cfg, _json_text({"found": False}))
+            chunks = [_json_text({"found": False})]
         else:
             m, n, ca, cb = w
-            _emit(cfg, _json_text({"found": True, "m": m, "n": n, "countA": ca, "countB": cb}))
+            chunks = [_json_text({"found": True, "m": m, "n": n, "countA": ca, "countB": cb})]
     elif cfg.output_format == "csv":
-        rows = [] if w is None else [list(w)]
-        _emit(cfg, _csv_text(["m", "n", "countA", "countB"], rows))
+        chunks = _csv_lines(["m", "n", "countA", "countB"], [] if w is None else [list(w)])
+    elif w is None:
+        chunks = ["no witness up to max_n=%d\n" % max_n]
     else:
-        if w is None:
-            _emit(cfg, "no witness up to max_n=%d\n" % max_n)
-        else:
-            _emit(cfg, "m=%d n=%d countA=%d countB=%d\n" % w)
+        chunks = ["m=%d n=%d countA=%d countB=%d\n" % w]
+    _emit(cfg, chunks)
     return 0
 
 

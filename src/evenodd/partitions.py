@@ -127,10 +127,10 @@ def is_member(p: Partition, f: FamilySpec) -> bool:
         return False
     if f.kind == "A":
         return all(part_allowed_for_A(x, f.i) for x in p)
-    if sum(1 for x in p if x == j) > f.i - 1:
+    if p.count(j) > f.i - 1:
         return False
     if f.kind == "B":
-        return all(p[t] - p[t + 1] >= 2 for t in range(len(p) - 1))
+        return all(a - b >= 2 for a, b in zip(p, p[1:]))
     # kind P
     m = len(p)
     evens = [x for x in p if x % 2 == 0]
@@ -182,41 +182,78 @@ def enumerate_partitions(
     return gen(n, n, fixed_length)
 
 
-def _max_gap2_sum(maxp: int, lo: int) -> int:
-    """Largest weight of a gap->=2 partition with parts in [lo, maxp]."""
-    if maxp < lo:
-        return 0
-    t = (maxp - lo) // 2 + 1
-    return t * maxp - t * (t - 1)
+# free-length subtrees of at most this remaining weight are listed once per
+# _enumerate_B call and replayed for every prefix that reaches them
+_B_MEMO_MAX_REM = 32
 
 
 def _enumerate_B(n, i, j, fixed_length):
     # gap >= 2 forces distinct parts, so "at most i-1 parts equal j" reduces
     # to a floor: lo = j for i=2, lo = j+1 for i=1
     lo = j if i == 2 else j + 1
+    if n == 0:
+        if not fixed_length:
+            yield ()
+        return
+    if fixed_length == 0:
+        return
+    memo = {}
 
-    def gen(rem, maxp, left):
-        if rem == 0:
-            if left is None or left == 0:
-                yield ()
-            return
-        if left == 0:
-            return
-        hi = min(maxp, rem)
-        if left is not None and left > 1:
-            # keep room for `left-1` smaller parts, the tightest packing
-            # below v being v-2, v-4, ...
-            hi = min(hi, rem - ((left - 1) * lo + (left - 1) * (left - 2)))
+    def parts(rem, hi):
+        # each next part v <= hi, largest first, that leaves a remainder of 0
+        # or one a gap->=2 partition with parts in [lo, v-2] can make up; the
+        # heaviest such partition is v-2, v-4, ... down to lo
         for v in range(hi, lo - 1, -1):
             r = rem - v
-            if r > _max_gap2_sum(v - 2, lo):
-                break
-            if r > 0 and r < lo:
+            if r == 0:
+                yield v
                 continue
-            for tail in gen(r, v - 2, None if left is None else left - 1):
-                yield (v,) + tail
+            top = v - 2
+            t = (top - lo) // 2 + 1
+            if top < lo or r > t * (top - t + 1):
+                return
+            if r >= lo:
+                yield v
 
-    return gen(n, n, fixed_length)
+    def tails(rem, maxp):
+        # every gap->=2 partition of rem > 0 with parts in [lo, maxp], as a
+        # list in lexicographically decreasing order
+        maxp = min(maxp, rem)
+        key = (rem, maxp)
+        out = memo.get(key)
+        if out is None:
+            out = []
+            for v in parts(rem, maxp):
+                if v == rem:
+                    out.append((v,))
+                else:
+                    out.extend([(v,) + tail for tail in tails(rem - v, v - 2)])
+            memo[key] = out
+        return out
+
+    def gen(prefix, rem, maxp, left):
+        if left is None:
+            if rem <= _B_MEMO_MAX_REM:
+                for tail in tails(rem, maxp):
+                    yield prefix + tail
+                return
+            hi = min(maxp, rem)
+        elif left == 1:
+            if lo <= rem <= maxp:
+                yield prefix + (rem,)
+            return
+        else:
+            # keep room for `left-1` smaller parts, the tightest packing
+            # below v being v-2, v-4, ...
+            hi = min(maxp, rem - ((left - 1) * lo + (left - 1) * (left - 2)))
+            left -= 1
+        for v in parts(rem, hi):
+            if v == rem:
+                yield prefix + (v,)
+            else:
+                yield from gen(prefix + (v,), rem - v, v - 2, left)
+
+    yield from gen((), n, n, fixed_length)
 
 
 def _enumerate_P(n, i, j, fixed_length):

@@ -1,9 +1,15 @@
+import csv
+import hashlib
+import io
 import json
 
 import pytest
 
 from evenodd import cli
+from evenodd.bijections import trace_bijection
 from evenodd.cli import main
+from evenodd.partitions import FamilySpec, enumerate_family
+from evenodd.recurrences import variant_for_min_part
 
 
 def run(capsys, *argv):
@@ -255,3 +261,218 @@ def test_family_flag_validation(capsys):
               "--parity", "odd", "--n", "5"])
     with pytest.raises(SystemExit):
         main(["count", "--family", "P", "--n", "-3"])
+
+
+# references for the streamed renderers, built the way the output was built
+# before streaming: one json.dumps or one csv.writer over every row
+
+
+def _ref_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _ref_csv(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _ref_partition(p):
+    return "(" + ",".join(str(x) for x in p) + ")"
+
+
+def _run_both(capsys, tmp_path, argv):
+    """Output of one invocation on stdout and through --out, checked equal."""
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code_file, out_file, _ = run(capsys, *argv, "--out", str(target))
+    assert (code_file, out_file) == (code, "")
+    assert target.read_text() == out
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "n,f,fixed_length",
+    [
+        (40, FamilySpec("B", 2), None),
+        (35, FamilySpec("B", 1), 3),
+        (12, FamilySpec("P", 2), None),
+        (0, FamilySpec("B", 2), None),
+        (1, FamilySpec("B", 1), None),
+        (9, FamilySpec("B", 2, 3), None),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_list_streams_the_reference_bytes(capsys, tmp_path, n, f, fixed_length, fmt):
+    members = list(enumerate_family(n, f, fixed_length))
+    argv = ["list", "--family", f.kind, "--i", str(f.i), "--min-part", str(f.min_part),
+            "--n", str(n), "--format", fmt]
+    if fixed_length is not None:
+        argv += ["--fixed-length", str(fixed_length)]
+    if fmt == "json":
+        ref = _ref_json([list(p) for p in members])
+    elif fmt == "csv":
+        ref = _ref_csv(["parts"], [[" ".join(str(x) for x in p)] for p in members])
+    else:
+        ref = "".join(_ref_partition(p) + "\n" for p in members)
+    assert _run_both(capsys, tmp_path, argv) == (0, ref)
+
+
+def test_list_empty_json(capsys):
+    assert run(capsys, "list", "--family", "B", "--i", "1", "--n", "1", "--format", "json") == (
+        0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "max_n,flags,min_part",
+    [
+        (0, [], 1),
+        (14, [], 1),
+        (20, ["--min-part", "3"], 3),
+        (20, ["--k", "2", "--parity", "even"], 4),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_streams_the_reference_bytes(capsys, tmp_path, max_n, flags, min_part, fmt):
+    table = variant_for_min_part(min_part)
+    cells = [
+        [i, m, n, table.value(i, m, n)]
+        for i in (1, 2)
+        for n in range(0, max_n + 1)
+        for m in range(0, n + 1)
+    ]
+    if fmt == "json":
+        ref = _ref_json({"variant": table.variant, "cells": cells})
+    elif fmt == "csv":
+        ref = _ref_csv(["i", "m", "n", "count"], cells)
+    else:
+        ref = "%s cells (i,m,n,count)\n" % table.variant
+        ref += "".join("%d,%d,%d,%d\n" % tuple(c) for c in cells)
+    argv = ["table", *flags, "--max-n", str(max_n), "--format", fmt]
+    assert _run_both(capsys, tmp_path, argv) == (0, ref)
+
+
+@pytest.mark.parametrize(
+    "name,n,flags,kind,k,i",
+    [
+        ("B-case-min3", 30, [], "P", None, 2),
+        ("P-case-two-threes", 20, [], "P", None, 2),
+        ("shift-add-one", 14, ["--family", "B", "--i", "1", "--k", "1"], "B", 1, 1),
+        ("P-drop-one", 0, [], "P", None, 2),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_bijection_streams_the_reference_bytes(capsys, tmp_path, name, n, flags, kind, k, i, fmt):
+    rows = trace_bijection(name, n, k=k, kind=kind, i=i)
+    assert bool(rows) == (n > 0)
+    if fmt == "json":
+        ref = _ref_json([r.to_dict() for r in rows])
+    elif fmt == "csv":
+        ref = _ref_csv(
+            ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
+            [
+                [
+                    r.bijection,
+                    " ".join(str(x) for x in r.input),
+                    "" if r.case is None else r.case,
+                    "" if r.output is None else " ".join(str(x) for x in r.output),
+                    r.domain_ok,
+                    r.codomain_ok,
+                ]
+                for r in rows
+            ],
+        )
+    else:
+        ref = ""
+        for r in rows:
+            mid = " -> case %d ->" % r.case if r.case is not None else " ->"
+            verdict = "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED"
+            ref += "%s%s %s %s\n" % (
+                _ref_partition(r.input), mid, _ref_partition(r.output), verdict)
+    argv = ["bijection", name, *flags, "--n", str(n), "--format", fmt]
+    assert _run_both(capsys, tmp_path, argv) == (0, ref)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--family", "B", "--n", "30"],
+        ["table", "--max-n", "10", "--format", "json"],
+        ["bijection", "B-case-min3", "--n", "20", "--format", "csv"],
+    ],
+)
+def test_streamed_unwritable_out_exits_2(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, *argv, "--out", target)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and target in err
+
+
+def test_output_streams_before_a_late_failure(capsys, monkeypatch):
+    # members are written as they are produced: a crash after many members
+    # leaves the ones already written, and the exit status still says 3
+    def members(n, f, fixed_length=None):
+        for v in range(100000, 0, -1):
+            yield (v,)
+        raise RuntimeError("late")
+
+    monkeypatch.setattr(cli, "enumerate_family", members)
+    code, out, err = run(capsys, "list", "--family", "B", "--n", "5")
+    assert code == 3 and err == "evenodd: internal error: RuntimeError: late\n"
+    assert out and out.startswith("(100000)\n(99999)\n")
+
+
+# stdout SHA-256 and exit status of a fixed invocation set, recorded before
+# the renderers streamed: every subcommand in every format stays byte-identical
+DIGESTS = [
+    ("verify --family P --i 1 --max-n 12 --format text", 0, "8c03d84cfa59de67c905bfb2dd1873d844d1da3a126ceb0248d6fb437389e5b9"),
+    ("verify --family B --k 1 --parity odd --max-n 12 --format text", 0, "b5769f912a3432dd8af5f64f2e452cea45ff23a75c288c55b56ec1367a7d8518"),
+    ("verify --family A --refined --max-n 10 --format text", 1, "b58ee6d1f84333d62a8f16d726fb3fddc11d28532c7133ed6fb212fae73c0a7a"),
+    ("count --family B --n 100 --format text", 0, "8af97cb39fb4ff6846f72d96dd9fb976d976531a2dfaf3ae26308d1473786225"),
+    ("list --family B --n 40 --format text", 0, "d46b4d278d60a9ef37af598a834ea06c2542e010cd9773fdf7d165071099f4b0"),
+    ("list --family B --i 1 --n 36 --fixed-length 3 --format text", 0, "25cdbfe8b23ee5c3c06a16f7b75b85b993064c4dc70176c671152dd4a48fa9e9"),
+    ("list --family P --n 12 --format text", 0, "baae4306fa1c70a5cc767f76bee341a467085922cb63c0b5159e2a8f6a6f9781"),
+    ("list --family B --n 0 --format text", 0, "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b"),
+    ("bijection B-case-min3 --n 34 --format text", 0, "35dd1cf263c1daddaca15d2e479ad8c69f190a820a635f065bbe9631f7a09d69"),
+    ("bijection P-case-two-threes --n 20 --format text", 0, "0222b40629fa3f51f1af109b4c038f49a233ff23d3a7185be47ac8ff40e6f5e9"),
+    ("bijection shift-add-one --k 1 --n 14 --format text", 0, "472571274430d58477a79dcbd1d7ee7ac2a9fdf45a026928c33c47aba3e3a2ce"),
+    ("series --family B --i 1 --max-n 30 --format text", 0, "c190d65a523a0c53b7ea83cb335d986bea478fb701899e3d7c2679e0aed9d811"),
+    ("table --max-n 14 --format text", 0, "bf4bf0cb582ed04c309417d61365867de30e6531dfc21e25fc271db9d4f7721c"),
+    ("witness --i 1 --max-n 10 --format text", 0, "576dae555a803b42e0c05ee4bf7b95e52e50e6ed2ce39aabb1ab26971d4527d5"),
+    ("verify --family P --i 1 --max-n 12 --format json", 0, "ce341e726cfd685a2fd5c47fb9d83791116083cf849ee4483b5a44c5347c7d76"),
+    ("verify --family B --k 1 --parity odd --max-n 12 --format json", 0, "4ef75305236952a50ef5ee259bf81cf615d72b803b146d5082660ba87e415700"),
+    ("verify --family A --refined --max-n 10 --format json", 1, "ae03f4eb6cd66d6c22dfa2f990ed05928f2fdf9da6d8d5ff2f6981ae3219b449"),
+    ("count --family B --n 100 --format json", 0, "6a081e8261d0cd8bb8b0cf41fd14e92bccdc142b2386a976da0f057d5401f799"),
+    ("list --family B --n 40 --format json", 0, "058544609def73ff4fce3cc64ce2cbc6067cd0c6d6cfc7b80360ca430420b0bb"),
+    ("list --family B --i 1 --n 36 --fixed-length 3 --format json", 0, "7f6ce54bfa4da9eaa06adc42105eb962b4dccee1cb91cf23a4dfb00a84d8ae7d"),
+    ("list --family P --n 12 --format json", 0, "57d26b46d786fb8df74c66920d6ac6b61051128e0ac3f1736251e2ee410b7621"),
+    ("list --family B --n 0 --format json", 0, "a930ec39e7339fde7af6a7f1009d621c595aab52ec9324dde1e8387212ae64aa"),
+    ("bijection B-case-min3 --n 34 --format json", 0, "cc219c8f001e62af0ac528ad51dde011ce0c29894a775335971df657afeffcf0"),
+    ("bijection P-case-two-threes --n 20 --format json", 0, "cb7f14ac7c4954517b9675719ed24881bdb5fd2d2ddcb1e25aa76789334217f1"),
+    ("bijection shift-add-one --k 1 --n 14 --format json", 0, "3f0be49856d215fe157a1c545bde6ee8bc5112de5393280a1a1a0c326f71125f"),
+    ("series --family B --i 1 --max-n 30 --format json", 0, "9035ee06f042edc7856d7700de551ce389e31195f6cf15d7db9b1e7ecaa5137a"),
+    ("table --max-n 14 --format json", 0, "c0d8f20e6c1dddaa0ef5ad1e9096c3cf30e39bc3aa740ed4618e46f41824a8a8"),
+    ("witness --i 1 --max-n 10 --format json", 0, "74a2f38c46b1ee6f3cbb60f1a4ed73832fd077f4bc0bc999497484e357799021"),
+    ("verify --family P --i 1 --max-n 12 --format csv", 0, "72459ceba0b24e16b8172119037b7f8a5aa1458f395688c5005ed343d89d125d"),
+    ("verify --family B --k 1 --parity odd --max-n 12 --format csv", 0, "72459ceba0b24e16b8172119037b7f8a5aa1458f395688c5005ed343d89d125d"),
+    ("verify --family A --refined --max-n 10 --format csv", 1, "d3cfa487e7867a8bdfb7fe1dd4cd224bcd39e355b7bbd4e692ebc3033628c7e1"),
+    ("count --family B --n 100 --format csv", 0, "66f3018074a16c027d583669f75c6f1dcf70b82c10d9be511a051d7ceb107186"),
+    ("list --family B --n 40 --format csv", 0, "3058afde51cc9f3a9141e4d532a734394f6ebe22e52909a61ce31ed46a4c11fd"),
+    ("list --family B --i 1 --n 36 --fixed-length 3 --format csv", 0, "2fbf13645e4c7a796951c33943a1e28040e9ef0b4eabeab92f584886e56ae151"),
+    ("list --family P --n 12 --format csv", 0, "65836ea0042ad11a1d3c8ff77971fdf710791f9565eeca05254751d77b2c861f"),
+    ("list --family B --n 0 --format csv", 0, "e1813ef61de979347db9f2ff1f492f1888d74ea55b37370387b17fb439375d51"),
+    ("bijection B-case-min3 --n 34 --format csv", 0, "86eaefb8638b60eb3d6ef81fa399b3ad9d53cdfce9a0c5c3283487bd60aeda53"),
+    ("bijection P-case-two-threes --n 20 --format csv", 0, "18dd3c75c40d6193be815fb32e4643dc2d881ea1d453f22b7f514dd2b5cfd75a"),
+    ("bijection shift-add-one --k 1 --n 14 --format csv", 0, "e1570ff35246c22b39efb4752ae926b2e8c9bcb6a5238d17b6e6e2b90eb553ab"),
+    ("series --family B --i 1 --max-n 30 --format csv", 0, "34e88e605c0f314917bd0f2cc8f3beedd4d5ba464c6f10374e6393abc0043c7b"),
+    ("table --max-n 14 --format csv", 0, "8e49113656908b34d382c7e0ab8c2ade9e46d9fe555683e1780b65fa36d4065c"),
+    ("witness --i 1 --max-n 10 --format csv", 0, "28452af10f31ce6a396fccca6f7dd8e7c6e7768bd8bcb031bf0738ddf52e3390"),
+]
+
+
+@pytest.mark.parametrize("argv,code,sha256", DIGESTS)
+def test_output_digests(capsys, argv, code, sha256):
+    got_code, out, _ = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from evenodd.partitions import (
+    _B_MEMO_MAX_REM,
     FamilySpec,
     as_partition,
     count_family,
@@ -179,6 +180,23 @@ def test_enumerate_family_matches_filtered_oracle():
             ref = [p for p in everything if is_member(p, f)]
             got = list(enumerate_family(n, f))
             assert got == ref, (n, f)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_b_enumerator_matches_filtered_oracle_past_the_memo(i):
+    # free-length B subtrees up to weight _B_MEMO_MAX_REM are replayed from a
+    # per-call memo, so the weights run well past it
+    top = 40
+    assert _B_MEMO_MAX_REM < top
+    for n in range(0, top + 1):
+        everything = list(enumerate_partitions(n))
+        for j in range(1, 6):
+            f = FamilySpec("B", i, j)
+            ref = [p for p in everything if is_member(p, f)]
+            assert list(enumerate_family(n, f)) == ref, (n, f)
+            for m in range(0, 9):
+                got = list(enumerate_family(n, f, fixed_length=m))
+                assert got == [p for p in ref if len(p) == m], (n, f, m)
 
 
 def test_enumerate_family_fixed_length_consistent():
