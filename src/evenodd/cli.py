@@ -210,9 +210,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     fB = FamilySpec("B", f.i, f.min_part)
     report = VerificationReport(system, "P+B(i=%d,min_part=%d)" % (f.i, f.min_part), max_n)
     rows = []
+    # one column per family, handed on to the shift check, which reads the
+    # same two columns
+    columns = {g: [counts_by_length(n, g) for n in range(max_n + 1)] for g in (fP, fB)}
     for n in range(0, max_n + 1):
-        cP = counts_by_length(n, fP)
-        cB = counts_by_length(n, fB)
+        cP, cB = columns[fP][n], columns[fB][n]
         rows.append("n=%d: P=%d B=%d" % (n, sum(cP.values()), sum(cB.values())))
         for m in range(0, n + 1):
             p_count, b_count = cP[m], cB[m]
@@ -228,7 +230,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                     )
     if f.min_part > 1:
         k = (f.min_part - 1) // 2 if f.min_part % 2 == 1 else f.min_part // 2
-        report.violations.extend(shift_identity_check(k, f.i, max_n).violations)
+        report.violations.extend(shift_identity_check(k, f.i, max_n, columns).violations)
         report.system += "+shift-equations"
     _emit(cfg, _render_report(cfg, report, rows))
     return 0 if report.ok else 1

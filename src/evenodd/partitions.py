@@ -118,19 +118,23 @@ def part_allowed_for_A(x: int, i: int) -> bool:
 def is_member(p: Partition, f: FamilySpec) -> bool:
     """Membership predicate for a canonical partition in family f.
 
-    All gap clauses are vacuous when the relevant parity class has fewer
-    than 3 parts; the smallest-part bound clauses are vacuous when that
-    parity class is empty.  The empty partition belongs to every family.
+    A tuple whose parts increase anywhere is not canonical and belongs to no
+    family (for kind B the gap clause already says so).  All gap clauses are
+    vacuous when the relevant parity class has fewer than 3 parts; the
+    smallest-part bound clauses are vacuous when that parity class is empty.
+    The empty partition belongs to every family.
     """
     j = f.min_part
     if p and p[-1] < j:
+        return False
+    if f.kind == "B":
+        return p.count(j) < f.i and all(a - b >= 2 for a, b in zip(p, p[1:]))
+    if any(a < b for a, b in zip(p, p[1:])):
         return False
     if f.kind == "A":
         return all(part_allowed_for_A(x, f.i) for x in p)
     if p.count(j) > f.i - 1:
         return False
-    if f.kind == "B":
-        return all(a - b >= 2 for a, b in zip(p, p[1:]))
     # kind P
     m = len(p)
     evens = [x for x in p if x % 2 == 0]
@@ -260,50 +264,109 @@ def _enumerate_P(n, i, j, fixed_length):
     if fixed_length is not None:
         yield from _p_members_fixed(n, i, j, fixed_length)
         return
+    # the least weight of an m-part member grows with m, so the first
+    # length that cannot reach n ends the loop
     out = []
-    for m in range(0, n // j + 1 if n else 1):
+    m = 0
+    while _p_least_weights(i, j, m)[m] <= n:
         out.extend(_p_members_fixed(n, i, j, m))
+        m += 1
     out.sort(reverse=True)
     yield from out
 
 
+def _p_least_weights(i, j, m):
+    """lw[l] for l = 0 .. m: a lower bound on the weight of any l parts of an
+    m-part member of P with index i and minimum part j.
+
+    lw[l] is the sum of min(c_t, 2m+j-1) over t < l, where c_0, c_1, ... is
+    the gap-class chain: j, j+2, j+4, ... when a copy of j may be used
+    (i = 2), else j+2, j+2, j+6, j+6, ... .  See _p_members_fixed for the
+    proof.  For t <= m-2, c_t <= j+2+2t < 2m+j-1, so for l <= m-1 lw[l] is
+    the least weight of l gap-class parts.  lw[m] grows with m: each term
+    is nondecreasing in m, and a longer member adds a term.
+    """
+    bound = 2 * m + j - 1
+    lw = [0]
+    for t in range(m):
+        c = j + 2 * t if i == 2 else j + 2 + 4 * (t // 2)
+        lw.append(lw[-1] + min(c, bound))
+    return lw
+
+
 def _p_members_fixed(n, i, j, m):
-    """List the even-odd family members with exactly m parts."""
+    """List the even-odd family members with exactly m parts.
+
+    Lexicographically decreasing.  A member's parts split into two classes.
+    The bound class (parity of j-1) holds parts >= bound = 2m+j-1.  The gap
+    class (parity of j) holds parts >= j, at most i-1 of them equal to j,
+    and any two of its parts two positions apart in the class differ by at
+    least 4.  The recursion places parts largest first, and rejects a child
+    (remaining weight r, l parts left) before recursing unless a member can
+    still complete it.  Each rule below is a necessary condition on the l
+    remaining parts of a member, so a rejected child holds no member.
+
+    Least weight: r >= lw[l] (_p_least_weights).  Ascending, the
+    gap-class parts y_0 <= y_1 <= ... among the remaining parts are a tail
+    of the class, so y_{t+2} >= y_t + 4; also y_0 >= j and y_1 >= j+2 (a
+    second copy of j is never allowed), and y_0 >= j+2 when no copy of j
+    is allowed (i = 1).  By induction y_t >= c_t.  So g gap-class parts
+    weigh at least c_0 + ... + c_{g-1}, and each of the l-g bound-class
+    parts weighs at least bound; term by term, that total is at least
+    min(c_0, bound) + ... + min(c_{l-1}, bound) = lw[l].  A node applies
+    this to all its children at once through its top value
+    hi <= rem - lw[left-1].  At the root, n < lw[m] rejects the length.
+
+    Gap-class-only tails: after a part v < bound, no bound-class part fits
+    below v, so the l remaining parts are all gap class.  Then
+    (1) parity: each has the parity of j, so r = l*j (mod 2);
+    (2) greedy maximum: with g1, g2 the last two gap-class parts placed
+    (g2 = v), the remaining parts x_1 >= x_2 >= ... satisfy
+    x_1 <= a = min(g2, g1-4) (a = g2 when no g1 is placed),
+    x_2 <= b = min(a, g2-4) and x_{t+2} <= x_t - 4, so by induction x_t is
+    at most the t-th term of a, b, a-4, b-4, a-8, ..., and r is at most that
+    chain's sum over l terms.
+    """
+    lw = _p_least_weights(i, j, m)
+    if n < lw[m]:
+        return []
     if m == 0:
         return [()] if n == 0 else []
-    if n < m * j:
-        return []
-    if j % 2 == 1:
-        k = (j - 1) // 2
-        bound_parity, bound = 0, 2 * (m + k)
-    else:
-        k = j // 2
-        bound_parity, bound = 1, 2 * (m + k) - 1
+    bound = 2 * m + j - 1
+    bound_parity = 1 - j % 2
     limit = i - 1
     out = []
 
     def gen(rem, prev, left, jcount, prefix, g1, g2):
-        if left == 0:
-            if rem == 0:
-                out.append(prefix)
-            return
-        hi = min(prev, rem - (left - 1) * j)
+        l = left - 1
+        hi = min(prev, rem - lw[l])
         lo = max(j, -(-rem // left))
         for v in range(hi, lo - 1, -1):
+            r = rem - v
             if v % 2 == bound_parity:
                 if v < bound:
                     continue
+                nj, n1, n2 = jcount, g1, g2
             else:
                 # two-apart gap: v lands two positions after g1 in its class
                 if g1 is not None and g1 - v < 4:
                     continue
-            nj = jcount + (1 if v == j else 0)
-            if nj > limit:
-                continue
-            if v % 2 == bound_parity:
-                gen(rem - v, v, left - 1, nj, prefix + (v,), g1, g2)
+                nj, n1, n2 = jcount + (v == j), g2, v
+                if nj > limit:
+                    continue
+                if v < bound and l:
+                    # only gap-class parts remain
+                    if (r - l * j) % 2:
+                        continue
+                    a = v if g2 is None else min(v, g2 - 4)
+                    b = min(a, v - 4)
+                    p, q = (l + 1) // 2, l // 2
+                    if r > p * a - 2 * p * (p - 1) + q * b - 2 * q * (q - 1):
+                        continue
+            if l:
+                gen(r, v, l, nj, prefix + (v,), n1, n2)
             else:
-                gen(rem - v, v, left - 1, nj, prefix + (v,), g2, v)
+                out.append(prefix + (v,))
 
     gen(n, n, m, 0, (), None, None)
     return out
@@ -339,7 +402,9 @@ def enumerate_family(
     Agrees with filtering enumerate_partitions through is_member for every n
     where both are feasible.  The B enumerator prunes on the gap structure
     (output-proportional cost, usable far beyond the unrestricted oracle);
-    the P enumerator prunes on the per-length part bounds.
+    the P enumerator lists each length on its own, rejecting every subtree
+    that fails a least-weight, parity or greedy-maximum bound, and the
+    free-length form merges the lengths' lists.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

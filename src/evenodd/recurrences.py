@@ -215,7 +215,7 @@ def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> Verificati
     return report
 
 
-def shift_identity_check(k: int, i: int, max_n: int) -> VerificationReport:
+def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> VerificationReport:
     """Pointwise checks of the four shift equations for one k and index i.
 
     For all m <= n <= max_n, using oracle counts (p for kind P, b for kind B):
@@ -229,14 +229,24 @@ def shift_identity_check(k: int, i: int, max_n: int) -> VerificationReport:
     weight), and p[2k+1](m, n + m) from the odd-shift column when
     n + m <= max_n, else as one fixed-length enumeration.  So no member is
     enumerated at a cell that no equation reads.
+
+    columns, when given, maps a FamilySpec to a column the caller has
+    already counted, [counts_by_length(n, f) for n = 0 .. max_n]; such a
+    column is read from it rather than enumerated again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    columns = columns or {}
+
+    def column(f):
+        col = columns.get(f)
+        return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
+
     report = VerificationReport("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n)
     for kind in ("P", "B"):
         f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
-        odd = {n: counts_by_length(n, f_odd) for n in range(max_n + 1)}
-        even = {n: counts_by_length(n, FamilySpec(kind, i, 2 * k)) for n in range(max_n + 1)}
+        odd = column(f_odd)
+        even = column(FamilySpec(kind, i, 2 * k))
         for n in range(0, max_n + 1):
             for m in range(0, n + 1):
                 lhs = odd[n][m]

@@ -39,6 +39,27 @@ def test_p_drop_one_domain_errors(bad):
         p_drop_one(bad)
 
 
+# each input reorders parts so that every clause of is_member but the
+# non-increasing one holds; (3, 6) would map to (5, 8, 1)
+NON_CANONICAL = {
+    "p_drop_one": (p_drop_one, (1, 3)),
+    "p_drop_one_inverse": (p_drop_one_inverse, (3, 6)),
+    "p_case_map": (p_case_map, (2, 4)),
+    "p_case_inverse": (lambda q: p_case_inverse(1, q, 3), (2, 6)),
+    "shift_sub_2k": (lambda q: shift_sub_2k(q, 1), (1, 3)),
+    "shift_sub_2k_inverse": (lambda q: shift_sub_2k_inverse(q, 1), (1, 3)),
+    "shift_add_one": (lambda q: shift_add_one(q, 1), (1, 5)),
+    "shift_add_one_inverse": (lambda q: shift_add_one_inverse(q, 1), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_maps_reject_non_canonical_input(name):
+    fn, bad = NON_CANONICAL[name]
+    with pytest.raises(BijectionDomainError):
+        fn(bad)
+
+
 def test_p_case_map_examples():
     assert p_case_map((2,)) == (1, ())
     assert p_case_map((10, 3, 3)) == (2, (6, 4))

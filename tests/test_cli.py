@@ -2,10 +2,11 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from evenodd import cli
+from evenodd import cli, partitions, recurrences
 from evenodd.bijections import trace_bijection
 from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family
@@ -410,6 +411,25 @@ def test_streamed_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and target in err
 
 
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_shifted_verify_counts_each_column_once(capsys, monkeypatch, parity):
+    # verify counts the P and B columns at the family's minimum part, and
+    # the shift check reads them with the other parity's two columns
+    seen = Counter()
+
+    def counting(n, f):
+        seen[n, f] += 1
+        return partitions.counts_by_length(n, f)
+
+    monkeypatch.setattr(cli, "counts_by_length", counting)
+    monkeypatch.setattr(recurrences, "counts_by_length", counting)
+    code, _, _ = run(capsys, "verify", "--family", "P", "--k", "1", "--parity", parity, "--max-n", "12")
+    assert code == 0
+    assert set(seen.values()) == {1}
+    assert {f for _, f in seen} == {FamilySpec(kind, 2, j) for kind in "PB" for j in (2, 3)}
+    assert len(seen) == 4 * 13
+
+
 def test_output_streams_before_a_late_failure(capsys, monkeypatch):
     # members are written as they are produced: a crash after many members
     # leaves the ones already written, and the exit status still says 3
@@ -469,6 +489,16 @@ DIGESTS = [
     ("series --family B --i 1 --max-n 30 --format csv", 0, "34e88e605c0f314917bd0f2cc8f3beedd4d5ba464c6f10374e6393abc0043c7b"),
     ("table --max-n 14 --format csv", 0, "8e49113656908b34d382c7e0ab8c2ade9e46d9fe555683e1780b65fa36d4065c"),
     ("witness --i 1 --max-n 10 --format csv", 0, "28452af10f31ce6a396fccca6f7dd8e7c6e7768bd8bcb031bf0738ddf52e3390"),
+    # where the P enumerator's prune acts (weights past the oracle test) and
+    # where the shift check reads the columns verify already counted
+    ("list --family P --n 40 --format text", 0, "94a77df6c5abff5f7f14ea99690bd1c416153a35f3de76f10dcb3412fa48b675"),
+    ("list --family P --i 1 --k 2 --parity even --n 40 --format text", 0, "4beff56505a039de4ec13647d642bdc2bd228bc1ea36b290103c1c2f11d5ee69"),
+    ("verify --family P --k 1 --parity even --max-n 30 --format text", 0, "7034fef697a03833212ec559af2d5fbbe99193c2215bfded0d82ed2413a303c0"),
+    ("verify --family P --k 2 --parity odd --max-n 30 --format text", 0, "79a232def56085899c8e2452155c5c068931ba451dda12fcbc0ac671ed26bbeb"),
+    ("list --family P --n 40 --format json", 0, "50aafe2626228409d332550d6122f7dea7d21060913e1f8de7ef53aac83d8b1c"),
+    ("list --family P --i 1 --k 2 --parity even --n 40 --format json", 0, "5d3bc3e2ed88e5d56fbb89669db9ba79d7db791b1cbc6a717fb7175268c7df3a"),
+    ("verify --family P --k 1 --parity even --max-n 30 --format json", 0, "d18122cfc3b5a1c9116ab8b7e8acf89b1dc16ead7871331096b955a4a14873a8"),
+    ("verify --family P --k 2 --parity odd --max-n 30 --format json", 0, "67d6abc2cd426bfc5933e118db2309186ad1d011e9b23df8b8f043e40509f890"),
 ]
 
 

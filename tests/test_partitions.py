@@ -5,6 +5,7 @@ import pytest
 from evenodd.partitions import (
     _B_MEMO_MAX_REM,
     FamilySpec,
+    _p_least_weights,
     as_partition,
     count_family,
     counts_by_length,
@@ -86,6 +87,9 @@ def test_family_spec_round_trip():
         ((6, 4), FamilySpec("P", 1), True),  # smallest even 4 = 2*2
         ((8, 6), FamilySpec("P", 2), True),  # smallest even 6 >= 2*2
         ((6, 2), FamilySpec("P", 2), False),  # smallest even 2 < 2*2
+        ((3, 6, 5), FamilySpec("P", 2), False),  # not non-increasing
+        ((1, 4), FamilySpec("A", 2), False),  # not non-increasing
+        ((4, 1), FamilySpec("A", 2), True),
     ],
 )
 def test_is_member_base_families(p, f, expect):
@@ -197,6 +201,44 @@ def test_b_enumerator_matches_filtered_oracle_past_the_memo(i):
             for m in range(0, 9):
                 got = list(enumerate_family(n, f, fixed_length=m))
                 assert got == [p for p in ref if len(p) == m], (n, f, m)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_p_enumerator_matches_filtered_oracle_past_the_prune(i):
+    # the P enumerator rejects subtrees by least weight, parity and a greedy
+    # maximum of the gap class, so the weights run past the oracle test above
+    for n in range(0, 41):
+        everything = list(enumerate_partitions(n))
+        for j in range(1, 7):
+            f = FamilySpec("P", i, j)
+            ref = [p for p in everything if is_member(p, f)]
+            assert list(enumerate_family(n, f)) == ref, (n, f)
+            for m in range(0, 10):
+                got = list(enumerate_family(n, f, fixed_length=m))
+                assert got == [p for p in ref if len(p) == m], (n, f, m)
+
+
+def _least_gap_class_offset(i, g):
+    # brute force over g gap-class parts x_t = j + 2*y_t (the parity of j,
+    # parts >= j): y_1 >= ... >= y_g >= 0, two-apart gap y_t - y_{t+2} >= 2
+    # (x gap >= 4) and at most i-1 parts equal to j (y = 0); returns the
+    # least sum of the y's, trying every partition of s into at most g parts
+    for s in itertools.count():
+        for ys in enumerate_partitions(s):
+            if len(ys) > g:
+                continue
+            ys = ys + (0,) * (g - len(ys))
+            if ys.count(0) <= i - 1 and all(ys[t] - ys[t + 2] >= 2 for t in range(g - 2)):
+                return s
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_p_least_weights_are_the_gap_class_minimum(i):
+    for g in range(0, 9):
+        s = _least_gap_class_offset(i, g)
+        for j in range(1, 8):
+            # lengths l <= m-1 of an m-part member use the plain gap-class chain
+            assert _p_least_weights(i, j, 9)[g] == g * j + 2 * s, (i, j, g)
 
 
 def test_enumerate_family_fixed_length_consistent():
