@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .bijections import BIJECTION_NAMES, trace_bijection
-from .partitions import FamilySpec, count_family, counts_by_length, enumerate_family
+from .partitions import FamilySpec, count_family, counts_by_length, member_groups
 from .qseries import TruncatedSeries, product_for_A, series_from_counts
 from .recurrences import (
     VerificationReport,
@@ -34,6 +34,10 @@ from .recurrences import (
 DEFAULT_ORACLE_LIMIT = 60
 DEFAULT_DP_MAX_N = 200
 MAX_TABLE_DUMP_N = 1000
+# a table or product read at weight n is filled at every weight up to n:
+# O(n^1.5) table cells and O(n^2) product steps; at 5000 either takes under
+# a second and about 40 MB, at 40000 a table takes 800 MB
+MAX_FILL_N = 5000
 
 
 @dataclass
@@ -113,6 +117,29 @@ def _fmt_partition(p) -> str:
     return "(" + ",".join(map(str, p)) + ")"
 
 
+def _member_lines(groups, sep, open_, close):
+    """One string per member of partitions.member_groups groups: open_, the
+    parts joined by sep, then close.  A group whose tail list is empty has
+    no member and renders nothing.
+
+    Each prefix is rendered once per group and each distinct tail list once
+    per call, cached under its id().  A nonempty tail starts with sep, since
+    its prefix is never empty.
+    """
+    rendered, held = {}, []
+    for prefix, tails in groups:
+        strings = rendered.get(id(tails))
+        if strings is None:
+            strings = rendered[id(tails)] = [
+                sep + sep.join(map(str, t)) + close if t else close for t in tails
+            ]
+            # while the list is held, no other list can take its id
+            held.append(tails)
+        head = open_ + sep.join(map(str, prefix))
+        for tail in strings:
+            yield head + tail
+
+
 class _Line:
     """A file whose write returns its text, so csv writerow returns one line."""
 
@@ -166,10 +193,24 @@ def _render_report(cfg: RunConfig, report: VerificationReport, rows):
     return [line + "\n" for line in lines]
 
 
+def _past_fill_limit(n: int) -> bool:
+    """True, after one line on stderr, when n exceeds MAX_FILL_N."""
+    if n <= MAX_FILL_N:
+        return False
+    print(
+        "tables and product series are filled at every weight up to the one "
+        "read; n=%d exceeds the fill limit %d" % (n, MAX_FILL_N),
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     f = cfg.family
     if f.kind == "A":
         max_n = cfg.max_n if cfg.max_n is not None else DEFAULT_DP_MAX_N
+        if _past_fill_limit(max_n):
+            return 2
         prod = product_for_A(f.i, max_n)
         table = system1()
         rows = []
@@ -248,13 +289,16 @@ def cmd_count(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             return 2
+        if _past_fill_limit(n):
+            return 2
         c = product_for_A(f.i, n)[n]
     else:
         table = variant_for_min_part(f.min_part)
-        if cfg.fixed_length is not None:
-            c = table.value(f.i, cfg.fixed_length, n)
-        else:
-            c = family_count_via_table(table, f.i, n)
+        m = cfg.fixed_length
+        # a structural zero needs no fill, at any weight
+        if (m is None or table.stores(m, n)) and _past_fill_limit(n):
+            return 2
+        c = family_count_via_table(table, f.i, n) if m is None else table.value(f.i, m, n)
     if cfg.output_format == "json":
         chunks = [_json_text({"count": c, "n": n})]
     elif cfg.output_format == "csv":
@@ -275,13 +319,15 @@ def cmd_list(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    members = enumerate_family(n, f, cfg.fixed_length)
+    groups = member_groups(n, f, cfg.fixed_length)
     if cfg.output_format == "json":
-        chunks = _json_array("[" + ",".join(map(str, p)) + "]" for p in members)
+        chunks = _json_array(_member_lines(groups, ",", "[", "]"))
     elif cfg.output_format == "csv":
-        chunks = _csv_lines(["parts"], ([" ".join(map(str, p))] for p in members))
+        # the csv module quotes a lone empty field, so the empty partition
+        # (the one member at n = 0) is the line ""
+        chunks = chain(["parts\n"], _member_lines(groups, " ", '""' if n == 0 else "", "\n"))
     else:
-        chunks = (_fmt_partition(p) + "\n" for p in members)
+        chunks = _member_lines(groups, ",", "(", ")\n")
     _emit(cfg, chunks)
     return 0
 
@@ -337,6 +383,8 @@ def cmd_bijection(cfg: RunConfig) -> int:
 def cmd_series(cfg: RunConfig) -> int:
     f = cfg.family
     degree = cfg.max_n if cfg.max_n is not None else DEFAULT_DP_MAX_N
+    if (f.kind == "A" or degree > cfg.oracle_limit) and _past_fill_limit(degree):
+        return 2
     if f.kind == "A":
         s = product_for_A(f.i, degree)
     elif degree <= cfg.oracle_limit:

@@ -15,7 +15,7 @@ families, 2k or 2k+1 for the shifted variants).
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 Partition = tuple[int, ...]
 
@@ -187,17 +187,25 @@ def enumerate_partitions(
 
 
 # free-length subtrees of at most this remaining weight are listed once per
-# _enumerate_B call and replayed for every prefix that reaches them
+# _b_groups call and replayed for every prefix that reaches them
 _B_MEMO_MAX_REM = 32
 
+# the tails of a group whose prefix is a whole member
+_WHOLE = ((),)
 
-def _enumerate_B(n, i, j, fixed_length):
+
+def _b_groups(n, i, j, fixed_length):
+    # the members as member_groups describes them.  A free-length subtree of
+    # remaining weight <= _B_MEMO_MAX_REM below a nonempty prefix is listed
+    # once per call, keyed by (remaining weight, max part), and that one list
+    # is the tails of every prefix that reaches it.  It can be empty, since
+    # parts() bounds what a tail can make up only from above.
     # gap >= 2 forces distinct parts, so "at most i-1 parts equal j" reduces
     # to a floor: lo = j for i=2, lo = j+1 for i=1
     lo = j if i == 2 else j + 1
     if n == 0:
         if not fixed_length:
-            yield ()
+            yield (), _WHOLE
         return
     if fixed_length == 0:
         return
@@ -237,14 +245,13 @@ def _enumerate_B(n, i, j, fixed_length):
 
     def gen(prefix, rem, maxp, left):
         if left is None:
-            if rem <= _B_MEMO_MAX_REM:
-                for tail in tails(rem, maxp):
-                    yield prefix + tail
+            if rem <= _B_MEMO_MAX_REM and prefix:
+                yield prefix, tails(rem, maxp)
                 return
             hi = min(maxp, rem)
         elif left == 1:
             if lo <= rem <= maxp:
-                yield prefix + (rem,)
+                yield prefix + (rem,), _WHOLE
             return
         else:
             # keep room for `left-1` smaller parts, the tightest packing
@@ -253,11 +260,18 @@ def _enumerate_B(n, i, j, fixed_length):
             left -= 1
         for v in parts(rem, hi):
             if v == rem:
-                yield prefix + (v,)
+                yield prefix + (v,), _WHOLE
             else:
                 yield from gen(prefix + (v,), rem - v, v - 2, left)
 
     yield from gen((), n, n, fixed_length)
+
+
+def _enumerate_B(n, i, j, fixed_length):
+    # the members one tuple at a time: every group flattened
+    for prefix, tails in _b_groups(n, i, j, fixed_length):
+        for t in tails:
+            yield prefix + t
 
 
 def _enumerate_P(n, i, j, fixed_length):
@@ -401,10 +415,12 @@ def enumerate_family(
 
     Agrees with filtering enumerate_partitions through is_member for every n
     where both are feasible.  The B enumerator prunes on the gap structure
-    (output-proportional cost, usable far beyond the unrestricted oracle);
-    the P enumerator lists each length on its own, rejecting every subtree
-    that fails a least-weight, parity or greedy-maximum bound, and the
-    free-length form merges the lengths' lists.
+    (output-proportional cost, usable far beyond the unrestricted oracle)
+    and yields groups of members that share a prefix (see member_groups);
+    this form flattens them.  The P enumerator lists each length on its own,
+    rejecting every subtree that fails a least-weight, parity or
+    greedy-maximum bound, and the free-length form merges the lengths'
+    lists.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -414,6 +430,26 @@ def enumerate_family(
         yield from _enumerate_B(n, f.i, f.min_part, fixed_length)
     else:
         yield from _enumerate_P(n, f.i, f.min_part, fixed_length)
+
+
+def member_groups(
+    n: int, f: FamilySpec, fixed_length: Optional[int] = None
+) -> Iterator[tuple[Partition, Sequence[Partition]]]:
+    """The members of enumerate_family(n, f, fixed_length), in its order, as
+    (prefix, tails) groups whose members are prefix + t for t in tails.
+
+    For kind B, a group's tails may be a free-length tail list that the
+    enumerator lists once per call and hands to every prefix that reaches
+    it, so a consumer can do per-tail work once per distinct list.  Such a
+    list can be empty.  Every other member, and every member of kinds P and
+    A, is a group of its own with tails ((),).  A prefix is empty only in
+    the group of the empty partition.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if f.kind == "B":
+        return _b_groups(n, f.i, f.min_part, fixed_length)
+    return ((p, _WHOLE) for p in enumerate_family(n, f, fixed_length))
 
 
 def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> int:

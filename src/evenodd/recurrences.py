@@ -77,10 +77,15 @@ class CountTable:
             self._fill(n)
         return self._rows[i - 1][n]
 
+    def stores(self, m, n):
+        """True when t(i, m, n) is a stored cell, which value reads by
+        filling the table to weight n; every other cell it answers at once."""
+        return m > 0 and m * (m + self.offset) <= n
+
     def value(self, i, m, n):
         if i not in (1, 2):
             raise ValueError("i must be 1 or 2")
-        if m <= 0 or n <= 0 or m * (m + self.offset) > n:
+        if not self.stores(m, n):
             # structural zeros, answered without filling
             return 1 if m == 0 and n == 0 else 0
         return self.row(i, n)[m]

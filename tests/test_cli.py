@@ -9,7 +9,7 @@ import pytest
 from evenodd import cli, partitions, recurrences
 from evenodd.bijections import trace_bijection
 from evenodd.cli import main
-from evenodd.partitions import FamilySpec, enumerate_family
+from evenodd.partitions import FamilySpec, enumerate_family, member_groups
 from evenodd.recurrences import variant_for_min_part
 
 
@@ -173,6 +173,40 @@ def test_table_dump_limit(capsys):
     assert len(err.splitlines()) == 1 and "limit 1000" in err
 
 
+_PAST_FILL = str(cli.MAX_FILL_N + 1)
+
+
+def _no_fill(*args):
+    raise AssertionError("a table or product was filled")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "B", "--n", _PAST_FILL],
+        ["count", "--family", "P", "--k", "2", "--parity", "odd", "--n", _PAST_FILL,
+         "--fixed-length", "3"],
+        ["count", "--family", "A", "--n", _PAST_FILL],
+        ["series", "--family", "P", "--max-n", _PAST_FILL],
+        ["series", "--family", "A", "--i", "1", "--max-n", _PAST_FILL],
+        ["verify", "--family", "A", "--max-n", _PAST_FILL],
+    ],
+)
+def test_fill_limit(capsys, monkeypatch, argv):
+    monkeypatch.setattr(recurrences.CountTable, "_fill", _no_fill)
+    monkeypatch.setattr(cli, "product_for_A", _no_fill)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "fill limit %d" % cli.MAX_FILL_N in err
+
+
+@pytest.mark.parametrize("m", ["0", "100000"])
+def test_structural_zero_counts_need_no_fill(capsys, monkeypatch, m):
+    monkeypatch.setattr(recurrences.CountTable, "_fill", _no_fill)
+    code, out, err = run(capsys, "count", "--family", "B", "--n", "1000000000", "--fixed-length", m)
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_bijection_json_trace_keys(capsys):
     code, out, _ = run(
         capsys, "bijection", "B-case-min2", "--n", "6", "--format", "json"
@@ -321,6 +355,50 @@ def test_list_streams_the_reference_bytes(capsys, tmp_path, n, f, fixed_length, 
     assert _run_both(capsys, tmp_path, argv) == (0, ref)
 
 
+def _ref_list(members, fmt):
+    if fmt == "json":
+        return _ref_json([list(p) for p in members])
+    if fmt == "csv":
+        return _ref_csv(["parts"], [[" ".join(str(x) for x in p)] for p in members])
+    return "".join(_ref_partition(p) + "\n" for p in members)
+
+
+# list renders B from groups that share a prefix and a memoized tail list
+# (free-length tails of weight <= 32): the edge weights 0 and 1, weights
+# whose groups all end in whole members, and weights past the memo bound.
+# At 33, 34 and 39 some minimum parts reach an empty tail list; at 47 and 50
+# one call holds two different tail lists of the same weight.
+RENDER_WEIGHTS = (0, 1, 2, 12, 32, 33, 34, 39, 40, 47, 50)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("kind", ["B", "P"])
+def test_list_renders_every_member_as_the_reference(capsys, monkeypatch, kind, fmt):
+    # one parser for the whole grid: building it costs more than most cells
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    empty, shared_weight = set(), set()
+    for i in (1, 2):
+        for j in range(1, 6):
+            f = FamilySpec(kind, i, j)
+            for n in RENDER_WEIGHTS:
+                lists = {id(tails): tails for _, tails in member_groups(n, f)}.values()
+                if any(not tails for tails in lists):
+                    empty.add(n)
+                weights = [sum(tails[0]) for tails in lists if tails]
+                if len(weights) > len(set(weights)):
+                    shared_weight.add(n)
+                for fixed_length in (None, *range(9)):
+                    members = list(enumerate_family(n, f, fixed_length))
+                    argv = ["list", "--family", kind, "--i", str(i), "--min-part", str(j),
+                            "--n", str(n), "--format", fmt]
+                    if fixed_length is not None:
+                        argv += ["--fixed-length", str(fixed_length)]
+                    assert run(capsys, *argv) == (0, _ref_list(members, fmt), ""), argv
+    # kinds P and A render one-member groups only
+    assert bool(empty) == bool(shared_weight) == (kind == "B")
+
+
 def test_list_empty_json(capsys):
     assert run(capsys, "list", "--family", "B", "--i", "1", "--n", "1", "--format", "json") == (
         0, "[]\n", "")
@@ -433,12 +511,12 @@ def test_shifted_verify_counts_each_column_once(capsys, monkeypatch, parity):
 def test_output_streams_before_a_late_failure(capsys, monkeypatch):
     # members are written as they are produced: a crash after many members
     # leaves the ones already written, and the exit status still says 3
-    def members(n, f, fixed_length=None):
+    def groups(n, f, fixed_length=None):
         for v in range(100000, 0, -1):
-            yield (v,)
+            yield (v,), ((),)
         raise RuntimeError("late")
 
-    monkeypatch.setattr(cli, "enumerate_family", members)
+    monkeypatch.setattr(cli, "member_groups", groups)
     code, out, err = run(capsys, "list", "--family", "B", "--n", "5")
     assert code == 3 and err == "evenodd: internal error: RuntimeError: late\n"
     assert out and out.startswith("(100000)\n(99999)\n")
@@ -499,6 +577,13 @@ DIGESTS = [
     ("list --family P --i 1 --k 2 --parity even --n 40 --format json", 0, "5d3bc3e2ed88e5d56fbb89669db9ba79d7db791b1cbc6a717fb7175268c7df3a"),
     ("verify --family P --k 1 --parity even --max-n 30 --format json", 0, "d18122cfc3b5a1c9116ab8b7e8acf89b1dc16ead7871331096b955a4a14873a8"),
     ("verify --family P --k 2 --parity odd --max-n 30 --format json", 0, "67d6abc2cd426bfc5933e118db2309186ad1d011e9b23df8b8f043e40509f890"),
+    # where list renders B from groups: prefixes past the memo bound share
+    # memoized tail lists, some of them empty
+    ("list --family B --n 60 --format json", 0, "5761018a3bf57c8980c77b939d56f3cef31e80825e968b9fa077ff577909e566"),
+    ("list --family B --n 60 --format csv", 0, "8d597ef609bb2f916096a1af2f5b7fc15275bb94f4104587f7701848d72202ea"),
+    ("list --family B --i 1 --n 50 --format text", 0, "eb8203f80653ac69ae4e40a46d8a10a0f8e4e4d5ce1417c51c89c2855889a17a"),
+    ("list --family B --i 1 --n 50 --format json", 0, "e54d646f63861abe8afa7159dec13649378d32c240008f66ebffb21ffbc205e7"),
+    ("list --family B --min-part 3 --n 48 --format csv", 0, "67d74326b13ac1e593e2a92ca08fe6bf5fb6a38a01625d59e85eee5facf12804"),
 ]
 
 
