@@ -67,14 +67,14 @@ def p_drop_one(p: Partition) -> Partition:
     """Delete the single part 1 and remove 2 from every other part."""
     _require_member(p, _P2)
     _require(p.count(1) == 1, "expected exactly one part equal to 1")
-    image = tuple(x - 2 for x in p[:-1])
+    image = tuple([x - 2 for x in p[:-1]])
     return _check_codomain(image, _P2, "p_drop_one")
 
 
 def p_drop_one_inverse(q: Partition) -> Partition:
     """Add 2 to every part, then append a part 1."""
     _require_member(q, _P2)
-    image = tuple(x + 2 for x in q) + (1,)
+    image = tuple([x + 2 for x in q]) + (1,)
     if image.count(1) != 1 or not is_member(image, _P2):
         raise CodomainError("p_drop_one_inverse image %r invalid" % (image,), image)
     return image
@@ -111,9 +111,9 @@ def p_case_map(p: Partition) -> tuple[int, Partition]:
         rest = list(p)
         rest.remove(3)
         rest.remove(3)
-        image = _insert_desc(tuple(x - 4 for x in rest), 2 * m - 2)
+        image = _insert_desc(tuple([x - 4 for x in rest]), 2 * m - 2)
         return 2, _check_codomain(image, _P1, "p_case_map[2]")
-    image = tuple(x - 2 for x in p)
+    image = tuple([x - 2 for x in p])
     return 3, _check_codomain(image, _P2, "p_case_map[3]")
 
 
@@ -132,7 +132,7 @@ def p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
     if case == 3:
         _require_member(q, _P2)
         _require(len(q) == target_m, "case 3 needs len(q) == target_m")
-        image = tuple(x + 2 for x in q)
+        image = tuple([x + 2 for x in q])
         expect_case = 3
     else:
         _require_member(q, _P1)
@@ -152,7 +152,7 @@ def p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
             )
             rest = list(q)
             rest.remove(2 * (target_m - 1))
-            lifted = tuple(x + 4 for x in rest) + (3, 3)
+            lifted = tuple([x + 4 for x in rest]) + (3, 3)
             image = tuple(sorted(lifted, reverse=True))
             expect_case = 2
     if not is_member(image, _P1) or _p_case_of(image) != expect_case:
@@ -164,14 +164,14 @@ def b_drop_one(p: Partition) -> Partition:
     """Delete the single part 1 and remove 2 from every other part."""
     _require_member(p, _B2)
     _require(p.count(1) == 1, "expected exactly one part equal to 1")
-    image = tuple(x - 2 for x in p[:-1])
+    image = tuple([x - 2 for x in p[:-1]])
     return _check_codomain(image, _B2, "b_drop_one")
 
 
 def b_drop_one_inverse(q: Partition) -> Partition:
     """Add 2 to every part, then append a part 1."""
     _require_member(q, _B2)
-    image = tuple(x + 2 for x in q) + (1,)
+    image = tuple([x + 2 for x in q]) + (1,)
     if image.count(1) != 1 or not is_member(image, _B2):
         raise CodomainError("b_drop_one_inverse image %r invalid" % (image,), image)
     return image
@@ -187,9 +187,9 @@ def b_case_map(p: Partition) -> tuple[int, Partition]:
     _require_member(p, _B1)
     _require(p, "empty partition is outside the domain")
     if p[-1] == 2:
-        image = tuple(x - 2 for x in p[:-1])
+        image = tuple([x - 2 for x in p[:-1]])
         return 1, _check_codomain(image, _B1, "b_case_map[1]")
-    image = tuple(x - 2 for x in p)
+    image = tuple([x - 2 for x in p])
     return 2, _check_codomain(image, _B2, "b_case_map[2]")
 
 
@@ -199,12 +199,12 @@ def b_case_inverse(case: int, q: Partition) -> Partition:
         raise ValueError("case must be 1 or 2")
     if case == 1:
         _require_member(q, _B1)
-        image = tuple(x + 2 for x in q) + (2,)
+        image = tuple([x + 2 for x in q]) + (2,)
         ok = is_member(image, _B1) and image[-1] == 2
     else:
         _require_member(q, _B2)
         _require(q, "case 2 preimages are nonempty")
-        image = tuple(x + 2 for x in q)
+        image = tuple([x + 2 for x in q])
         ok = is_member(image, _B1) and image[-1] >= 3
     if not ok:
         raise CodomainError("b_case_inverse[%d] image %r invalid" % (case, image), image)
@@ -222,7 +222,7 @@ def shift_sub_2k(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_member(p, _shift_family(kind, i, 2 * k + 1))
-    image = tuple(x - 2 * k for x in p)
+    image = tuple([x - 2 * k for x in p])
     return _check_codomain(image, FamilySpec(kind, i, 1), "shift_sub_2k")
 
 
@@ -231,7 +231,7 @@ def shift_sub_2k_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> P
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_member(q, _shift_family(kind, i, 1))
-    image = tuple(x + 2 * k for x in q)
+    image = tuple([x + 2 * k for x in q])
     return _check_codomain(image, FamilySpec(kind, i, 2 * k + 1), "shift_sub_2k_inverse")
 
 
@@ -240,7 +240,7 @@ def shift_add_one(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partitio
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_member(p, _shift_family(kind, i, 2 * k))
-    image = tuple(x + 1 for x in p)
+    image = tuple([x + 1 for x in p])
     return _check_codomain(image, FamilySpec(kind, i, 2 * k + 1), "shift_add_one")
 
 
@@ -249,7 +249,7 @@ def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> 
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_member(q, _shift_family(kind, i, 2 * k + 1))
-    image = tuple(x - 1 for x in q)
+    image = tuple([x - 1 for x in q])
     return _check_codomain(image, FamilySpec(kind, i, 2 * k), "shift_add_one_inverse")
 
 
@@ -310,48 +310,51 @@ def bijection_domain(name, n, k=None, kind="P", i=None):
                 yield p
 
 
-def apply_bijection(name, p, k=None, kind="P", i=None):
-    """Forward map for the named bijection: (case or None, image)."""
-    if name == "P-drop-one":
-        return None, p_drop_one(p)
-    if name == "B-drop-one":
-        return None, b_drop_one(p)
-    if name.startswith("P-case"):
-        case, image = p_case_map(p)
-        _require(case == _CASE_BY_NAME[name], "input falls under case %d" % case)
-        return case, image
-    if name.startswith("B-case"):
-        case, image = b_case_map(p)
-        _require(case == _CASE_BY_NAME[name], "input falls under case %d" % case)
-        return case, image
-    idx = 2 if i is None else i
-    if name == "shift-sub-2k":
-        return None, shift_sub_2k(p, k, kind, idx)
-    if name == "shift-add-one":
-        return None, shift_add_one(p, k, kind, idx)
-    raise ValueError("unknown bijection %r" % (name,))
+def _resolve(name, k, kind, i):
+    """The named map as a (forward, inverse) pair.
 
+    forward(p) returns (case or None, image) and, for a case map, rejects an
+    input that falls under another case; inverse(case, image, m) returns the
+    preimage of length m.  The maps are read from the module when this runs,
+    so a trace uses whatever the module names at its start.
+    """
+    if name in _CASE_BY_NAME:
+        want = _CASE_BY_NAME[name]
+        case_map = p_case_map if name[0] == "P" else b_case_map
 
-def invert_bijection(name, case, image, target_m, k=None, kind="P", i=None):
-    """Inverse map for the named bijection."""
+        def forward(p):
+            case, image = case_map(p)
+            if case != want:
+                raise BijectionDomainError("input falls under case %d" % case)
+            return case, image
+
+        if name[0] == "P":
+            return forward, p_case_inverse
+        b_inverse = b_case_inverse
+        return forward, lambda case, q, m: b_inverse(case, q)
     if name == "P-drop-one":
-        return p_drop_one_inverse(image)
-    if name == "B-drop-one":
-        return b_drop_one_inverse(image)
-    if name.startswith("P-case"):
-        return p_case_inverse(case, image, target_m)
-    if name.startswith("B-case"):
-        return b_case_inverse(case, image)
-    idx = 2 if i is None else i
-    if name == "shift-sub-2k":
-        return shift_sub_2k_inverse(image, k, kind, idx)
-    if name == "shift-add-one":
-        return shift_add_one_inverse(image, k, kind, idx)
-    raise ValueError("unknown bijection %r" % (name,))
+        fwd, inv = p_drop_one, p_drop_one_inverse
+    elif name == "B-drop-one":
+        fwd, inv = b_drop_one, b_drop_one_inverse
+    else:
+        idx = 2 if i is None else i
+        if name == "shift-sub-2k":
+            shift, shift_inverse = shift_sub_2k, shift_sub_2k_inverse
+        elif name == "shift-add-one":
+            shift, shift_inverse = shift_add_one, shift_add_one_inverse
+        else:
+            raise ValueError("unknown bijection %r" % (name,))
+        return (
+            lambda p: (None, shift(p, k, kind, idx)),
+            lambda case, q, m: shift_inverse(q, k, kind, idx),
+        )
+    return (lambda p: (None, fwd(p))), (lambda case, q, m: inv(q))
 
 
 class TraceRow:
     """One traced application: pinned wire keys plus a round-trip verdict."""
+
+    __slots__ = ("bijection", "input", "case", "output", "domain_ok", "codomain_ok", "roundtrip_ok")
 
     def __init__(self, bijection, input_p, case, output, domain_ok, codomain_ok, roundtrip_ok):
         self.bijection = bijection
@@ -378,22 +381,24 @@ class TraceRow:
 def trace_bijection(name, n, k=None, kind="P", i=None):
     """Apply the named map to every domain member at weight n.
 
-    Returns a list of TraceRow.  codomain_ok records the post-check on the
-    image; roundtrip_ok records inverse(image) == input.
+    Returns a list of TraceRow.  The map is resolved once per trace.
+    codomain_ok records the post-check on the image; roundtrip_ok records
+    inverse(image) == input.
     """
+    forward, inverse = _resolve(name, k, kind, i)
     rows = []
+    append = rows.append
     for p in bijection_domain(name, n, k=k, kind=kind, i=i):
-        case, image, cod_ok = None, None, False
+        case, image, cod_ok, rt_ok = None, None, False, False
         try:
-            case, image = apply_bijection(name, p, k=k, kind=kind, i=i)
+            case, image = forward(p)
             cod_ok = True
         except CodomainError as e:
             image = e.image
-        rt_ok = False
         if image is not None and cod_ok:
             try:
-                rt_ok = invert_bijection(name, case, image, len(p), k=k, kind=kind, i=i) == p
+                rt_ok = inverse(case, image, len(p)) == p
             except (BijectionDomainError, CodomainError):
-                rt_ok = False
-        rows.append(TraceRow(name, p, case, image, True, cod_ok, rt_ok))
+                pass
+        append(TraceRow(name, p, case, image, True, cod_ok, rt_ok))
     return rows

@@ -17,6 +17,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 from .bijections import BIJECTION_NAMES, trace_bijection
@@ -332,6 +333,19 @@ def cmd_list(cfg: RunConfig) -> int:
     return 0
 
 
+def _json_trace_row(r) -> str:
+    """_json_encode(r.to_dict()) for a TraceRow with bool flags, formatted
+    directly: the keys in sorted order, "case" only when not None."""
+    return '{"bijection":%s,%s"codomain_ok":%s,"domain_ok":%s,"input":[%s],"output":%s}' % (
+        encode_basestring_ascii(r.bijection),
+        "" if r.case is None else '"case":%d,' % r.case,
+        "true" if r.codomain_ok else "false",
+        "true" if r.domain_ok else "false",
+        ",".join(map(str, r.input)),
+        "null" if r.output is None else "[" + ",".join(map(str, r.output)) + "]",
+    )
+
+
 def cmd_bijection(cfg: RunConfig) -> int:
     n = cfg.n
     if n > cfg.oracle_limit:
@@ -342,14 +356,18 @@ def cmd_bijection(cfg: RunConfig) -> int:
         )
         return 2
     name = cfg.bijection
-    if name in ("shift-sub-2k", "shift-add-one") and (cfg.k is None or cfg.k < 1):
-        print("%s needs --k >= 1" % name, file=sys.stderr)
-        return 2
-    kind = cfg.family.kind if cfg.family.kind in ("P", "B") else "P"
+    kind = cfg.family.kind
+    if name in ("shift-sub-2k", "shift-add-one"):
+        if cfg.k is None or cfg.k < 1:
+            print("%s needs --k >= 1" % name, file=sys.stderr)
+            return 2
+        if kind == "A":
+            print("%s applies to families P and B only" % name, file=sys.stderr)
+            return 2
     rows = trace_bijection(name, n, k=cfg.k, kind=kind, i=cfg.family.i)
     ok = all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)
     if cfg.output_format == "json":
-        chunks = _json_array(_json_encode(r.to_dict()) for r in rows)
+        chunks = _json_array(map(_json_trace_row, rows))
     elif cfg.output_format == "csv":
         chunks = _csv_lines(
             ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],

@@ -15,6 +15,7 @@ families, 2k or 2k+1 for the shifted variants).
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Optional, Sequence
 
 Partition = tuple[int, ...]
@@ -128,7 +129,7 @@ def is_member(p: Partition, f: FamilySpec) -> bool:
     if p and p[-1] < j:
         return False
     if f.kind == "B":
-        return p.count(j) < f.i and all(a - b >= 2 for a, b in zip(p, p[1:]))
+        return p.count(j) < f.i and (len(p) < 2 or min(map(sub, p, p[1:])) >= 2)
     if any(a < b for a, b in zip(p, p[1:])):
         return False
     if f.kind == "A":

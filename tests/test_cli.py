@@ -1,13 +1,14 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 from collections import Counter
 
 import pytest
 
-from evenodd import cli, partitions, recurrences
-from evenodd.bijections import trace_bijection
+from evenodd import bijections, cli, partitions, recurrences
+from evenodd.bijections import TraceRow, trace_bijection
 from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family, member_groups
 from evenodd.recurrences import variant_for_min_part
@@ -141,6 +142,84 @@ def test_bijection_shift_rejects_k_zero(capsys):
     code, out, err = run(capsys, "bijection", "shift-sub-2k", "--k", "0", "--n", "5")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "--k" in err
+
+
+@pytest.mark.parametrize("name", ["shift-sub-2k", "shift-add-one"])
+def test_bijection_shift_rejects_family_a(capsys, name):
+    code, out, err = run(capsys, "bijection", name, "--family", "A", "--k", "1", "--n", "8")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and name in err
+
+
+def _image_fails_codomain(real):
+    # (7,3) goes to (5,4), whose gap of 1 fails the map's own codomain check
+    def bad_map(p):
+        if p != (7, 3):
+            return real(p)
+        return 2, bijections._check_codomain((5, 4), FamilySpec("B", 2), "b_case_map[2]")
+
+    return bad_map
+
+
+def _inverse_misses(real):
+    # the image (5,1) of (7,3) is sent back to (8,3)
+    def bad_inverse(case, q):
+        return (8, 3) if q == (5, 1) else real(case, q)
+
+    return bad_inverse
+
+
+# patched name, patch, and the (7,3) row: case, output, codomain_ok, text line
+FAILING_TRACES = {
+    "codomain": ("b_case_map", _image_fails_codomain, None, (5, 4), False, "(7,3) -> (5,4) FAILED"),
+    "roundtrip": ("b_case_inverse", _inverse_misses, 2, (5, 1), True, "(7,3) -> case 2 -> (5,1) FAILED"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("broken", sorted(FAILING_TRACES))
+def test_failing_trace_is_reported_and_exits_1(capsys, monkeypatch, broken, fmt):
+    # one map patched in the module: a trace resolved after the patch uses it
+    attr, patch, case, image, cod_ok, line = FAILING_TRACES[broken]
+    monkeypatch.setattr(bijections, attr, patch(getattr(bijections, attr)))
+    rows = trace_bijection("B-case-min3", 10)
+    assert [(r.input, r.case, r.output, r.codomain_ok, r.roundtrip_ok) for r in rows] == [
+        ((10,), 2, (8,), True, True),
+        ((7, 3), case, image, cod_ok, False),
+        ((6, 4), 2, (4, 2), True, True),
+    ]
+    code, out, _ = run(capsys, "bijection", "B-case-min3", "--n", "10", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        bad = {"bijection": "B-case-min3", "codomain_ok": cod_ok, "domain_ok": True,
+               "input": [7, 3], "output": list(image)}
+        if case is not None:
+            bad["case"] = case
+        got = json.loads(out)
+        assert got[1] == bad and got[0]["codomain_ok"] and got[2]["codomain_ok"]
+    elif fmt == "csv":
+        got = list(csv.reader(io.StringIO(out)))
+        assert got[2] == ["B-case-min3", "7 3", "" if case is None else str(case),
+                          " ".join(map(str, image)), "True", str(cod_ok)]
+        assert got[1][-1] == got[3][-1] == "True"
+    else:
+        assert out.splitlines() == [
+            "(10) -> case 2 -> (8) round-trip ok",
+            line,
+            "(6,4) -> case 2 -> (4,2) round-trip ok",
+        ]
+
+
+def test_json_trace_row_matches_the_encoder():
+    names = ("B-case-min3", 'q"\\\u00e9\n')
+    inputs = ((7, 3), (12,), ())
+    outputs = (None, (), (5, 1), (10, 8, 3))
+    flags = (True, False)
+    for name, p, case, output, dom, cod in itertools.product(
+        names, inputs, (None, 1, 2, 3), outputs, flags, flags
+    ):
+        r = TraceRow(name, p, case, output, dom, cod, dom and cod)
+        assert cli._json_trace_row(r) == cli._json_encode(r.to_dict()), (name, p, case, output)
 
 
 def test_negative_fixed_length_is_a_usage_error(capsys):
@@ -584,6 +663,19 @@ DIGESTS = [
     ("list --family B --i 1 --n 50 --format text", 0, "eb8203f80653ac69ae4e40a46d8a10a0f8e4e4d5ce1417c51c89c2855889a17a"),
     ("list --family B --i 1 --n 50 --format json", 0, "e54d646f63861abe8afa7159dec13649378d32c240008f66ebffb21ffbc205e7"),
     ("list --family B --min-part 3 --n 48 --format csv", 0, "67d74326b13ac1e593e2a92ca08fe6bf5fb6a38a01625d59e85eee5facf12804"),
+    # the maps no row above traces
+    ("bijection P-drop-one --n 24 --format text", 0, "31f410ace389aa557a210d96f287c8483fbcfdd4cfb58d5b588b4bd2b7894b86"),
+    ("bijection P-drop-one --n 24 --format json", 0, "3ea2cd6f328cf7bd47f2b96af473da51e7122e89d2ccd11cbda99d2fd2b4c328"),
+    ("bijection P-case-even-eq --n 24 --format text", 0, "a5c60a3877f6641b110adbf3e0f20c94ce301f04d9a107e4d35b2d6544cd8f40"),
+    ("bijection P-case-even-eq --n 24 --format json", 0, "df445b3c35ad0e2162528451b871ddb782bf6750ccb7d28762281bf17e48f537"),
+    ("bijection P-case-generic --n 24 --format text", 0, "7f5b7ff67fbb7325d59930406395ad571144546730fd74eccbd9c363af88af86"),
+    ("bijection P-case-generic --n 24 --format json", 0, "d308045b0047dd7c05bdecee411ecb326f382106c5c01c4aa44215a200641e60"),
+    ("bijection B-drop-one --n 24 --format text", 0, "9d1e2df6b13079e26139a246c3f73db583c359486d4c07da982803261e6eddcd"),
+    ("bijection B-drop-one --n 24 --format json", 0, "380eee85c49ad51debec8f4d22ce7d4acc754ca5a59b45c06b9b020649c03fe5"),
+    ("bijection B-case-min2 --n 24 --format text", 0, "05d559f7dd77c9e8b813cfde8b0b815f3c3eda2219cc5d2b491ce4de7184f9dc"),
+    ("bijection B-case-min2 --n 24 --format json", 0, "f59ec06de7ed413955ec7bdbba8032284f4eb0edd2408f87404a6430b7cada27"),
+    ("bijection shift-sub-2k --k 1 --family B --i 1 --n 24 --format text", 0, "de7374dd05abf17c36d11cd8edca70a51f55ddc96a7db807af4b8713b82e7182"),
+    ("bijection shift-sub-2k --k 1 --family B --i 1 --n 24 --format json", 0, "22f2fad37c82a3cae5662478c24bbc98e00ec352b30985906f1eaf704a55ecad"),
 ]
 
 

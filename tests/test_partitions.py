@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -115,6 +116,33 @@ def test_is_member_shifted_families():
     assert is_member((6, 4), FamilySpec("B", 2, 4)) is True
     assert is_member((7, 4), FamilySpec("B", 2, 3)) is True
     assert is_member((7, 2), FamilySpec("B", 2, 3)) is False  # part below minimum
+
+
+def _b_member_reference(p, f):
+    # kind B as a per-pair generator: the form is_member's gap clause replaces
+    j = f.min_part
+    if p and p[-1] < j:
+        return False
+    return p.count(j) < f.i and all(a - b >= 2 for a, b in zip(p, p[1:]))
+
+
+@pytest.mark.parametrize("i", (1, 2))
+@pytest.mark.parametrize("j", (1, 2, 3, 4))
+def test_b_gap_clause_matches_the_pairwise_reference(i, j):
+    f = FamilySpec("B", i, j)
+    edges = [
+        (), (j,), (j, j), (j + 1, j + 1), (9, 9, 4),  # equal adjacent parts
+        (j + 1, j), (8, 7, 5), (j + 3, j + 2),  # a gap of exactly 1
+        (j + 2, j), (9, 7, 5), (j + 4, j + 2),  # gaps of exactly 2
+        (3, 5), (j, j + 2), (2, 9, 7), (8, 3, 6),  # increasing somewhere
+    ]
+    partitions = (p for n in range(26) for p in enumerate_partitions(n))
+    seen = Counter()
+    for p in itertools.chain(edges, partitions):
+        want = _b_member_reference(p, f)
+        assert is_member(p, f) is want, p
+        seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 def test_enumerate_partitions_of_six():
