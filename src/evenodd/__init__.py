@@ -9,14 +9,12 @@ bounds.
 from .partitions import (
     FamilySpec,
     Partition,
-    ParitySplit,
     as_partition,
     count_family,
     counts_by_length,
     enumerate_family,
     enumerate_partitions,
     is_member,
-    parity_split,
 )
 
 __version__ = "0.1.0"
@@ -24,13 +22,11 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilySpec",
     "Partition",
-    "ParitySplit",
     "as_partition",
     "count_family",
     "counts_by_length",
     "enumerate_family",
     "enumerate_partitions",
     "is_member",
-    "parity_split",
     "__version__",
 ]

@@ -18,6 +18,7 @@ Weight and length bookkeeping, with m the input length and n its weight:
 """
 
 import bisect
+from typing import Callable, NamedTuple, Optional
 
 from .partitions import FamilySpec, Partition, enumerate_family, is_member
 
@@ -253,25 +254,51 @@ def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> 
     return _check_codomain(image, FamilySpec(kind, i, 2 * k), "shift_add_one_inverse")
 
 
-BIJECTION_NAMES = (
-    "P-drop-one",
-    "P-case-even-eq",
-    "P-case-two-threes",
-    "P-case-generic",
-    "B-drop-one",
-    "B-case-min2",
-    "B-case-min3",
-    "shift-sub-2k",
-    "shift-add-one",
-)
+class _Map(NamedTuple):
+    """One traced map: its domain, its case, and its two maps by module name.
 
-_CASE_BY_NAME = {
-    "P-case-even-eq": 1,
-    "P-case-two-threes": 2,
-    "P-case-generic": 3,
-    "B-case-min2": 1,
-    "B-case-min3": 2,
+    domain is the family the map is applied to, or for a shift map the
+    domain's minimum part as a function of k (kind and index come from the
+    trace).  takes(p) says whether a nonempty member is in the domain.  case
+    is the case a case map's domain falls under, None for the other maps.
+    """
+
+    domain: object
+    takes: Callable[[Partition], bool]
+    case: Optional[int]
+    forward: str
+    inverse: str
+
+
+def _one_part_1(p):
+    return p.count(1) == 1
+
+
+_MAPS = {
+    "P-drop-one": _Map(_P2, _one_part_1, None, "p_drop_one", "p_drop_one_inverse"),
+    "P-case-even-eq": _Map(_P1, lambda p: _p_case_of(p) == 1, 1, "p_case_map", "p_case_inverse"),
+    "P-case-two-threes": _Map(_P1, lambda p: _p_case_of(p) == 2, 2, "p_case_map", "p_case_inverse"),
+    "P-case-generic": _Map(_P1, lambda p: _p_case_of(p) == 3, 3, "p_case_map", "p_case_inverse"),
+    "B-drop-one": _Map(_B2, _one_part_1, None, "b_drop_one", "b_drop_one_inverse"),
+    "B-case-min2": _Map(_B1, lambda p: p[-1] == 2, 1, "b_case_map", "b_case_inverse"),
+    "B-case-min3": _Map(_B1, lambda p: p[-1] != 2, 2, "b_case_map", "b_case_inverse"),
+    "shift-sub-2k": _Map(lambda k: 2 * k + 1, bool, None, "shift_sub_2k", "shift_sub_2k_inverse"),
+    "shift-add-one": _Map(lambda k: 2 * k, bool, None, "shift_add_one", "shift_add_one_inverse"),
 }
+
+BIJECTION_NAMES = tuple(_MAPS)
+
+
+def _record(name) -> _Map:
+    rec = _MAPS.get(name)
+    if rec is None:
+        raise ValueError("unknown bijection %r" % (name,))
+    return rec
+
+
+def takes_k(name) -> bool:
+    """True for a shift map, whose domain follows from k, kind and index."""
+    return callable(_record(name).domain)
 
 
 def bijection_domain(name, n, k=None, kind="P", i=None):
@@ -280,34 +307,16 @@ def bijection_domain(name, n, k=None, kind="P", i=None):
     The empty partition is never listed (weight 0 traces are empty).  Shift
     maps need k; their kind defaults to P and their index to 2.
     """
-    if name not in BIJECTION_NAMES:
-        raise ValueError("unknown bijection %r" % (name,))
-    if name == "P-drop-one":
-        for p in enumerate_family(n, _P2):
-            if p.count(1) == 1:
-                yield p
-    elif name == "B-drop-one":
-        for p in enumerate_family(n, _B2):
-            if p.count(1) == 1:
-                yield p
-    elif name.startswith("P-case"):
-        want = _CASE_BY_NAME[name]
-        for p in enumerate_family(n, _P1):
-            if p and _p_case_of(p) == want:
-                yield p
-    elif name.startswith("B-case"):
-        want = _CASE_BY_NAME[name]
-        for p in enumerate_family(n, _B1):
-            if p and (1 if p[-1] == 2 else 2) == want:
-                yield p
-    else:
+    rec = _record(name)
+    f = rec.domain
+    if callable(f):
         if k is None:
             raise ValueError("%s needs k" % name)
-        idx = 2 if i is None else i
-        mp = 2 * k + 1 if name == "shift-sub-2k" else 2 * k
-        for p in enumerate_family(n, _shift_family(kind, idx, mp)):
-            if p:
-                yield p
+        f = _shift_family(kind, 2 if i is None else i, f(k))
+    takes = rec.takes
+    for p in enumerate_family(n, f):
+        if p and takes(p):
+            yield p
 
 
 def _resolve(name, k, kind, i):
@@ -318,37 +327,21 @@ def _resolve(name, k, kind, i):
     preimage of length m.  The maps are read from the module when this runs,
     so a trace uses whatever the module names at its start.
     """
-    if name in _CASE_BY_NAME:
-        want = _CASE_BY_NAME[name]
-        case_map = p_case_map if name[0] == "P" else b_case_map
+    rec = _record(name)
+    fwd, inv = globals()[rec.forward], globals()[rec.inverse]
+    if rec.case is None:
+        args = (k, kind, 2 if i is None else i) if takes_k(name) else ()
+        return (lambda p: (None, fwd(p, *args))), (lambda case, q, m: inv(q, *args))
+    want = rec.case
 
-        def forward(p):
-            case, image = case_map(p)
-            if case != want:
-                raise BijectionDomainError("input falls under case %d" % case)
-            return case, image
+    def forward(p):
+        case, image = fwd(p)
+        if case != want:
+            raise BijectionDomainError("input falls under case %d" % case)
+        return case, image
 
-        if name[0] == "P":
-            return forward, p_case_inverse
-        b_inverse = b_case_inverse
-        return forward, lambda case, q, m: b_inverse(case, q)
-    if name == "P-drop-one":
-        fwd, inv = p_drop_one, p_drop_one_inverse
-    elif name == "B-drop-one":
-        fwd, inv = b_drop_one, b_drop_one_inverse
-    else:
-        idx = 2 if i is None else i
-        if name == "shift-sub-2k":
-            shift, shift_inverse = shift_sub_2k, shift_sub_2k_inverse
-        elif name == "shift-add-one":
-            shift, shift_inverse = shift_add_one, shift_add_one_inverse
-        else:
-            raise ValueError("unknown bijection %r" % (name,))
-        return (
-            lambda p: (None, shift(p, k, kind, idx)),
-            lambda case, q, m: shift_inverse(q, k, kind, idx),
-        )
-    return (lambda p: (None, fwd(p))), (lambda case, q, m: inv(q))
+    # of the case inverses, only kind P's needs the preimage's length
+    return forward, inv if rec.domain.kind == "P" else (lambda case, q, m: inv(case, q))
 
 
 class TraceRow:

@@ -15,17 +15,17 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .bijections import BIJECTION_NAMES, trace_bijection
+from .bijections import BIJECTION_NAMES, takes_k, trace_bijection
 from .partitions import FamilySpec, count_family, counts_by_length, member_groups
 from .qseries import TruncatedSeries, product_for_A, series_from_counts
 from .recurrences import (
     VerificationReport,
     family_count_via_table,
+    mismatches,
     refined_AB_witness,
     shift_identity_check,
     system1,
@@ -41,68 +41,53 @@ MAX_TABLE_DUMP_N = 1000
 MAX_FILL_N = 5000
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: FamilySpec
-    k: Optional[int]
-    max_n: Optional[int]
-    n: Optional[int]
-    fixed_length: Optional[int]
-    output_format: str
-    output_path: Optional[str]
-    oracle_limit: int
-    refined: bool = False
-    bijection: Optional[str] = None
+def _family_from_args(parser, args):
+    """The FamilySpec that --family, --i, --min-part, --k and --parity select.
 
-
-def _family_from_args(parser, args) -> FamilySpec:
-    min_part = 1
-    if args.command == "bijection":
-        # --k names the map's shift here; the domain's minimum part follows
-        # from the bijection name, not from flags
-        pass
-    elif getattr(args, "min_part", None) is not None:
-        if getattr(args, "k", None) is not None:
+    A flag that would be ignored is refused: --k below 1, --parity without
+    --k, and --min-part or --parity on bijection, whose map fixes its
+    domain's minimum part.  Such a refusal returns None after one line on
+    stderr.
+    """
+    k, parity, min_part = args.k, args.parity, args.min_part
+    refusal = None
+    if k is not None and k < 1:
+        refusal = "--k must be >= 1"
+    elif args.command == "bijection":
+        if min_part is not None or parity is not None:
+            refusal = "bijection takes no --min-part or --parity; the map fixes its domain"
+        min_part = 1
+    elif parity is not None and k is None:
+        refusal = "--parity needs --k"
+    elif min_part is not None:
+        if k is not None:
             parser.error("--min-part and --k are mutually exclusive")
-        min_part = args.min_part
-    elif getattr(args, "k", None) is not None:
-        if getattr(args, "parity", None) is None:
+    elif k is not None:
+        if parity is None:
             parser.error("--k needs --parity {odd,even}")
-        min_part = 2 * args.k + 1 if args.parity == "odd" else 2 * args.k
+        min_part = 2 * k + 1 if parity == "odd" else 2 * k
+    else:
+        min_part = 1
+    if refusal is not None:
+        print(refusal, file=sys.stderr)
+        return None
     try:
         return FamilySpec(args.family, args.i, min_part)
     except ValueError as e:
         parser.error(str(e))
 
 
-def _config(parser, args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        family=_family_from_args(parser, args),
-        k=getattr(args, "k", None),
-        max_n=getattr(args, "max_n", None),
-        n=getattr(args, "n", None),
-        fixed_length=getattr(args, "fixed_length", None),
-        output_format=args.format,
-        output_path=args.out,
-        oracle_limit=args.oracle_limit,
-        refined=getattr(args, "refined", False),
-        bijection=getattr(args, "bijection", None),
-    )
-
-
 _EMIT_BATCH_CHARS = 1 << 16  # text joined into one write
 
 
-def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
     """Write an iterable of string chunks to --out or stdout, in batches.
 
     The target is opened before the first chunk is rendered, and chunks are
     rendered only as they are written, so a failure mid-stream leaves the
     output written so far in place.
     """
-    target = open(cfg.output_path, "w") if cfg.output_path else nullcontext(sys.stdout)
+    target = open(args.out, "w") if args.out else nullcontext(sys.stdout)
     with target as fh:
         batch, size = [], 0
         for chunk in chunks:
@@ -172,10 +157,10 @@ def _json_array(items, open_="[", close="]\n"):
     yield close
 
 
-def _render_report(cfg: RunConfig, report: VerificationReport, rows):
-    if cfg.output_format == "json":
+def _render_report(args, report: VerificationReport, rows):
+    if args.format == "json":
         return [_json_text(report.to_dict())]
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         return _csv_lines(
             ["i", "m", "n", "expected", "actual"],
             (
@@ -206,87 +191,80 @@ def _past_fill_limit(n: int) -> bool:
     return True
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    f = cfg.family
+def cmd_verify(args) -> int:
+    f = args.family
     if f.kind == "A":
-        max_n = cfg.max_n if cfg.max_n is not None else DEFAULT_DP_MAX_N
+        max_n = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
         if _past_fill_limit(max_n):
             return 2
         prod = product_for_A(f.i, max_n)
         table = system1()
-        rows = []
-        report = VerificationReport(
-            "A-product=B-counts" + ("+refined" if cfg.refined else ""),
-            f.label(),
-            max_n,
-        )
-        for n in range(0, max_n + 1):
-            a = prod[n]
-            b = family_count_via_table(table, f.i, n)
-            rows.append("n=%d: A=%d B=%d" % (n, a, b))
-            if a != b:
-                report.violations.append(
-                    {"i": f.i, "m": None, "n": n, "expected": b, "actual": a}
-                )
-        if cfg.refined:
-            w = refined_AB_witness(f.i, min(max_n, cfg.oracle_limit))
+        totals = [(n, prod[n], family_count_via_table(table, f.i, n)) for n in range(max_n + 1)]
+        rows = ["n=%d: A=%d B=%d" % t for t in totals]
+        # the product against the table's totals, then the first cell where
+        # the enumerated fixed-length counts disagree
+        cells = [(f.i, None, n, {"A": a, "B": b}) for n, a, b in totals]
+        if args.refined:
+            w = refined_AB_witness(f.i, min(max_n, args.oracle_limit))
             if w is not None:
                 m, n, ca, cb = w
-                report.violations.append(
-                    {"i": f.i, "m": m, "n": n, "expected": cb, "actual": ca}
-                )
-        _emit(cfg, _render_report(cfg, report, rows))
+                cells.append((f.i, m, n, {"A": ca, "B": cb}))
+        report = VerificationReport(
+            "A-product=B-counts" + ("+refined" if args.refined else ""),
+            f.label(),
+            max_n,
+            list(mismatches(cells, [("B", "A")])),
+        )
+        _emit(args, _render_report(args, report, rows))
         return 0 if report.ok else 1
 
-    max_n = cfg.max_n if cfg.max_n is not None else cfg.oracle_limit
-    if max_n > cfg.oracle_limit:
+    max_n = args.max_n if args.max_n is not None else args.oracle_limit
+    if max_n > args.oracle_limit:
         print(
             "max_n %d exceeds the oracle limit %d for enumeration sweeps; "
-            "raise --oracle-limit if this is intended" % (max_n, cfg.oracle_limit),
+            "raise --oracle-limit if this is intended" % (max_n, args.oracle_limit),
             file=sys.stderr,
         )
         return 2
     table = variant_for_min_part(f.min_part)
-    system = "P=B+%s" % table.variant
     fP = FamilySpec("P", f.i, f.min_part)
     fB = FamilySpec("B", f.i, f.min_part)
-    report = VerificationReport(system, "P+B(i=%d,min_part=%d)" % (f.i, f.min_part), max_n)
-    rows = []
     # one column per family, handed on to the shift check, which reads the
     # same two columns
     columns = {g: [counts_by_length(n, g) for n in range(max_n + 1)] for g in (fP, fB)}
-    for n in range(0, max_n + 1):
-        cP, cB = columns[fP][n], columns[fB][n]
-        rows.append("n=%d: P=%d B=%d" % (n, sum(cP.values()), sum(cB.values())))
-        for m in range(0, n + 1):
-            p_count, b_count = cP[m], cB[m]
-            if p_count != b_count:
-                report.violations.append(
-                    {"i": f.i, "m": m, "n": n, "expected": b_count, "actual": p_count}
-                )
-            dp = table.value(f.i, m, n)
-            for got in (p_count, b_count):
-                if got != dp:
-                    report.violations.append(
-                        {"i": f.i, "m": m, "n": n, "expected": dp, "actual": got}
-                    )
+    colP, colB = columns[fP], columns[fB]
+    rows = [
+        "n=%d: P=%d B=%d" % (n, sum(colP[n].values()), sum(colB[n].values()))
+        for n in range(max_n + 1)
+    ]
+    cells = (
+        (f.i, m, n, {"P": colP[n][m], "B": colB[n][m], "table": table.value(f.i, m, n)})
+        for n in range(max_n + 1)
+        for m in range(n + 1)
+    )
+    report = VerificationReport(
+        "P=B+%s" % table.variant,
+        "P+B(i=%d,min_part=%d)" % (f.i, f.min_part),
+        max_n,
+        list(mismatches(cells, [("B", "P"), ("table", "P"), ("table", "B")])),
+    )
     if f.min_part > 1:
-        k = (f.min_part - 1) // 2 if f.min_part % 2 == 1 else f.min_part // 2
+        k = f.min_part // 2  # the minimum part is 2k+1 or 2k
         report.violations.extend(shift_identity_check(k, f.i, max_n, columns).violations)
         report.system += "+shift-equations"
-    _emit(cfg, _render_report(cfg, report, rows))
+    _emit(args, _render_report(args, report, rows))
     return 0 if report.ok else 1
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    f, n = cfg.family, cfg.n
-    if n <= cfg.oracle_limit:
-        c = count_family(n, f, cfg.fixed_length)
+def cmd_count(args) -> int:
+    f, n = args.family, args.n
+    if n <= args.oracle_limit:
+        c = count_family(n, f, args.fixed_length)
     elif f.kind == "A":
-        if cfg.fixed_length is not None:
+        if args.fixed_length is not None:
             print(
                 "fixed-length counts for kind A need enumeration; n exceeds the "
-                "oracle limit %d" % cfg.oracle_limit,
+                "oracle limit %d" % args.oracle_limit,
                 file=sys.stderr,
             )
             return 2
@@ -295,41 +273,41 @@ def cmd_count(cfg: RunConfig) -> int:
         c = product_for_A(f.i, n)[n]
     else:
         table = variant_for_min_part(f.min_part)
-        m = cfg.fixed_length
+        m = args.fixed_length
         # a structural zero needs no fill, at any weight
         if (m is None or table.stores(m, n)) and _past_fill_limit(n):
             return 2
         c = family_count_via_table(table, f.i, n) if m is None else table.value(f.i, m, n)
-    if cfg.output_format == "json":
+    if args.format == "json":
         chunks = [_json_text({"count": c, "n": n})]
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         chunks = _csv_lines(["n", "count"], [[n, c]])
     else:
         chunks = ["%d\n" % c]
-    _emit(cfg, chunks)
+    _emit(args, chunks)
     return 0
 
 
-def cmd_list(cfg: RunConfig) -> int:
-    f, n = cfg.family, cfg.n
-    if n > cfg.oracle_limit and f.kind != "B":
+def cmd_list(args) -> int:
+    f, n = args.family, args.n
+    if n > args.oracle_limit and f.kind != "B":
         print(
             "listing %s at n=%d exceeds the oracle limit %d (only kind B prunes "
             "well enough); raise --oracle-limit if this is intended"
-            % (f.kind, n, cfg.oracle_limit),
+            % (f.kind, n, args.oracle_limit),
             file=sys.stderr,
         )
         return 2
-    groups = member_groups(n, f, cfg.fixed_length)
-    if cfg.output_format == "json":
+    groups = member_groups(n, f, args.fixed_length)
+    if args.format == "json":
         chunks = _json_array(_member_lines(groups, ",", "[", "]"))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         # the csv module quotes a lone empty field, so the empty partition
         # (the one member at n = 0) is the line ""
         chunks = chain(["parts\n"], _member_lines(groups, " ", '""' if n == 0 else "", "\n"))
     else:
         chunks = _member_lines(groups, ",", "(", ")\n")
-    _emit(cfg, chunks)
+    _emit(args, chunks)
     return 0
 
 
@@ -346,29 +324,29 @@ def _json_trace_row(r) -> str:
     )
 
 
-def cmd_bijection(cfg: RunConfig) -> int:
-    n = cfg.n
-    if n > cfg.oracle_limit:
+def cmd_bijection(args) -> int:
+    n = args.n
+    if n > args.oracle_limit:
         print(
             "bijection traces enumerate the domain; n=%d exceeds the oracle "
-            "limit %d" % (n, cfg.oracle_limit),
+            "limit %d" % (n, args.oracle_limit),
             file=sys.stderr,
         )
         return 2
-    name = cfg.bijection
-    kind = cfg.family.kind
-    if name in ("shift-sub-2k", "shift-add-one"):
-        if cfg.k is None or cfg.k < 1:
+    name = args.bijection
+    kind = args.family.kind
+    if takes_k(name):
+        if args.k is None:
             print("%s needs --k >= 1" % name, file=sys.stderr)
             return 2
         if kind == "A":
             print("%s applies to families P and B only" % name, file=sys.stderr)
             return 2
-    rows = trace_bijection(name, n, k=cfg.k, kind=kind, i=cfg.family.i)
+    rows = trace_bijection(name, n, k=args.k, kind=kind, i=args.family.i)
     ok = all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)
-    if cfg.output_format == "json":
+    if args.format == "json":
         chunks = _json_array(map(_json_trace_row, rows))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         chunks = _csv_lines(
             ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
             (
@@ -394,31 +372,31 @@ def cmd_bijection(cfg: RunConfig) -> int:
             )
             for r in rows
         )
-    _emit(cfg, chunks)
+    _emit(args, chunks)
     return 0 if ok else 1
 
 
-def cmd_series(cfg: RunConfig) -> int:
-    f = cfg.family
-    degree = cfg.max_n if cfg.max_n is not None else DEFAULT_DP_MAX_N
-    if (f.kind == "A" or degree > cfg.oracle_limit) and _past_fill_limit(degree):
+def cmd_series(args) -> int:
+    f = args.family
+    degree = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
+    if (f.kind == "A" or degree > args.oracle_limit) and _past_fill_limit(degree):
         return 2
     if f.kind == "A":
         s = product_for_A(f.i, degree)
-    elif degree <= cfg.oracle_limit:
+    elif degree <= args.oracle_limit:
         s = series_from_counts(f, degree)
     else:
         table = variant_for_min_part(f.min_part)
         s = TruncatedSeries(
             [family_count_via_table(table, f.i, n) for n in range(degree + 1)]
         )
-    if cfg.output_format == "json":
+    if args.format == "json":
         chunks = [_json_text(s.to_decimal_strings())]
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         chunks = _csv_lines(["degree", "coefficient"], enumerate(s.coeffs))
     else:
         chunks = ("%d: %d\n" % (n, c) for n, c in enumerate(s.coeffs))
-    _emit(cfg, chunks)
+    _emit(args, chunks)
     return 0
 
 
@@ -436,8 +414,8 @@ def _table_cells(table, max_n):
             ]
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    max_n = cfg.max_n if cfg.max_n is not None else DEFAULT_DP_MAX_N
+def cmd_table(args) -> int:
+    max_n = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
     if max_n > MAX_TABLE_DUMP_N:
         print(
             "table dumps render all (max_n+1)(max_n+2) cells; max_n %d exceeds "
@@ -445,47 +423,47 @@ def cmd_table(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    table = variant_for_min_part(cfg.family.min_part)
+    table = variant_for_min_part(args.family.min_part)
     rows = _table_cells(table, max_n)
-    if cfg.output_format == "json":
+    if args.format == "json":
         chunks = _json_array(
             ("[" + "],[".join(cells) + "]" for cells in rows),
             '{"cells":[',
             '],"variant":%s}\n' % _json_encode(table.variant),
         )
     else:
-        if cfg.output_format == "csv":
+        if args.format == "csv":
             head = "i,m,n,count\n"
         else:
             head = "%s cells (i,m,n,count)\n" % table.variant
         chunks = chain([head], ("\n".join(cells) + "\n" for cells in rows))
-    _emit(cfg, chunks)
+    _emit(args, chunks)
     return 0
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    max_n = cfg.max_n if cfg.max_n is not None else 20
-    if max_n > cfg.oracle_limit:
+def cmd_witness(args) -> int:
+    max_n = args.max_n if args.max_n is not None else 20
+    if max_n > args.oracle_limit:
         print(
             "witness search enumerates both families; max_n %d exceeds the "
-            "oracle limit %d" % (max_n, cfg.oracle_limit),
+            "oracle limit %d" % (max_n, args.oracle_limit),
             file=sys.stderr,
         )
         return 2
-    w = refined_AB_witness(cfg.family.i, max_n)
-    if cfg.output_format == "json":
+    w = refined_AB_witness(args.family.i, max_n)
+    if args.format == "json":
         if w is None:
             chunks = [_json_text({"found": False})]
         else:
             m, n, ca, cb = w
             chunks = [_json_text({"found": True, "m": m, "n": n, "countA": ca, "countB": cb})]
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         chunks = _csv_lines(["m", "n", "countA", "countB"], [] if w is None else [list(w)])
     elif w is None:
         chunks = ["no witness up to max_n=%d\n" % max_n]
     else:
         chunks = ["m=%d n=%d countA=%d countB=%d\n" % w]
-    _emit(cfg, chunks)
+    _emit(args, chunks)
     return 0
 
 
@@ -554,9 +532,12 @@ def main(argv=None) -> int:
             parser.error("%s must be >= 0" % bound)
     if getattr(args, "oracle_limit", 0) < 0:
         parser.error("oracle limit must be >= 0")
-    cfg = _config(parser, args)
+    # --family parsed as a kind; the commands read the whole FamilySpec
+    args.family = _family_from_args(parser, args)
+    if args.family is None:
+        return 2
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except OSError as e:
         # an I/O failure is neither a verdict nor a violation
         print("evenodd: %s" % e, file=sys.stderr)

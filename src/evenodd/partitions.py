@@ -1,4 +1,4 @@
-"""Partitions, parity decomposition, family membership and enumeration oracles.
+"""Partitions, family membership and enumeration oracles.
 
 A partition is a tuple of positive integers in non-increasing order.  Three
 families of partitions are counted throughout this package:
@@ -34,45 +34,6 @@ def as_partition(parts) -> Partition:
     if any(p[t] < p[t + 1] for t in range(len(p) - 1)):
         raise ValueError("parts must be non-increasing, got %r" % (p,))
     return p
-
-
-class ParitySplit:
-    """Even and odd subsequences of a partition, with their lengths r1, r2."""
-
-    __slots__ = ("evens", "odds")
-
-    def __init__(self, evens: Partition, odds: Partition):
-        self.evens = evens
-        self.odds = odds
-
-    @property
-    def r1(self) -> int:
-        return len(self.evens)
-
-    @property
-    def r2(self) -> int:
-        return len(self.odds)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParitySplit)
-            and self.evens == other.evens
-            and self.odds == other.odds
-        )
-
-    def __repr__(self):
-        return "ParitySplit(evens=%r, odds=%r)" % (self.evens, self.odds)
-
-
-def parity_split(p: Partition) -> ParitySplit:
-    """Split a partition into its even and odd subsequences.
-
-    Both subsequences keep the non-increasing order of the source; merging
-    them as multisets recovers the partition.
-    """
-    evens = tuple(x for x in p if x % 2 == 0)
-    odds = tuple(x for x in p if x % 2 == 1)
-    return ParitySplit(evens, odds)
 
 
 _KINDS = ("A", "B", "P")

@@ -6,7 +6,7 @@ geometric factors 1/(1-q^j) over allowed j, truncated at the working degree.
 Coefficients are plain Python ints, so they never overflow or round.
 """
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .partitions import FamilySpec, count_family, part_allowed_for_A
 
@@ -22,10 +22,6 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the degree-0 coefficient")
         self.coeffs = cs
 
-    @property
-    def truncation_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
@@ -37,54 +33,9 @@ class TruncatedSeries:
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return "TruncatedSeries([%s%s])" % (head, tail)
 
-    @classmethod
-    def zero(cls, degree: int) -> "TruncatedSeries":
-        return cls([0] * (degree + 1))
-
-    @classmethod
-    def one(cls, degree: int) -> "TruncatedSeries":
-        return cls([1] + [0] * degree)
-
-    @classmethod
-    def geometric(cls, j: int, degree: int) -> "TruncatedSeries":
-        """1/(1-q^j): coefficient 1 at every multiple of j."""
-        if j < 1:
-            raise ValueError("j must be >= 1")
-        return cls([1 if n % j == 0 else 0 for n in range(degree + 1)])
-
-    def __add__(self, other):
-        _same_degree(self, other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        return series_mul(self, other)
-
     def to_decimal_strings(self) -> list:
         """JSON-friendly export: decimal strings indexed by degree."""
         return [str(c) for c in self.coeffs]
-
-
-def _same_degree(a: TruncatedSeries, b: TruncatedSeries):
-    if a.truncation_degree != b.truncation_degree:
-        raise ValueError(
-            "truncation degrees differ: %d vs %d"
-            % (a.truncation_degree, b.truncation_degree)
-        )
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the shared degree."""
-    _same_degree(a, b)
-    n = a.truncation_degree
-    out = [0] * (n + 1)
-    for d, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for e in range(0, n - d + 1):
-            cb = b.coeffs[e]
-            if cb:
-                out[d + e] += ca * cb
-    return TruncatedSeries(out)
 
 
 def restricted_parts_product(allowed: Callable[[int], bool], degree: int) -> TruncatedSeries:
@@ -118,21 +69,3 @@ def series_from_counts(f: FamilySpec, degree: int) -> TruncatedSeries:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return TruncatedSeries([count_family(n, f) for n in range(degree + 1)])
-
-
-class SeriesComparison(NamedTuple):
-    equal: bool
-    degree: int
-    left: int
-    right: int
-
-
-def series_equal_upto(a: TruncatedSeries, b: TruncatedSeries) -> SeriesComparison:
-    """Coefficientwise comparison; on mismatch reports the least degree and
-    both values there.  Equal series report degree -1.
-    """
-    _same_degree(a, b)
-    for n, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs)):
-        if ca != cb:
-            return SeriesComparison(False, n, ca, cb)
-    return SeriesComparison(True, -1, 0, 0)

@@ -139,8 +139,19 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _cell(i, m, n, expected, actual):
-    return {"i": i, "m": m, "n": n, "expected": expected, "actual": actual}
+def mismatches(cells, pairs):
+    """Yield a violation record for every disagreeing source pair at a cell.
+
+    cells yields (i, m, n, counts) with counts mapping a source name to its
+    count at that cell; pairs lists (expected, actual) source names.  Cells
+    are read in order, and as they are needed, so a caller can stop at the
+    first record; at each cell the pairs are checked in order, and each pair
+    whose counts differ gives {"i", "m", "n", "expected", "actual"}.
+    """
+    for i, m, n, counts in cells:
+        for want, got in pairs:
+            if counts[want] != counts[got]:
+                yield {"i": i, "m": m, "n": n, "expected": counts[want], "actual": counts[got]}
 
 
 def variant_for_min_part(min_part: int) -> CountTable:
@@ -152,10 +163,15 @@ def variant_for_min_part(min_part: int) -> CountTable:
     return system3(min_part // 2)
 
 
-def _refined_counts(kind, min_part, max_n):
-    # counts[i][n] is a Counter over lengths; one enumeration per (i, n)
+def _oracle_columns(t, f, max_n):
+    # the variant check, then counts[i][n], a Counter over lengths: one
+    # enumeration per (i, n)
+    if variant_for_min_part(f.min_part).variant != t.variant:
+        raise ValueError(
+            "table %s does not govern min_part %d" % (t.variant, f.min_part)
+        )
     return {
-        i: {n: counts_by_length(n, FamilySpec(kind, i, min_part)) for n in range(max_n + 1)}
+        i: [counts_by_length(n, FamilySpec(f.kind, i, f.min_part)) for n in range(max_n + 1)]
         for i in (1, 2)
     }
 
@@ -169,12 +185,7 @@ def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationRepor
     usage error.  Violated cells carry the equation's right-hand side as
     "expected" and the oracle count as "actual".
     """
-    if variant_for_min_part(f.min_part).variant != t.variant:
-        raise ValueError(
-            "table %s does not govern min_part %d" % (t.variant, f.min_part)
-        )
-    report = VerificationReport(t.variant, f.label(), max_n)
-    counts = _refined_counts(f.kind, f.min_part, max_n)
+    counts = _oracle_columns(t, f, max_n)
 
     def c(i, m, n):
         # out-of-range cells count nothing; in-range cells come from the oracle
@@ -182,21 +193,21 @@ def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationRepor
             return 0
         return counts[i][n][m]
 
-    a = t.offset
-    for n in range(0, max_n + 1):
-        for m in range(0, n + 1):
-            if (m, n) == (0, 0):
-                for i in (1, 2):
-                    if c(i, 0, 0) != 1:
-                        report.violations.append(_cell(i, 0, 0, 1, c(i, 0, 0)))
-                continue
-            rhs1 = c(1, m - 1, n - 2 * m - a) + c(2, m, n - 2 * m)
-            if c(1, m, n) != rhs1:
-                report.violations.append(_cell(1, m, n, rhs1, c(1, m, n)))
-            rhs2 = c(1, m, n) + c(2, m - 1, n - 2 * m - a + 1)
-            if c(2, m, n) != rhs2:
-                report.violations.append(_cell(2, m, n, rhs2, c(2, m, n)))
-    return report
+    def cells():
+        a = t.offset
+        for n in range(0, max_n + 1):
+            for m in range(0, n + 1):
+                if (m, n) == (0, 0):
+                    for i in (1, 2):
+                        yield i, 0, 0, {"equation": 1, "oracle": c(i, 0, 0)}
+                    continue
+                rhs1 = c(1, m - 1, n - 2 * m - a) + c(2, m, n - 2 * m)
+                yield 1, m, n, {"equation": rhs1, "oracle": c(1, m, n)}
+                rhs2 = c(1, m, n) + c(2, m - 1, n - 2 * m - a + 1)
+                yield 2, m, n, {"equation": rhs2, "oracle": c(2, m, n)}
+
+    violations = mismatches(cells(), [("equation", "oracle")])
+    return VerificationReport(t.variant, f.label(), max_n, list(violations))
 
 
 def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
@@ -204,20 +215,15 @@ def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> Verificati
 
     Same variant-matching rule as verify_system; both index values swept.
     """
-    if variant_for_min_part(f.min_part).variant != t.variant:
-        raise ValueError(
-            "table %s does not govern min_part %d" % (t.variant, f.min_part)
-        )
-    report = VerificationReport(t.variant + ":cells", f.label(), max_n)
-    counts = _refined_counts(f.kind, f.min_part, max_n)
-    for n in range(0, max_n + 1):
-        for m in range(0, n + 1):
-            for i in (1, 2):
-                want = t.value(i, m, n)
-                got = counts[i][n][m]
-                if want != got:
-                    report.violations.append(_cell(i, m, n, want, got))
-    return report
+    counts = _oracle_columns(t, f, max_n)
+    cells = (
+        (i, m, n, {"table": t.value(i, m, n), "oracle": counts[i][n][m]})
+        for n in range(0, max_n + 1)
+        for m in range(0, n + 1)
+        for i in (1, 2)
+    )
+    violations = mismatches(cells, [("table", "oracle")])
+    return VerificationReport(t.variant + ":cells", f.label(), max_n, list(violations))
 
 
 def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> VerificationReport:
@@ -247,38 +253,41 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
         col = columns.get(f)
         return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
 
-    report = VerificationReport("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n)
-    for kind in ("P", "B"):
-        f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
-        odd = column(f_odd)
-        even = column(FamilySpec(kind, i, 2 * k))
-        for n in range(0, max_n + 1):
-            for m in range(0, n + 1):
-                lhs = odd[n][m]
-                w = n - 2 * m * k
-                rhs = count_family(w, f_base, fixed_length=m) if w >= 0 else 0
-                if lhs != rhs:
-                    report.violations.append(_cell(i, m, n, rhs, lhs))
-                lhs = even[n][m]
-                w = n + m
-                rhs = odd[w][m] if w <= max_n else count_family(w, f_odd, fixed_length=m)
-                if lhs != rhs:
-                    report.violations.append(_cell(i, m, n, rhs, lhs))
-    return report
+    def cells():
+        for kind in ("P", "B"):
+            f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
+            odd = column(f_odd)
+            even = column(FamilySpec(kind, i, 2 * k))
+            for n in range(0, max_n + 1):
+                for m in range(0, n + 1):
+                    w, up = n - 2 * m * k, n + m
+                    yield i, m, n, {
+                        "odd": odd[n][m],
+                        "base": count_family(w, f_base, fixed_length=m) if w >= 0 else 0,
+                        "even": even[n][m],
+                        "odd-up": odd[up][m] if up <= max_n else count_family(up, f_odd, m),
+                    }
+
+    violations = mismatches(cells(), [("base", "odd"), ("odd-up", "even")])
+    return VerificationReport("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n, list(violations))
 
 
 def refined_AB_witness(i: int, max_n: int):
     """Smallest (n, m) in lexicographic order where the fixed-length counts
     of kinds A and B disagree, as (m, n, countA, countB); None if none occurs
     up to max_n.  The total counts at any weight still agree, so a witness
-    shows the identity does not refine by length.
+    shows the identity does not refine by length.  Each weight is counted
+    only once the ones below it agree.
     """
     fa = FamilySpec("A", i)
     fb = FamilySpec("B", i)
-    for n in range(0, max_n + 1):
-        ca = counts_by_length(n, fa)
-        cb = counts_by_length(n, fb)
-        for m in range(0, n + 1):
-            if ca[m] != cb[m]:
-                return (m, n, ca[m], cb[m])
-    return None
+
+    def cells():
+        for n in range(0, max_n + 1):
+            ca = counts_by_length(n, fa)
+            cb = counts_by_length(n, fb)
+            for m in range(0, n + 1):
+                yield i, m, n, {"A": ca[m], "B": cb[m]}
+
+    v = next(mismatches(cells(), [("B", "A")]), None)
+    return None if v is None else (v["m"], v["n"], v["actual"], v["expected"])

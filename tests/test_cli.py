@@ -11,6 +11,7 @@ from evenodd import bijections, cli, partitions, recurrences
 from evenodd.bijections import TraceRow, trace_bijection
 from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family, member_groups
+from evenodd.qseries import TruncatedSeries
 from evenodd.recurrences import variant_for_min_part
 
 
@@ -377,6 +378,26 @@ def test_family_flag_validation(capsys):
         main(["count", "--family", "P", "--n", "-3"])
 
 
+
+# shift flags that would select no family or go unread: each is refused with
+# one stderr line before anything runs
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "--family", "P", "--k", "0", "--parity", "odd", "--max-n", "6"], "--k"),
+        (["count", "--family", "B", "--k", "-1", "--parity", "even", "--n", "5"], "--k"),
+        (["verify", "--family", "P", "--parity", "even", "--max-n", "6"], "--parity"),
+        (["list", "--family", "B", "--min-part", "3", "--parity", "odd", "--n", "9"], "--parity"),
+        (["bijection", "B-case-min3", "--min-part", "5", "--n", "10"], "--min-part"),
+        (["bijection", "B-case-min3", "--parity", "odd", "--n", "10"], "--parity"),
+        (["bijection", "P-drop-one", "--k", "0", "--n", "6"], "--k"),
+    ],
+)
+def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and flag in err
+
 # references for the streamed renderers, built the way the output was built
 # before streaming: one json.dumps or one csv.writer over every row
 
@@ -683,3 +704,92 @@ DIGESTS = [
 def test_output_digests(capsys, argv, code, sha256):
     got_code, out, _ = run(capsys, *argv.split())
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
+def _drop_p_members(monkeypatch, members):
+    original = partitions._p_members_fixed
+
+    def dropping(n, i, j, m):
+        return [p for p in original(n, i, j, m) if p not in members]
+
+    monkeypatch.setattr(partitions, "_p_members_fixed", dropping)
+
+
+def _drop_b_members(monkeypatch, members):
+    original = partitions._b_groups
+
+    def dropping(n, i, j, fixed_length):
+        for prefix, tails in original(n, i, j, fixed_length):
+            yield prefix, [t for t in tails if prefix + t not in members]
+
+    monkeypatch.setattr(partitions, "_b_groups", dropping)
+
+
+def _bump_product(monkeypatch):
+    # one coefficient of the kind-A product is off by one
+    original = cli.product_for_A
+
+    def bumped(i, degree):
+        coeffs = list(original(i, degree).coeffs)
+        coeffs[17] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(cli, "product_for_A", bumped)
+
+
+# members are dropped at whatever minimum part they occur: (3,3), (4,2) and
+# (5,1) at (m=2, n=6), (9,7,5,3) at (m=4, n=24), (6,) and (11,5) at
+# (m=1, n=6) and (m=2, n=16).  drop-PB leaves P, B and the table three
+# different counts at one cell; drop-P-shift breaks both shift equations at
+# some cells.
+MUTANTS = {
+    "drop-P": lambda mp: _drop_p_members(mp, {(9, 7, 5, 3), (3, 3)}),
+    "drop-B": lambda mp: _drop_b_members(mp, {(4, 2)}),
+    "drop-PB": lambda mp: (_drop_p_members(mp, {(3, 3)}), _drop_b_members(mp, {(5, 1), (4, 2)})),
+    "drop-P-shift": lambda mp: _drop_p_members(mp, {(6,), (11, 5)}),
+    "bump-A": _bump_product,
+}
+
+# stdout SHA-256 and exit status of failing sweeps, recorded before the
+# comparisons shared one primitive: the violation lists stay byte-identical
+FAILING_DIGESTS = [
+    ("drop-P", "verify --family P --i 2 --max-n 24 --format text", 1, "7a7755c63906a8a15de616c605662e179b163bdb8760bf76668f5be71a13bf26"),
+    ("drop-P", "verify --family P --i 2 --max-n 24 --format json", 1, "f080b358927925295416a5382f5011ba4e7c20cf4ccc5465a916f20286df93bf"),
+    ("drop-P", "verify --family P --i 2 --max-n 24 --format csv", 1, "6e773d2a54652dedc11d1a26ab9907e23f44a662e038fd4983e95951f277ea0e"),
+    ("drop-P", "verify --family P --k 1 --parity odd --max-n 24 --format text", 1, "6bbe4145b9a50f610b92ee3a9fb87279090f89b60ebc37b12d8c235d872295c2"),
+    ("drop-P", "verify --family P --k 1 --parity odd --max-n 24 --format json", 1, "9ab4449e8b54f6bca964ecbbbfbc8a49640d674c9d32de99e096b2c638010e13"),
+    ("drop-P", "verify --family P --k 1 --parity odd --max-n 24 --format csv", 1, "39cb27fd5f6103e699bcecb31903b6e61331f5ca0f8d769c9700efa6ed6d9c6d"),
+    ("drop-B", "verify --family P --i 2 --max-n 24 --format text", 1, "ccf5609c24343cb38ce50183ffb36a4d0735eca69d6e9f1a5aa17f376ea58878"),
+    ("drop-B", "verify --family P --i 2 --max-n 24 --format json", 1, "c483561f9158595e6d1bd27dcd0ef89a35d7047646ca927e374284dba8038744"),
+    ("drop-B", "verify --family P --i 2 --max-n 24 --format csv", 1, "5b3d0295ff99a8dc14148debe78f956252cc2fddd4569735b5e9fe79682c8340"),
+    ("drop-B", "verify --family P --k 1 --parity odd --max-n 24 --format text", 1, "027d77ea7f9d8081015241cde22685cf848d9d7d3ce78afedb9456ca1da08da2"),
+    ("drop-B", "verify --family P --k 1 --parity odd --max-n 24 --format json", 1, "3adb41c16260116e1bc2f7160e35bd5fdf48f6088d1373f14f2d9024a3b9dacf"),
+    ("drop-B", "verify --family P --k 1 --parity odd --max-n 24 --format csv", 1, "8c4f5896e3fd3aebcd253dc6f00c36fdb3fa4d8f5ae34ddbaef3e35bdc1684aa"),
+    ("bump-A", "verify --family A --max-n 30 --format text", 1, "37d2ad66466871aa2903f610d7bae9d5238e3ff9e5f397b2b7ad80cf3503817f"),
+    ("bump-A", "verify --family A --max-n 30 --format json", 1, "eb048cee6d9e494fe104269d9b51fbd2436117bd0d6247a69299e4c6bd382d2a"),
+    ("bump-A", "verify --family A --max-n 30 --format csv", 1, "861a6dad59dd755c248c522df93cf0f2c234412c7a0c375ce8c65eff237027bb"),
+    ("drop-PB", "verify --family P --i 2 --max-n 12 --format text", 1, "7fcd31b6c99acad5a0cc0bbec4a397b6cc06264f2077f20b5a0c5e3eff22713d"),
+    ("drop-P-shift", "verify --family P --k 1 --parity odd --max-n 16 --format text", 1, "52bc06f640109bebe5ec3aa618954b0bba3c6f417e4b6b724599dcfa04b508cb"),
+]
+
+
+@pytest.mark.parametrize("mutant,argv,code,sha256", FAILING_DIGESTS)
+def test_failing_sweep_digests(capsys, monkeypatch, mutant, argv, code, sha256):
+    MUTANTS[mutant](monkeypatch)
+    got_code, out, _ = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
+def test_witness_enumerates_only_up_to_its_cell(capsys, monkeypatch):
+    # the witness for i = 1 is at n = 4: kinds A and B are counted at
+    # n = 0 .. 4 and at no greater weight
+    seen = []
+
+    def counting(n, f):
+        seen.append((n, f.kind))
+        return partitions.counts_by_length(n, f)
+
+    monkeypatch.setattr(recurrences, "counts_by_length", counting)
+    code, out, _ = run(capsys, "witness", "--i", "1", "--max-n", "60")
+    assert (code, out) == (0, "m=1 n=4 countA=0 countB=1\n")
+    assert seen == [(n, kind) for n in range(5) for kind in "AB"]

@@ -13,7 +13,6 @@ from evenodd.partitions import (
     enumerate_family,
     enumerate_partitions,
     is_member,
-    parity_split,
 )
 
 
@@ -27,25 +26,6 @@ def test_as_partition_accepts_canonical():
 def test_as_partition_rejects(bad):
     with pytest.raises(ValueError):
         as_partition(bad)
-
-
-def test_parity_split_examples():
-    s = parity_split((5, 1))
-    assert s.evens == () and s.odds == (5, 1)
-    assert (s.r1, s.r2) == (0, 2)
-    s = parity_split(())
-    assert s.evens == () and s.odds == ()
-    s = parity_split((10, 3, 3))
-    assert s.evens == (10,) and s.odds == (3, 3)
-    assert (s.r1, s.r2) == (1, 2)
-
-
-def test_parity_split_recovers_source():
-    for n in range(0, 15):
-        for p in enumerate_partitions(n):
-            s = parity_split(p)
-            assert sorted(s.evens + s.odds, reverse=True) == list(p)
-            assert s.r1 + s.r2 == len(p)
 
 
 def test_family_spec_validation():

@@ -2,60 +2,16 @@ import pytest
 
 from evenodd.partitions import FamilySpec, count_family
 from evenodd.qseries import (
-    SeriesComparison,
     TruncatedSeries,
     product_for_A,
     restricted_parts_product,
-    series_equal_upto,
     series_from_counts,
-    series_mul,
 )
-
-
-def long_division_geometric(j, degree):
-    # coefficients of 1/(1-q^j) by naive long division of 1 by (1 - q^j)
-    remainder = [1] + [0] * degree
-    out = []
-    for n in range(degree + 1):
-        out.append(remainder[n])
-        if remainder[n]:
-            # subtract remainder[n] * q^n * (1 - q^j)
-            remainder[n] = 0
-            if n + j <= degree:
-                remainder[n + j] += out[-1]
-    return out
-
-
-def test_identities():
-    a = TruncatedSeries([1, 2, 3])
-    assert series_mul(TruncatedSeries.one(2), a) == a
-    assert a + TruncatedSeries.zero(2) == a
-
-
-def test_difference_of_squares():
-    one_plus = TruncatedSeries([1, 1, 0])
-    one_minus = TruncatedSeries([1, -1, 0])
-    assert (one_plus * one_minus).coeffs == (1, 0, -1)
-
-
-def test_geometric_factor():
-    assert TruncatedSeries.geometric(2, 6).coeffs == (1, 0, 1, 0, 1, 0, 1)
-    for j in (1, 2, 3, 5):
-        assert list(TruncatedSeries.geometric(j, 30).coeffs) == long_division_geometric(j, 30)
-
-
-def test_degree_mismatch():
-    with pytest.raises(ValueError):
-        series_mul(TruncatedSeries.one(3), TruncatedSeries.one(4))
-    with pytest.raises(ValueError):
-        series_equal_upto(TruncatedSeries.one(3), TruncatedSeries.one(4))
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
         TruncatedSeries([])
-    with pytest.raises(ValueError):
-        TruncatedSeries.geometric(0, 5)
     with pytest.raises(ValueError):
         restricted_parts_product(lambda j: True, -1)
 
@@ -92,14 +48,6 @@ def test_series_from_counts():
     assert series_from_counts(FamilySpec("A", 2), 10) == product_for_A(2, 10)
     assert series_from_counts(FamilySpec("B", 2), 6)[6] == 3
     assert series_from_counts(FamilySpec("P", 1), 0).coeffs == (1,)
-
-
-def test_series_equal_upto():
-    a = product_for_A(2, 20)
-    assert series_equal_upto(a, a) == SeriesComparison(True, -1, 0, 0)
-    cmp = series_equal_upto(product_for_A(1, 6), product_for_A(2, 6))
-    assert cmp.equal is False
-    assert (cmp.degree, cmp.left, cmp.right) == (1, 0, 1)
 
 
 def test_product_matches_family_counts_small():

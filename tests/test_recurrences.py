@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -253,3 +254,27 @@ def test_report_serialization():
     assert d2["violations"] and set(d2["violations"][0]) == {
         "i", "m", "n", "expected", "actual",
     }
+
+
+# SHA-256 of each report's JSON with members dropped from the P enumerator,
+# recorded before the sweeps shared one compare primitive.  (3,3) is a member
+# for both index values; (5,1) only for i=2, at a smaller weight than (10,)
+@pytest.mark.parametrize(
+    "sweep,members,sha256",
+    [
+        (verify_system, {(3, 3)}, "7fd5cfd7783ad760299e03f695027a8deaf4cdb2135befd9b2afff85f6d2eed1"),
+        (compare_table_oracle, {(3, 3)}, "dd4dda1469de1355e5d834a6c4bf1d1649801b3890103c058125cd0e7ea157b9"),
+        (verify_system, {(5, 1), (10,)}, "0fb3df77db26130a599e90fdd62974a53159d82097f0414a72aea51dabd3baab"),
+        (compare_table_oracle, {(5, 1), (10,)}, "c54f9e0f2dd4c6be6024fcda2ef958d8fa5b3bf0f5b6bc2377f6a6cfd2332707"),
+    ],
+)
+def test_failing_report_digests(monkeypatch, sweep, members, sha256):
+    original = partitions._p_members_fixed
+
+    def dropping(n, i, j, m):
+        return [p for p in original(n, i, j, m) if p not in members]
+
+    monkeypatch.setattr(partitions, "_p_members_fixed", dropping)
+    report = sweep(system1(), FamilySpec("P", 2), 20)
+    assert not report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha256
