@@ -36,8 +36,8 @@ DEFAULT_ORACLE_LIMIT = 60
 DEFAULT_DP_MAX_N = 200
 MAX_TABLE_DUMP_N = 1000
 # a table or product read at weight n is filled at every weight up to n:
-# O(n^1.5) table cells and O(n^2) product steps; at 5000 either takes under
-# a second and about 40 MB, at 40000 a table takes 800 MB
+# O(n^1.5) table cells, and O(n^1.5) additions for the product; at 5000
+# either takes under a second and about 40 MB, at 40000 a table takes 800 MB
 MAX_FILL_N = 5000
 
 
@@ -45,14 +45,21 @@ def _family_from_args(parser, args):
     """The FamilySpec that --family, --i, --min-part, --k and --parity select.
 
     A flag that would be ignored is refused: --k below 1, --parity without
-    --k, and --min-part or --parity on bijection, whose map fixes its
-    domain's minimum part.  Such a refusal returns None after one line on
-    stderr.
+    --k, --family A on table (kind A has no recursion table), --min-part,
+    --k or --parity on witness, which compares the base families, and
+    --min-part or --parity on bijection, whose map fixes its domain's
+    minimum part.  Such a refusal returns None after one line on stderr.
     """
     k, parity, min_part = args.k, args.parity, args.min_part
     refusal = None
     if k is not None and k < 1:
         refusal = "--k must be >= 1"
+    elif args.command == "table" and args.family == "A":
+        refusal = "table takes no --family A; kind A has no recursion table"
+    elif args.command == "witness":
+        if min_part is not None or k is not None or parity is not None:
+            refusal = "witness takes no --min-part, --k or --parity; it compares the base families"
+        min_part = 1
     elif args.command == "bijection":
         if min_part is not None or parity is not None:
             refusal = "bijection takes no --min-part or --parity; the map fixes its domain"

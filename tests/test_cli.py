@@ -10,9 +10,9 @@ import pytest
 from evenodd import bijections, cli, partitions, recurrences
 from evenodd.bijections import TraceRow, trace_bijection
 from evenodd.cli import main
-from evenodd.partitions import FamilySpec, enumerate_family, member_groups
-from evenodd.qseries import TruncatedSeries
-from evenodd.recurrences import variant_for_min_part
+from evenodd.partitions import FamilySpec, enumerate_family, member_groups, part_allowed_for_A
+from evenodd.qseries import TruncatedSeries, restricted_parts_product
+from evenodd.recurrences import family_count_via_table, system1, variant_for_min_part
 
 
 def run(capsys, *argv):
@@ -319,6 +319,22 @@ def test_series_family_B_matches_A(capsys):
     assert out_a == out_b
 
 
+def test_series_A_at_the_fill_limit_matches_table_and_literal_product(capsys):
+    # the product (kind A) against two independent sources: the System1
+    # table's totals to 1500, and the literal product at every degree
+    code, out, _ = run(capsys, "series", "--family", "A", "--i", "1", "--max-n", "5000")
+    assert code == 0
+    coeffs = []
+    for n, line in enumerate(out.splitlines()):
+        degree, c = line.split(": ")
+        assert int(degree) == n
+        coeffs.append(int(c))
+    table = system1()
+    assert coeffs[:1501] == [family_count_via_table(table, 1, n) for n in range(1501)]
+    literal = restricted_parts_product(lambda j: part_allowed_for_A(j, 1), 5000)
+    assert coeffs == list(literal.coeffs)
+
+
 def test_table_base_cell(capsys):
     code, out, _ = run(capsys, "table", "--max-n", "0", "--format", "csv")
     assert code == 0
@@ -379,8 +395,9 @@ def test_family_flag_validation(capsys):
 
 
 
-# shift flags that would select no family or go unread: each is refused with
-# one stderr line before anything runs
+# shift flags that would select no family or go unread, and the flags table
+# and witness would not read: each is refused with one stderr line before
+# anything runs
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -391,6 +408,10 @@ def test_family_flag_validation(capsys):
         (["bijection", "B-case-min3", "--min-part", "5", "--n", "10"], "--min-part"),
         (["bijection", "B-case-min3", "--parity", "odd", "--n", "10"], "--parity"),
         (["bijection", "P-drop-one", "--k", "0", "--n", "6"], "--k"),
+        (["table", "--family", "A", "--i", "1", "--max-n", "1"], "--family A"),
+        (["witness", "--min-part", "3", "--max-n", "5"], "--min-part"),
+        (["witness", "--k", "1", "--parity", "odd", "--max-n", "5"], "--k"),
+        (["witness", "--parity", "even", "--max-n", "5"], "--parity"),
     ],
 )
 def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):

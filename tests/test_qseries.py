@@ -1,6 +1,6 @@
 import pytest
 
-from evenodd.partitions import FamilySpec, count_family
+from evenodd.partitions import FamilySpec, count_family, part_allowed_for_A
 from evenodd.qseries import (
     TruncatedSeries,
     product_for_A,
@@ -14,6 +14,10 @@ def test_constructor_validation():
         TruncatedSeries([])
     with pytest.raises(ValueError):
         restricted_parts_product(lambda j: True, -1)
+    # a coefficient that is not an int is refused, not truncated
+    for coeffs in ([1.5, 2.7, True], [1, 2.0], [True], [1, "2"]):
+        with pytest.raises(ValueError):
+            TruncatedSeries(coeffs)
 
 
 def test_restricted_product_examples():
@@ -42,6 +46,27 @@ def test_product_against_independent_count():
     assert list(restricted_parts_product(lambda j: j % 2 == 1, 40).coeffs) == dp_counts(
         lambda j: j % 2 == 1, 40
     )
+
+
+def _literal_A(i, degree):
+    return restricted_parts_product(lambda j: part_allowed_for_A(j, i), degree)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_theta_quotient_equals_literal_product(i):
+    # the theta quotient against the literal product at every degree, so
+    # every truncation point and every theta and Euler term up to 300 is hit
+    for degree in range(301):
+        assert product_for_A(i, degree) == _literal_A(i, degree), degree
+    assert product_for_A(i, 2000) == _literal_A(i, 2000)
+
+
+def test_product_for_A_rejects_bad_arguments():
+    for i in (1, 2):
+        with pytest.raises(ValueError):
+            product_for_A(i, -1)
+    with pytest.raises(ValueError):
+        product_for_A(3, 5)
 
 
 def test_series_from_counts():
