@@ -11,7 +11,6 @@ output behind; only the exit status says that a run finished.
 """
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import nullcontext
@@ -46,9 +45,11 @@ def _family_from_args(parser, args):
 
     A flag that would be ignored is refused: --k below 1, --parity without
     --k, --family A on table (kind A has no recursion table), --min-part,
-    --k or --parity on witness, which compares the base families, and
+    --k or --parity on witness, which compares the base families,
     --min-part or --parity on bijection, whose map fixes its domain's
-    minimum part.  Such a refusal returns None after one line on stderr.
+    minimum part, and --k on a bijection map other than the shift maps,
+    which alone read it.  Such a refusal returns None after one line on
+    stderr.
     """
     k, parity, min_part = args.k, args.parity, args.min_part
     refusal = None
@@ -63,6 +64,8 @@ def _family_from_args(parser, args):
     elif args.command == "bijection":
         if min_part is not None or parity is not None:
             refusal = "bijection takes no --min-part or --parity; the map fixes its domain"
+        elif k is not None and not takes_k(args.bijection):
+            refusal = "%s takes no --k; only the shift maps read it" % args.bijection
         min_part = 1
     elif parity is not None and k is None:
         refusal = "--parity needs --k"
@@ -141,6 +144,9 @@ class _Line:
 
 
 def _csv_lines(header, rows):
+    # imported on first use, so that only csv output pays to load the module
+    import csv
+
     line = csv.writer(_Line(), lineterminator="\n").writerow
     yield line(header)
     yield from map(line, rows)

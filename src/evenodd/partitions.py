@@ -14,7 +14,6 @@ families, 2k or 2k+1 for the shifted variants).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import sub
 from typing import Iterator, Optional, Sequence
 
@@ -39,34 +38,58 @@ def as_partition(parts) -> Partition:
 _KINDS = ("A", "B", "P")
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Selects one counted family: kind in {A, B, P}, index i, minimum part.
 
     min_part is 1 for the base families; the shifted variants use 2k+1 or 2k.
     Kind A admits no shifted variant, so it requires min_part == 1.
+
+    A spec is immutable and compares and hashes by its three fields; it
+    equals only another FamilySpec (never a tuple), and it is neither
+    iterable nor ordered.
     """
 
-    kind: str
-    i: int
-    min_part: int = 1
+    __slots__ = ("kind", "i", "min_part")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError("kind must be one of %r, got %r" % (_KINDS, self.kind))
-        if self.i not in (1, 2):
-            raise ValueError("i must be 1 or 2, got %r" % (self.i,))
-        if not isinstance(self.min_part, int) or self.min_part < 1:
-            raise ValueError("min_part must be a positive integer, got %r" % (self.min_part,))
-        if self.kind == "A" and self.min_part != 1:
+    def __init__(self, kind: str, i: int, min_part: int = 1):
+        if kind not in _KINDS:
+            raise ValueError("kind must be one of %r, got %r" % (_KINDS, kind))
+        if type(i) is not int or i not in (1, 2):
+            raise ValueError("i must be 1 or 2, got %r" % (i,))
+        if type(min_part) is not int or min_part < 1:
+            raise ValueError("min_part must be a positive integer, got %r" % (min_part,))
+        if kind == "A" and min_part != 1:
             raise ValueError("kind A has no shifted variant; min_part must be 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "min_part", min_part)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return self.__class__, (self.kind, self.i, self.min_part)
+
+    def __repr__(self) -> str:
+        return "FamilySpec(kind=%r, i=%r, min_part=%r)" % (self.kind, self.i, self.min_part)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.min_part) == (other.kind, other.i, other.min_part)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.min_part))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "i": self.i, "min_part": self.min_part}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":
-        return cls(kind=d["kind"], i=int(d["i"]), min_part=int(d.get("min_part", 1)))
+        return cls(kind=d["kind"], i=d["i"], min_part=d.get("min_part", 1))
 
     def label(self) -> str:
         return "%s(i=%d,min_part=%d)" % (self.kind, self.i, self.min_part)

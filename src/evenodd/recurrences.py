@@ -14,7 +14,6 @@ increasing n with i=1 computed before i=2 at each cell.
 """
 
 import json
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .partitions import FamilySpec, count_family, counts_by_length
@@ -114,14 +113,14 @@ def family_count_via_table(t: CountTable, i: int, n: int) -> int:
     return sum(t.row(i, n))
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one identity sweep: empty violations means verified."""
 
-    system: str
-    family: str
-    max_n: int
-    violations: list = field(default_factory=list)
+    def __init__(self, system: str, family: str, max_n: int, violations=None):
+        self.system = system
+        self.family = family
+        self.max_n = max_n
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

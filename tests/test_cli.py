@@ -3,6 +3,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -129,8 +132,8 @@ def test_bijection_trace_case_two_threes(capsys):
 
 
 def test_bijection_trace_empty_at_zero(capsys):
-    for name in ("P-drop-one", "B-case-min2", "shift-add-one"):
-        code, out, _ = run(capsys, "bijection", name, "--n", "0", "--k", "1")
+    for argv in (["P-drop-one"], ["B-case-min2"], ["shift-add-one", "--k", "1"]):
+        code, out, _ = run(capsys, "bijection", *argv, "--n", "0")
         assert code == 0 and out == ""
 
 
@@ -395,9 +398,9 @@ def test_family_flag_validation(capsys):
 
 
 
-# shift flags that would select no family or go unread, and the flags table
-# and witness would not read: each is refused with one stderr line before
-# anything runs
+# shift flags that would select no family or go unread, and the flags table,
+# witness and the non-shift bijection maps would not read: each is refused
+# with one stderr line before anything runs
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -412,6 +415,7 @@ def test_family_flag_validation(capsys):
         (["witness", "--min-part", "3", "--max-n", "5"], "--min-part"),
         (["witness", "--k", "1", "--parity", "odd", "--max-n", "5"], "--k"),
         (["witness", "--parity", "even", "--max-n", "5"], "--parity"),
+        (["bijection", "P-drop-one", "--k", "3", "--n", "6"], "--k"),
     ],
 )
 def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):
@@ -814,3 +818,41 @@ def test_witness_enumerates_only_up_to_its_cell(capsys, monkeypatch):
     code, out, _ = run(capsys, "witness", "--i", "1", "--max-n", "60")
     assert (code, out) == (0, "m=1 n=4 countA=0 countB=1\n")
     assert seen == [(n, kind) for n in range(5) for kind in "AB"]
+
+
+# A fresh interpreter with the modules the benchmark's child holds before it
+# imports evenodd; it runs each argv through main and prints, as its last
+# line, the modules this added to sys.modules.
+_STARTUP_SCRIPT = """
+import json, os, sys, time
+before = set(sys.modules)
+import evenodd.cli
+for argv in json.loads(sys.argv[1]):
+    evenodd.cli.main(argv)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _modules_added(*argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_startup_loads_no_dataclasses_inspect_or_csv():
+    added = _modules_added(["count", "--family", "B", "--n", "5"])
+    assert "evenodd.cli" in added
+    assert not added & {"dataclasses", "inspect", "csv"}
+    # list and table format their csv directly
+    added = _modules_added(
+        ["list", "--family", "B", "--n", "9", "--format", "csv"],
+        ["table", "--max-n", "3", "--format", "csv"],
+    )
+    assert not added & {"dataclasses", "inspect", "csv"}
+    # the other csv renderers load the module when they first write
+    assert "csv" in _modules_added(["count", "--family", "B", "--n", "5", "--format", "csv"])

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from collections import Counter
 
@@ -31,20 +32,61 @@ def test_as_partition_rejects(bad):
 def test_family_spec_validation():
     FamilySpec("P", 2, 1)
     FamilySpec("B", 1, 7)
-    with pytest.raises(ValueError):
-        FamilySpec("Q", 2, 1)
-    with pytest.raises(ValueError):
-        FamilySpec("P", 3, 1)
-    with pytest.raises(ValueError):
-        FamilySpec("B", 2, 0)
-    with pytest.raises(ValueError):
-        FamilySpec("A", 2, 3)
+    assert FamilySpec(kind="B", i=1, min_part=7) == FamilySpec("B", 1, 7)
+    bad = [
+        (("Q", 2, 1), "kind must be one of"),
+        (("P", 3, 1), "i must be 1 or 2"),
+        (("B", 2, 0), "min_part must be a positive integer"),
+        (("A", 2, 3), "kind A has no shifted variant"),
+        # bool is not an int here, and nothing is coerced
+        (("P", True, 1), "i must be 1 or 2"),
+        (("P", 2, True), "min_part must be a positive integer"),
+        (("P", True, True), "i must be 1 or 2"),
+        (("P", 2.0, 1), "i must be 1 or 2"),
+        (("P", 2, 3.0), "min_part must be a positive integer"),
+        (("P", 2, "3"), "min_part must be a positive integer"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(*args)
 
 
 def test_family_spec_round_trip():
     f = FamilySpec("P", 1, 5)
     assert FamilySpec.from_dict(f.to_dict()) == f
     assert f.to_dict() == {"kind": "P", "i": 1, "min_part": 5}
+    assert FamilySpec.from_dict({"kind": "B", "i": 2}) == FamilySpec("B", 2, 1)
+    # from_dict hands its values to the validating constructor unchanged
+    for d in (
+        {"kind": "P", "i": 2.9, "min_part": "3"},
+        {"kind": "P", "i": "2"},
+        {"kind": "P", "i": 2, "min_part": 3.0},
+        {"kind": "B", "i": True},
+    ):
+        with pytest.raises(ValueError):
+            FamilySpec.from_dict(d)
+
+
+def test_family_spec_value_semantics():
+    f = FamilySpec("P", 2)
+    assert repr(f) == "FamilySpec(kind='P', i=2, min_part=1)"
+    assert repr(FamilySpec("B", 1, 7)) == "FamilySpec(kind='B', i=1, min_part=7)"
+    assert f == FamilySpec("P", 2, 1) and hash(f) == hash(FamilySpec("P", 2, 1))
+    assert len({f, FamilySpec("P", 2, 1), FamilySpec(kind="P", i=2)}) == 1
+    assert f != FamilySpec("P", 2, 3) and f != FamilySpec("B", 2) and f != FamilySpec("P", 1)
+    assert f != ("P", 2, 1) and ("P", 2, 1) != f
+    assert f.label() == "P(i=2,min_part=1)"
+    for name in ("kind", "i", "min_part", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 1)
+    with pytest.raises(AttributeError):
+        del f.i
+    assert (f.kind, f.i, f.min_part) == ("P", 2, 1)
+    with pytest.raises(TypeError):
+        iter(f)
+    with pytest.raises(TypeError):
+        f < FamilySpec("P", 2, 3)
+    assert copy.copy(f) == f and copy.deepcopy(f) == f
 
 
 @pytest.mark.parametrize(
