@@ -87,15 +87,19 @@ def _family_from_args(parser, args):
         parser.error(str(e))
 
 
-_EMIT_BATCH_CHARS = 1 << 16  # text joined into one write
+_EMIT_BLOCK_CHARS = 1 << 16  # one write; a default Linux pipe holds 64 KiB
 
 
 def _emit(args, chunks: Iterable[str]) -> None:
-    """Write an iterable of string chunks to --out or stdout, in batches.
+    """Write an iterable of string chunks to --out or stdout, in blocks.
 
     The target is opened before the first chunk is rendered, and chunks are
     rendered only as they are written, so a failure mid-stream leaves the
     output written so far in place.
+
+    Every write but the last is a whole number of _EMIT_BLOCK_CHARS
+    characters (bytes: the output is ASCII), so a reader on a pipe gets one
+    full read per block, not a full read plus a few-byte tail per batch.
     """
     target = open(args.out, "w") if args.out else nullcontext(sys.stdout)
     with target as fh:
@@ -103,9 +107,12 @@ def _emit(args, chunks: Iterable[str]) -> None:
         for chunk in chunks:
             batch.append(chunk)
             size += len(chunk)
-            if size >= _EMIT_BATCH_CHARS:
-                fh.write("".join(batch))
-                batch, size = [], 0
+            if size >= _EMIT_BLOCK_CHARS:
+                text = "".join(batch)
+                size %= _EMIT_BLOCK_CHARS
+                cut = len(text) - size
+                fh.write(text[:cut])
+                batch = [text[cut:]]
         fh.write("".join(batch))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -645,6 +646,24 @@ def test_output_streams_before_a_late_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "list", "--family", "B", "--n", "5")
     assert code == 3 and err == "evenodd: internal error: RuntimeError: late\n"
     assert out and out.startswith("(100000)\n(99999)\n")
+
+
+def test_emit_writes_whole_blocks(monkeypatch):
+    # a pipe reader gets one full read per block, with no short tail reads
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    block = cli._EMIT_BLOCK_CHARS
+    chunks = ["(%d,%d)\n" % (v, v % 7) for v in range(60000)] + ["x" * (2 * block + 5), "end\n"]
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    cli._emit(argparse.Namespace(out=None), iter(chunks))
+    assert "".join(writes) == "".join(chunks)
+    assert len(writes) > 3
+    assert all(w and len(w) % block == 0 for w in writes[:-1])
+    assert len(writes[-1]) < block
 
 
 # stdout SHA-256 and exit status of a fixed invocation set, recorded before
