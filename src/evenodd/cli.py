@@ -1,6 +1,15 @@
 """Command-line harness: verification sweeps, counting, listing, bijection
 traces, recurrence tables, series and the refined-counterexample search.
 
+`count` and `series` read one source, which `_counter` picks: kind-A
+totals come from the product; any other count is enumerated up to
+--oracle-limit; above that, kinds P and B read the recursion table of their
+minimum part (so `count --family P` is the table's value there), filled up
+to MAX_FILL_N.  `verify` names its sources itself, since the identity it
+checks fixes which counts it compares.  A bound that a run would pass is
+refused with one stderr line, "<what the command reads>; <flag> <value>
+exceeds the <bound> <limit>", and exit status 2.
+
 Exit status is 0 exactly when the executed checks report zero violations,
 1 when violations were found, 2 on usage errors, infeasible bounds or a
 failure to write the output, and 3 on an internal error (a crash is never a
@@ -20,7 +29,7 @@ from typing import Iterable
 
 from .bijections import BIJECTION_NAMES, takes_k, trace_bijection
 from .partitions import FamilySpec, count_family, counts_by_length, member_groups
-from .qseries import TruncatedSeries, product_for_A, series_from_counts
+from .qseries import product_for_A
 from .recurrences import (
     VerificationReport,
     family_count_via_table,
@@ -40,51 +49,50 @@ MAX_TABLE_DUMP_N = 1000
 MAX_FILL_N = 5000
 
 
-def _family_from_args(parser, args):
-    """The FamilySpec that --family, --i, --min-part, --k and --parity select.
+def _family_from_args(args):
+    """The FamilySpec that --family, --i, --min-part, --k and --parity select
+    (kind P, i = 2 and minimum part 1 when not given), or None after one
+    line on stderr when they select none.
 
-    A flag that would be ignored is refused: --k below 1, --parity without
-    --k, --family A on table (kind A has no recursion table), --min-part,
-    --k or --parity on witness, which compares the base families,
-    --min-part or --parity on bijection, whose map fixes its domain's
-    minimum part, and --k on a bijection map other than the shift maps,
-    which alone read it.  Such a refusal returns None after one line on
-    stderr.
+    A flag that would be ignored is refused too: --k below 1, --parity
+    without --k, --k without --parity, --min-part with --k, --family or --i
+    on table (the dump holds both index values of the one table that kinds
+    P and B share), --family, --min-part, --k or --parity on witness, which
+    compares the base families A and B, --min-part or --parity on
+    bijection, whose map fixes its domain's minimum part, and --k on a
+    bijection map other than the shift maps, which alone read it.
     """
     k, parity, min_part = args.k, args.parity, args.min_part
     refusal = None
     if k is not None and k < 1:
         refusal = "--k must be >= 1"
-    elif args.command == "table" and args.family == "A":
-        refusal = "table takes no --family A; kind A has no recursion table"
+    elif args.command == "table" and (args.family or args.i):
+        given = "--family " + args.family if args.family else "--i %d" % args.i
+        refusal = "table takes no %s; it dumps the P and B table at both index values" % given
     elif args.command == "witness":
-        if min_part is not None or k is not None or parity is not None:
-            refusal = "witness takes no --min-part, --k or --parity; it compares the base families"
-        min_part = 1
+        if args.family or min_part is not None or k is not None or parity is not None:
+            refusal = ("witness takes no --family, --min-part, --k or --parity; "
+                       "it compares the base families A and B")
     elif args.command == "bijection":
         if min_part is not None or parity is not None:
             refusal = "bijection takes no --min-part or --parity; the map fixes its domain"
         elif k is not None and not takes_k(args.bijection):
             refusal = "%s takes no --k; only the shift maps read it" % args.bijection
-        min_part = 1
     elif parity is not None and k is None:
         refusal = "--parity needs --k"
-    elif min_part is not None:
-        if k is not None:
-            parser.error("--min-part and --k are mutually exclusive")
+    elif k is not None and min_part is not None:
+        refusal = "--min-part and --k are mutually exclusive"
+    elif k is not None and parity is None:
+        refusal = "--k needs --parity {odd,even}"
     elif k is not None:
-        if parity is None:
-            parser.error("--k needs --parity {odd,even}")
         min_part = 2 * k + 1 if parity == "odd" else 2 * k
-    else:
-        min_part = 1
-    if refusal is not None:
-        print(refusal, file=sys.stderr)
-        return None
-    try:
-        return FamilySpec(args.family, args.i, min_part)
-    except ValueError as e:
-        parser.error(str(e))
+    if refusal is None:
+        try:
+            return FamilySpec(args.family or "P", args.i or 2, 1 if min_part is None else min_part)
+        except ValueError as e:
+            refusal = str(e)
+    print(refusal, file=sys.stderr)
+    return None
 
 
 _EMIT_BLOCK_CHARS = 1 << 16  # one write; a default Linux pipe holds 64 KiB
@@ -199,23 +207,47 @@ def _render_report(args, report: VerificationReport, rows):
     return [line + "\n" for line in lines]
 
 
-def _past_fill_limit(n: int) -> bool:
-    """True, after one line on stderr, when n exceeds MAX_FILL_N."""
-    if n <= MAX_FILL_N:
+def _exceeds(reads, flag, value, bound, limit) -> bool:
+    """True, after one line on stderr, when value exceeds limit: what the
+    command reads, then "<flag> <value> exceeds the <bound> <limit>"."""
+    if value <= limit:
         return False
-    print(
-        "tables and product series are filled at every weight up to the one "
-        "read; n=%d exceeds the fill limit %d" % (n, MAX_FILL_N),
-        file=sys.stderr,
-    )
+    print("%s; %s %d exceeds the %s %d" % (reads, flag, value, bound, limit), file=sys.stderr)
     return True
+
+
+def _counter(args, f, n, m=None):
+    """The count of f at each weight w <= n, of length m when m is given, as
+    a function of w, from the one source the module docstring's rule picks;
+    or None, after one line on stderr, when n exceeds that source's bound.
+    The sources are this module's globals, so a patched one is the one read.
+    """
+    flag = "--n" if args.command == "count" else "--max-n"
+    if f.kind == "A" and m is None:
+        if _exceeds(args.command + " reads the kind-A product", flag, n, "fill limit", MAX_FILL_N):
+            return None
+        return product_for_A(f.i, n).__getitem__
+    if n <= args.oracle_limit or f.kind == "A":
+        reads = args.command + " enumerates fixed-length counts of kind A"
+        if _exceeds(reads, flag, n, "oracle limit", args.oracle_limit):
+            return None
+        return lambda w: count_family(w, f, m)
+    table = variant_for_min_part(f.min_part)
+    reads = "%s reads the %s table" % (args.command, table.variant)
+    # a structural zero needs no fill, at any weight
+    if (m is None or table.stores(m, n)) and _exceeds(reads, flag, n, "fill limit", MAX_FILL_N):
+        return None
+    if m is None:
+        return lambda w: family_count_via_table(table, f.i, w)
+    return lambda w: table.value(f.i, m, w)
 
 
 def cmd_verify(args) -> int:
     f = args.family
     if f.kind == "A":
         max_n = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
-        if _past_fill_limit(max_n):
+        reads = "verify reads the kind-A product and the System1 table"
+        if _exceeds(reads, "--max-n", max_n, "fill limit", MAX_FILL_N):
             return 2
         prod = product_for_A(f.i, max_n)
         table = system1()
@@ -239,12 +271,7 @@ def cmd_verify(args) -> int:
         return 0 if report.ok else 1
 
     max_n = args.max_n if args.max_n is not None else args.oracle_limit
-    if max_n > args.oracle_limit:
-        print(
-            "max_n %d exceeds the oracle limit %d for enumeration sweeps; "
-            "raise --oracle-limit if this is intended" % (max_n, args.oracle_limit),
-            file=sys.stderr,
-        )
+    if _exceeds("verify enumerates P and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
         return 2
     table = variant_for_min_part(f.min_part)
     fP = FamilySpec("P", f.i, f.min_part)
@@ -277,27 +304,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    f, n = args.family, args.n
-    if n <= args.oracle_limit:
-        c = count_family(n, f, args.fixed_length)
-    elif f.kind == "A":
-        if args.fixed_length is not None:
-            print(
-                "fixed-length counts for kind A need enumeration; n exceeds the "
-                "oracle limit %d" % args.oracle_limit,
-                file=sys.stderr,
-            )
-            return 2
-        if _past_fill_limit(n):
-            return 2
-        c = product_for_A(f.i, n)[n]
-    else:
-        table = variant_for_min_part(f.min_part)
-        m = args.fixed_length
-        # a structural zero needs no fill, at any weight
-        if (m is None or table.stores(m, n)) and _past_fill_limit(n):
-            return 2
-        c = family_count_via_table(table, f.i, n) if m is None else table.value(f.i, m, n)
+    n = args.n
+    count = _counter(args, args.family, n, args.fixed_length)
+    if count is None:
+        return 2
+    c = count(n)
     if args.format == "json":
         chunks = [_json_text({"count": c, "n": n})]
     elif args.format == "csv":
@@ -310,13 +321,8 @@ def cmd_count(args) -> int:
 
 def cmd_list(args) -> int:
     f, n = args.family, args.n
-    if n > args.oracle_limit and f.kind != "B":
-        print(
-            "listing %s at n=%d exceeds the oracle limit %d (only kind B prunes "
-            "well enough); raise --oracle-limit if this is intended"
-            % (f.kind, n, args.oracle_limit),
-            file=sys.stderr,
-        )
+    reads = "list enumerates kind %s, which prunes less than kind B" % f.kind
+    if f.kind != "B" and _exceeds(reads, "--n", n, "oracle limit", args.oracle_limit):
         return 2
     groups = member_groups(n, f, args.fixed_length)
     if args.format == "json":
@@ -346,12 +352,7 @@ def _json_trace_row(r) -> str:
 
 def cmd_bijection(args) -> int:
     n = args.n
-    if n > args.oracle_limit:
-        print(
-            "bijection traces enumerate the domain; n=%d exceeds the oracle "
-            "limit %d" % (n, args.oracle_limit),
-            file=sys.stderr,
-        )
+    if _exceeds("bijection enumerates the domain", "--n", n, "oracle limit", args.oracle_limit):
         return 2
     name = args.bijection
     kind = args.family.kind
@@ -397,25 +398,17 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_series(args) -> int:
-    f = args.family
     degree = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
-    if (f.kind == "A" or degree > args.oracle_limit) and _past_fill_limit(degree):
+    count = _counter(args, args.family, degree)
+    if count is None:
         return 2
-    if f.kind == "A":
-        s = product_for_A(f.i, degree)
-    elif degree <= args.oracle_limit:
-        s = series_from_counts(f, degree)
-    else:
-        table = variant_for_min_part(f.min_part)
-        s = TruncatedSeries(
-            [family_count_via_table(table, f.i, n) for n in range(degree + 1)]
-        )
+    coeffs = [count(w) for w in range(degree + 1)]
     if args.format == "json":
-        chunks = [_json_text(s.to_decimal_strings())]
+        chunks = [_json_text([str(c) for c in coeffs])]
     elif args.format == "csv":
-        chunks = _csv_lines(["degree", "coefficient"], enumerate(s.coeffs))
+        chunks = _csv_lines(["degree", "coefficient"], enumerate(coeffs))
     else:
-        chunks = ("%d: %d\n" % (n, c) for n, c in enumerate(s.coeffs))
+        chunks = ("%d: %d\n" % (n, c) for n, c in enumerate(coeffs))
     _emit(args, chunks)
     return 0
 
@@ -436,12 +429,8 @@ def _table_cells(table, max_n):
 
 def cmd_table(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
-    if max_n > MAX_TABLE_DUMP_N:
-        print(
-            "table dumps render all (max_n+1)(max_n+2) cells; max_n %d exceeds "
-            "the dump limit %d" % (max_n, MAX_TABLE_DUMP_N),
-            file=sys.stderr,
-        )
+    reads = "table renders all (max_n+1)(max_n+2) cells"
+    if _exceeds(reads, "--max-n", max_n, "dump limit", MAX_TABLE_DUMP_N):
         return 2
     table = variant_for_min_part(args.family.min_part)
     rows = _table_cells(table, max_n)
@@ -463,12 +452,7 @@ def cmd_table(args) -> int:
 
 def cmd_witness(args) -> int:
     max_n = args.max_n if args.max_n is not None else 20
-    if max_n > args.oracle_limit:
-        print(
-            "witness search enumerates both families; max_n %d exceeds the "
-            "oracle limit %d" % (max_n, args.oracle_limit),
-            file=sys.stderr,
-        )
+    if _exceeds("witness enumerates A and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
         return 2
     w = refined_AB_witness(args.family.i, max_n)
     if args.format == "json":
@@ -489,8 +473,9 @@ def cmd_witness(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", choices=("A", "B", "P"), default="P")
-    common.add_argument("--i", type=int, choices=(1, 2), default=2)
+    # no defaults here, so that table and witness can refuse them when given
+    common.add_argument("--family", choices=("A", "B", "P"))
+    common.add_argument("--i", type=int, choices=(1, 2))
     common.add_argument("--min-part", type=int, dest="min_part")
     common.add_argument("--k", type=int)
     common.add_argument("--parity", choices=("odd", "even"))
@@ -544,16 +529,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for bound in ("max_n", "n", "fixed_length"):
-        v = getattr(args, bound, None)
-        if v is not None and v < 0:
-            parser.error("%s must be >= 0" % bound)
-    if getattr(args, "oracle_limit", 0) < 0:
-        parser.error("oracle limit must be >= 0")
+    args = build_parser().parse_args(argv)
+    for flag in ("--max-n", "--n", "--fixed-length", "--oracle-limit"):
+        if (getattr(args, flag[2:].replace("-", "_"), None) or 0) < 0:
+            print("%s must be >= 0" % flag, file=sys.stderr)
+            return 2
     # --family parsed as a kind; the commands read the whole FamilySpec
-    args.family = _family_from_args(parser, args)
+    args.family = _family_from_args(args)
     if args.family is None:
         return 2
     try:

@@ -125,7 +125,10 @@ def product_for_A(i: int, degree: int) -> TruncatedSeries:
 
 
 def series_from_counts(f: FamilySpec, degree: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is the enumerated count of f at n."""
+    """Series whose coefficient of q^n is the enumerated count of f at n.
+
+    No command calls it; like `restricted_parts_product` it is kept as the
+    tests' reference and as a boundary the benchmark's tracer counts."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return TruncatedSeries([count_family(n, f) for n in range(degree + 1)])

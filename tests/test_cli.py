@@ -228,10 +228,8 @@ def test_json_trace_row_matches_the_encoder():
 
 
 def test_negative_fixed_length_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--family", "B", "--n", "5", "--fixed-length", "-1"])
-    assert exc.value.code == 2
-    assert "fixed_length must be >= 0" in capsys.readouterr().err
+    code, out, err = run(capsys, "count", "--family", "B", "--n", "5", "--fixed-length", "-1")
+    assert (code, out, err) == (2, "", "--fixed-length must be >= 0\n")
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):
@@ -389,19 +387,29 @@ def test_byte_determinism(capsys):
 
 
 def test_family_flag_validation(capsys):
-    with pytest.raises(SystemExit):
-        main(["count", "--family", "A", "--min-part", "3", "--n", "5"])
-    with pytest.raises(SystemExit):
-        main(["count", "--family", "P", "--min-part", "2", "--k", "1",
-              "--parity", "odd", "--n", "5"])
-    with pytest.raises(SystemExit):
-        main(["count", "--family", "P", "--n", "-3"])
-
+    # the usage checks evenodd makes itself return 2 after one stderr line
+    for argv, message in [
+        (["count", "--family", "A", "--min-part", "3", "--n", "5"], "kind A has no shifted variant"),
+        (["count", "--family", "P", "--min-part", "2", "--k", "1", "--parity", "odd", "--n", "5"],
+         "--min-part and --k are mutually exclusive"),
+        (["count", "--family", "P", "--n", "-3"], "--n must be >= 0"),
+        (["count", "--family", "P", "--k", "1", "--n", "5"], "--k needs --parity"),
+        (["verify", "--family", "P", "--max-n", "-1"], "--max-n must be >= 0"),
+        (["count", "--family", "P", "--n", "5", "--oracle-limit", "-1"], "--oracle-limit must be >= 0"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and message in err, argv
+    # argparse's own errors still raise SystemExit(2)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "X", "--n", "5"])
+    assert exc.value.code == 2
 
 
 # shift flags that would select no family or go unread, and the flags table,
-# witness and the non-shift bijection maps would not read: each is refused
-# with one stderr line before anything runs
+# witness and the non-shift bijection maps would not read (table reads no
+# --family or --i, witness no --family): each is refused with one stderr line
+# before anything runs
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -417,12 +425,86 @@ def test_family_flag_validation(capsys):
         (["witness", "--k", "1", "--parity", "odd", "--max-n", "5"], "--k"),
         (["witness", "--parity", "even", "--max-n", "5"], "--parity"),
         (["bijection", "P-drop-one", "--k", "3", "--n", "6"], "--k"),
+        (["table", "--i", "1", "--max-n", "3"], "--i 1"),
+        (["table", "--i", "2", "--max-n", "3"], "--i 2"),
+        (["table", "--family", "P", "--max-n", "3"], "--family P"),
+        (["table", "--family", "B", "--max-n", "3"], "--family B"),
+        (["witness", "--family", "A", "--max-n", "5"], "--family"),
+        (["witness", "--family", "B", "--max-n", "5"], "--family"),
     ],
 )
 def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and flag in err
+
+
+# bounds no other test reaches: one stderr line names the flag, its value
+# and the bound it passed
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["bijection", "P-drop-one", "--n", "61"], "--n 61 exceeds the oracle limit 60"),
+        (["witness", "--max-n", "61"], "--max-n 61 exceeds the oracle limit 60"),
+        (["count", "--family", "A", "--n", "61", "--fixed-length", "2"],
+         "--n 61 exceeds the oracle limit 60"),
+    ],
+)
+def test_refusal_names_the_bound(capsys, argv, bound):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and bound in err
+
+
+# the source count and series read for each kind at the weights 60 (the
+# oracle limit), 100 and MAX_FILL_N + 1, or the bound they refuse past:
+# totals, length 3, and length 100, which is a structural zero of System1
+# at every weight up to 10000
+SOURCE_WEIGHTS = (60, 100, cli.MAX_FILL_N + 1)
+SOURCES = {
+    ("A", None): ("product", "product", "fill limit"),
+    ("A", 3): ("enumerate", "oracle limit", "oracle limit"),
+    ("A", 100): ("enumerate", "oracle limit", "oracle limit"),
+    ("B", None): ("enumerate", "table", "fill limit"),
+    ("B", 3): ("enumerate", "table", "fill limit"),
+    ("B", 100): ("enumerate", None, None),
+    ("P", None): ("enumerate", "table", "fill limit"),
+    ("P", 3): ("enumerate", "table", "fill limit"),
+    ("P", 100): ("enumerate", None, None),
+}
+
+
+@pytest.mark.parametrize("n", SOURCE_WEIGHTS)
+@pytest.mark.parametrize(
+    "command,kind,length",
+    [("count", kind, length) for kind, length in SOURCES]
+    + [("series", kind, None) for kind in "ABP"],
+)
+def test_source_each_command_reads(capsys, monkeypatch, command, kind, length, n):
+    read = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            read.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "product_for_A", recording("product", cli.product_for_A))
+    monkeypatch.setattr(cli, "count_family", recording("enumerate", cli.count_family))
+    monkeypatch.setattr(recurrences.CountTable, "_fill",
+                        recording("table", recurrences.CountTable._fill))
+    argv = [command, "--family", kind, "--n" if command == "count" else "--max-n", str(n)]
+    if length is not None:
+        argv += ["--fixed-length", str(length)]
+    code, out, err = run(capsys, *argv)
+    expected = SOURCES[kind, length][SOURCE_WEIGHTS.index(n)]
+    if expected in ("oracle limit", "fill limit"):
+        assert (code, out, read) == (2, "", set())
+        assert len(err.splitlines()) == 1 and expected in err
+    else:
+        assert (code, err) == (0, "") and out
+        assert read == ({expected} if expected else set())
 
 # references for the streamed renderers, built the way the output was built
 # before streaming: one json.dumps or one csv.writer over every row
@@ -875,3 +957,16 @@ def test_startup_loads_no_dataclasses_inspect_or_csv():
     assert not added & {"dataclasses", "inspect", "csv"}
     # the other csv renderers load the module when they first write
     assert "csv" in _modules_added(["count", "--family", "B", "--n", "5", "--format", "csv"])
+
+
+# the outputs the benchmark pins for its invocations, replayed in-process
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")) as fh:
+    BENCHMARK_EXPECTED = json.load(fh)
+
+
+@pytest.mark.parametrize("argv", sorted(BENCHMARK_EXPECTED))
+def test_benchmark_pinned_outputs(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    pinned = BENCHMARK_EXPECTED[argv]
+    assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        pinned["exit"], pinned["bytes"], pinned["sha256"])
