@@ -124,31 +124,37 @@ def _emit(args, chunks: Iterable[str]) -> None:
         fh.write("".join(batch))
 
 
-def _fmt_partition(p) -> str:
-    return "(" + ",".join(map(str, p)) + ")"
+class _Parts(dict):
+    """The str of each part, rendered once per run: parts[p] == str(p)."""
+
+    def __missing__(self, part):
+        text = self[part] = str(part)
+        return text
 
 
-def _member_lines(groups, sep, open_, close):
-    """One string per member of partitions.member_groups groups: open_, the
-    parts joined by sep, then close.  A group whose tail list is empty has
-    no member and renders nothing.
+def _member_lines(groups, sep, open_, close, between=""):
+    """One chunk per nonempty group of partitions.member_groups: each member
+    rendered as open_, the parts joined by sep, then close, with between
+    before every member but the group's first.  A group whose tail list is
+    empty has no member and yields no chunk.
 
     Each prefix is rendered once per group and each distinct tail list once
     per call, cached under its id().  A nonempty tail starts with sep, since
     its prefix is never empty.
     """
+    part = _Parts().__getitem__
     rendered, held = {}, []
     for prefix, tails in groups:
         strings = rendered.get(id(tails))
         if strings is None:
             strings = rendered[id(tails)] = [
-                sep + sep.join(map(str, t)) + close if t else close for t in tails
+                sep + sep.join(map(part, t)) + close if t else close for t in tails
             ]
             # while the list is held, no other list can take its id
             held.append(tails)
-        head = open_ + sep.join(map(str, prefix))
-        for tail in strings:
-            yield head + tail
+        if strings:
+            head = open_ + sep.join(map(part, prefix))
+            yield head + (between + head).join(strings)
 
 
 class _Line:
@@ -326,7 +332,7 @@ def cmd_list(args) -> int:
         return 2
     groups = member_groups(n, f, args.fixed_length)
     if args.format == "json":
-        chunks = _json_array(_member_lines(groups, ",", "[", "]"))
+        chunks = _json_array(_member_lines(groups, ",", "[", "]", ","))
     elif args.format == "csv":
         # the csv module quotes a lone empty field, so the empty partition
         # (the one member at n = 0) is the line ""
@@ -337,17 +343,29 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _json_trace_row(r) -> str:
-    """_json_encode(r.to_dict()) for a TraceRow with bool flags, formatted
-    directly: the keys in sorted order, "case" only when not None."""
-    return '{"bijection":%s,%s"codomain_ok":%s,"domain_ok":%s,"input":[%s],"output":%s}' % (
-        encode_basestring_ascii(r.bijection),
-        "" if r.case is None else '"case":%d,' % r.case,
-        "true" if r.codomain_ok else "false",
-        "true" if r.domain_ok else "false",
-        ",".join(map(str, r.input)),
-        "null" if r.output is None else "[" + ",".join(map(str, r.output)) + "]",
-    )
+def _json_trace_rows(rows):
+    """_json_encode(r.to_dict()) for each TraceRow (with bool flags) of rows,
+    formatted directly: the keys in sorted order, "case" only when not None.
+
+    The head up to "input":[ is rendered once per (bijection, case,
+    codomain_ok, domain_ok), and each distinct part once per call.
+    """
+    part = _Parts().__getitem__
+    heads = {}
+    for r in rows:
+        key = (r.bijection, r.case, r.codomain_ok, r.domain_ok)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = '{"bijection":%s,%s"codomain_ok":%s,"domain_ok":%s,"input":[' % (
+                encode_basestring_ascii(r.bijection),
+                "" if r.case is None else '"case":%d,' % r.case,
+                "true" if r.codomain_ok else "false",
+                "true" if r.domain_ok else "false",
+            )
+        out = r.output
+        yield head + ",".join(map(part, r.input)) + (
+            '],"output":null}' if out is None else '],"output":[' + ",".join(map(part, out)) + "]}"
+        )
 
 
 def cmd_bijection(args) -> int:
@@ -365,17 +383,18 @@ def cmd_bijection(args) -> int:
             return 2
     rows = trace_bijection(name, n, k=args.k, kind=kind, i=args.family.i)
     ok = all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)
+    part = _Parts().__getitem__
     if args.format == "json":
-        chunks = _json_array(map(_json_trace_row, rows))
+        chunks = _json_array(_json_trace_rows(rows))
     elif args.format == "csv":
         chunks = _csv_lines(
             ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
             (
                 [
                     r.bijection,
-                    " ".join(map(str, r.input)),
+                    " ".join(map(part, r.input)),
                     "" if r.case is None else r.case,
-                    "" if r.output is None else " ".join(map(str, r.output)),
+                    "" if r.output is None else " ".join(map(part, r.output)),
                     r.domain_ok,
                     r.codomain_ok,
                 ]
@@ -384,11 +403,11 @@ def cmd_bijection(args) -> int:
         )
     else:
         chunks = (
-            "%s%s %s %s\n"
+            "(%s)%s (%s) %s\n"
             % (
-                _fmt_partition(r.input),
+                ",".join(map(part, r.input)),
                 " -> case %d ->" % r.case if r.case is not None else " ->",
-                _fmt_partition(r.output),
+                ",".join(map(part, r.output)),
                 "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED",
             )
             for r in rows
@@ -413,18 +432,21 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _table_cells(table, max_n):
-    """The "i,m,n,count" cells of each (i, n) row of a table dump, as one
-    list per row, in dump order.  The stored cells come from table.row; the
-    lengths past them up to n are structural zeros, written without lookups.
+def _table_cells(table, max_n, between):
+    """One string per (i, n) row of a table dump, in dump order: the row's
+    "i,m,n,count" cells joined by between.  The stored cells come from
+    table.row; the lengths past them up to n are structural zeros, written
+    without lookups by one join over the lengths' digit strings.
     """
+    digits = [str(m) for m in range(max_n + 1)]
     for i in (1, 2):
         for n in range(max_n + 1):
             row = table.row(i, n)
-            zero = "%d,%%d,%d,0" % (i, n)
-            yield ["%d,%d,%d,%d" % (i, m, n, c) for m, c in enumerate(row)] + [
-                zero % m for m in range(len(row), n + 1)
-            ]
+            cells = ["%d,%d,%d,%d" % (i, m, n, c) for m, c in enumerate(row)]
+            if len(row) <= n:
+                head, tail = "%d," % i, ",%d,0" % n
+                cells.append(head + (tail + between + head).join(digits[len(row):n + 1]) + tail)
+            yield between.join(cells)
 
 
 def cmd_table(args) -> int:
@@ -433,10 +455,9 @@ def cmd_table(args) -> int:
     if _exceeds(reads, "--max-n", max_n, "dump limit", MAX_TABLE_DUMP_N):
         return 2
     table = variant_for_min_part(args.family.min_part)
-    rows = _table_cells(table, max_n)
     if args.format == "json":
         chunks = _json_array(
-            ("[" + "],[".join(cells) + "]" for cells in rows),
+            ("[" + row + "]" for row in _table_cells(table, max_n, "],[")),
             '{"cells":[',
             '],"variant":%s}\n' % _json_encode(table.variant),
         )
@@ -445,7 +466,7 @@ def cmd_table(args) -> int:
             head = "i,m,n,count\n"
         else:
             head = "%s cells (i,m,n,count)\n" % table.variant
-        chunks = chain([head], ("\n".join(cells) + "\n" for cells in rows))
+        chunks = chain([head], (row + "\n" for row in _table_cells(table, max_n, "\n")))
     _emit(args, chunks)
     return 0
 

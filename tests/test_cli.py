@@ -216,15 +216,22 @@ def test_failing_trace_is_reported_and_exits_1(capsys, monkeypatch, broken, fmt)
 
 
 def test_json_trace_row_matches_the_encoder():
+    # one stream that mixes both names, every case and all four flag pairs:
+    # a row head cached under too small a key shows up in a later row
     names = ("B-case-min3", 'q"\\\u00e9\n')
     inputs = ((7, 3), (12,), ())
     outputs = (None, (), (5, 1), (10, 8, 3))
     flags = (True, False)
-    for name, p, case, output, dom, cod in itertools.product(
-        names, inputs, (None, 1, 2, 3), outputs, flags, flags
-    ):
-        r = TraceRow(name, p, case, output, dom, cod, dom and cod)
-        assert cli._json_trace_row(r) == cli._json_encode(r.to_dict()), (name, p, case, output)
+    rows = [
+        TraceRow(name, p, case, output, dom, cod, dom and cod)
+        for name, p, case, output, dom, cod in itertools.product(
+            names, inputs, (None, 1, 2, 3), outputs, flags, flags
+        )
+    ]
+    got = list(cli._json_trace_rows(rows))
+    assert len(got) == len(rows)
+    for r, line in zip(rows, got):
+        assert line == cli._json_encode(r.to_dict()), (r.bijection, r.input, r.case, r.output)
 
 
 def test_negative_fixed_length_is_a_usage_error(capsys):
@@ -607,6 +614,48 @@ def test_list_renders_every_member_as_the_reference(capsys, monkeypatch, kind, f
     assert bool(empty) == bool(shared_weight) == (kind == "B")
 
 
+# (sep, open_, close, between) of _member_lines for text, json and csv
+MEMBER_FORMATS = {"text": (",", "(", ")\n", ""), "json": (",", "[", "]", ","), "csv": (" ", "", "\n", "")}
+
+
+@pytest.mark.parametrize("fmt", sorted(MEMBER_FORMATS))
+def test_member_lines_render_one_chunk_per_group(fmt):
+    sep, open_, close, between = MEMBER_FORMATS[fmt]
+
+    def member(p):
+        return open_ + sep.join(str(x) for x in p) + close
+
+    families = [(FamilySpec("B", i, j), fixed_length, 60)
+                for i in (1, 2) for j in (1, 3) for fixed_length in (None, 3)]
+    families.append((FamilySpec("P", 2), None, 20))
+    empty = 0
+    for f, fixed_length, max_n in families:
+        for n in range(max_n + 1):
+            groups = list(member_groups(n, f, fixed_length))
+            assert [prefix + t for prefix, tails in groups for t in tails] == list(
+                enumerate_family(n, f, fixed_length))
+            empty += sum(1 for _, tails in groups if not tails)
+            chunks = list(cli._member_lines(groups, sep, open_, close, between))
+            assert chunks == [
+                between.join(member(prefix + t) for t in tails) for prefix, tails in groups if tails
+            ], (f, fixed_length, n)
+    assert empty
+    assert list(cli._member_lines([((5,), []), ((4,), [])], sep, open_, close, between)) == []
+
+
+@pytest.mark.parametrize("table", [system1(), recurrences.system2(1), recurrences.system3(2)],
+                         ids=lambda t: t.variant)
+@pytest.mark.parametrize("between", ["\n", "],["])
+def test_table_cells_render_each_cell_of_a_row(table, between):
+    for max_n in range(41):
+        ref = [
+            between.join("%d,%d,%d,%d" % (i, m, n, table.value(i, m, n)) for m in range(n + 1))
+            for i in (1, 2)
+            for n in range(max_n + 1)
+        ]
+        assert list(cli._table_cells(table, max_n, between)) == ref, max_n
+
+
 def test_list_empty_json(capsys):
     assert run(capsys, "list", "--family", "B", "--i", "1", "--n", "1", "--format", "json") == (
         0, "[]\n", "")
@@ -823,6 +872,17 @@ DIGESTS = [
     ("bijection B-case-min2 --n 24 --format json", 0, "f59ec06de7ed413955ec7bdbba8032284f4eb0edd2408f87404a6430b7cada27"),
     ("bijection shift-sub-2k --k 1 --family B --i 1 --n 24 --format text", 0, "de7374dd05abf17c36d11cd8edca70a51f55ddc96a7db807af4b8713b82e7182"),
     ("bijection shift-sub-2k --k 1 --family B --i 1 --n 24 --format json", 0, "22f2fad37c82a3cae5662478c24bbc98e00ec352b30985906f1eaf704a55ecad"),
+    # table dumps whose rows have no structural zeros (max_n 0 and 1), and
+    # one at offset 2, recorded before the table rendered a row per string
+    ("table --max-n 0 --format text", 0, "09d7b0e43485efddfe9d1fcdd13c7e3f2898c0f0efc97790fdd13f62dec4663b"),
+    ("table --max-n 0 --format json", 0, "6f7d7f97001046620cc997a24a3b4124d5cda61bfb0d3bbb16fe906044bea989"),
+    ("table --max-n 0 --format csv", 0, "6eb6013d9cfbac4a7c8c6684c6b8315e504895b5b809f7554c26d3687d0205de"),
+    ("table --max-n 1 --format text", 0, "53772df0a8a7846835cb3a45f96270febbb09245809f0943fa2ba872edb21889"),
+    ("table --max-n 1 --format json", 0, "762a8a5092fddee4b404d72890f11c1bf1f5c7c4ece158b9fe036e82876c77a8"),
+    ("table --max-n 1 --format csv", 0, "9994c0bb0aefa6e7e1a6d4640d6980e7033528634bd228a7f73a125e1cc30ff8"),
+    ("table --min-part 3 --max-n 20 --format text", 0, "225c6dd0a77d810b2a1977f87b0bc44386b169d2ff01ad7eb08573e6be126dc5"),
+    ("table --min-part 3 --max-n 20 --format json", 0, "fed247216549535d58d05ccc8ae46a4d9b377f7b1343a28138c3ddb96175d52e"),
+    ("table --min-part 3 --max-n 20 --format csv", 0, "78cf94dcbd07e26a7fa875021c966c1806bd31ca62b84cb5c0cb0c0e1c198e70"),
 ]
 
 
