@@ -64,21 +64,28 @@ _B1 = FamilySpec("B", 1)
 _B2 = FamilySpec("B", 2)
 
 
-def p_drop_one(p: Partition) -> Partition:
-    """Delete the single part 1 and remove 2 from every other part."""
-    _require_member(p, _P2)
-    _require(p.count(1) == 1, "expected exactly one part equal to 1")
-    image = tuple([x - 2 for x in p[:-1]])
-    return _check_codomain(image, _P2, "p_drop_one")
+def _drop_one_maps(f: FamilySpec, name: str):
+    """The drop-one map of f, named name in its errors, and its inverse."""
+
+    def forward(p: Partition) -> Partition:
+        """Delete the single part 1 and remove 2 from every other part."""
+        _require_member(p, f)
+        _require(p.count(1) == 1, "expected exactly one part equal to 1")
+        return _check_codomain(tuple([x - 2 for x in p[:-1]]), f, name)
+
+    def inverse(q: Partition) -> Partition:
+        """Add 2 to every part, then append a part 1."""
+        _require_member(q, f)
+        image = tuple([x + 2 for x in q]) + (1,)
+        if image.count(1) != 1 or not is_member(image, f):
+            raise CodomainError("%s_inverse image %r invalid" % (name, image), image)
+        return image
+
+    return forward, inverse
 
 
-def p_drop_one_inverse(q: Partition) -> Partition:
-    """Add 2 to every part, then append a part 1."""
-    _require_member(q, _P2)
-    image = tuple([x + 2 for x in q]) + (1,)
-    if image.count(1) != 1 or not is_member(image, _P2):
-        raise CodomainError("p_drop_one_inverse image %r invalid" % (image,), image)
-    return image
+p_drop_one, p_drop_one_inverse = _drop_one_maps(_P2, "p_drop_one")
+b_drop_one, b_drop_one_inverse = _drop_one_maps(_B2, "b_drop_one")
 
 
 def _p_case_of(p: Partition) -> int:
@@ -161,23 +168,6 @@ def p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
     return image
 
 
-def b_drop_one(p: Partition) -> Partition:
-    """Delete the single part 1 and remove 2 from every other part."""
-    _require_member(p, _B2)
-    _require(p.count(1) == 1, "expected exactly one part equal to 1")
-    image = tuple([x - 2 for x in p[:-1]])
-    return _check_codomain(image, _B2, "b_drop_one")
-
-
-def b_drop_one_inverse(q: Partition) -> Partition:
-    """Add 2 to every part, then append a part 1."""
-    _require_member(q, _B2)
-    image = tuple([x + 2 for x in q]) + (1,)
-    if image.count(1) != 1 or not is_member(image, _B2):
-        raise CodomainError("b_drop_one_inverse image %r invalid" % (image,), image)
-    return image
-
-
 def b_case_map(p: Partition) -> tuple[int, Partition]:
     """Two-way split of the gap members with smallest part at least 2.
 
@@ -218,40 +208,33 @@ def _shift_family(kind: str, i: int, min_part: int) -> FamilySpec:
     return FamilySpec(kind, i, min_part)
 
 
-def shift_sub_2k(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Remove 2k from every part: minimum part 2k+1 down to the base family."""
+def _shift(p, k, kind, i, source, target, delta, name):
+    """Add delta to every part of p, a member of (kind, i) with minimum part
+    source, and check that the image has minimum part target."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _require_member(p, _shift_family(kind, i, 2 * k + 1))
-    image = tuple([x - 2 * k for x in p])
-    return _check_codomain(image, FamilySpec(kind, i, 1), "shift_sub_2k")
+    _require_member(p, _shift_family(kind, i, source))
+    return _check_codomain(tuple([x + delta for x in p]), FamilySpec(kind, i, target), name)
+
+
+def shift_sub_2k(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
+    """Remove 2k from every part: minimum part 2k+1 down to the base family."""
+    return _shift(p, k, kind, i, 2 * k + 1, 1, -2 * k, "shift_sub_2k")
 
 
 def shift_sub_2k_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
     """Add 2k to every part: base family up to minimum part 2k+1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _require_member(q, _shift_family(kind, i, 1))
-    image = tuple([x + 2 * k for x in q])
-    return _check_codomain(image, FamilySpec(kind, i, 2 * k + 1), "shift_sub_2k_inverse")
+    return _shift(q, k, kind, i, 1, 2 * k + 1, 2 * k, "shift_sub_2k_inverse")
 
 
 def shift_add_one(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
     """Add 1 to every part: minimum part 2k up to 2k+1, swapping parities."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _require_member(p, _shift_family(kind, i, 2 * k))
-    image = tuple([x + 1 for x in p])
-    return _check_codomain(image, FamilySpec(kind, i, 2 * k + 1), "shift_add_one")
+    return _shift(p, k, kind, i, 2 * k, 2 * k + 1, 1, "shift_add_one")
 
 
 def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
     """Remove 1 from every part: minimum part 2k+1 down to 2k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _require_member(q, _shift_family(kind, i, 2 * k + 1))
-    image = tuple([x - 1 for x in q])
-    return _check_codomain(image, FamilySpec(kind, i, 2 * k), "shift_add_one_inverse")
+    return _shift(q, k, kind, i, 2 * k + 1, 2 * k, -1, "shift_add_one_inverse")
 
 
 class _Map(NamedTuple):

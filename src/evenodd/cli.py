@@ -1,6 +1,10 @@
 """Command-line harness: verification sweeps, counting, listing, bijection
 traces, recurrence tables, series and the refined-counterexample search.
 
+Each subcommand has only the flags it reads, as _READS lists them, plus
+--format and --out.  Any other argument is refused with one stderr line,
+"<command> takes no <args>", and exit status 2.
+
 `count` and `series` read one source, which `_counter` picks: kind-A
 totals come from the product; any other count is enumerated up to
 --oracle-limit; above that, kinds P and B read the recursion table of their
@@ -54,30 +58,19 @@ def _family_from_args(args):
     (kind P, i = 2 and minimum part 1 when not given), or None after one
     line on stderr when they select none.
 
-    A flag that would be ignored is refused too: --k below 1, --parity
-    without --k, --k without --parity, --min-part with --k, --family or --i
-    on table (the dump holds both index values of the one table that kinds
-    P and B share), --family, --min-part, --k or --parity on witness, which
-    compares the base families A and B, --min-part or --parity on
-    bijection, whose map fixes its domain's minimum part, and --k on a
-    bijection map other than the shift maps, which alone read it.
+    Each command has only the flags it reads (see _READS); this refuses the
+    values that would select no family or go unread: --k below 1, --parity
+    without --k, --k without --parity, --min-part with --k, and --family,
+    --i or --k on a bijection map other than the shift maps, which alone
+    read them.
     """
     k, parity, min_part = args.k, args.parity, args.min_part
     refusal = None
     if k is not None and k < 1:
         refusal = "--k must be >= 1"
-    elif args.command == "table" and (args.family or args.i):
-        given = "--family " + args.family if args.family else "--i %d" % args.i
-        refusal = "table takes no %s; it dumps the P and B table at both index values" % given
-    elif args.command == "witness":
-        if args.family or min_part is not None or k is not None or parity is not None:
-            refusal = ("witness takes no --family, --min-part, --k or --parity; "
-                       "it compares the base families A and B")
     elif args.command == "bijection":
-        if min_part is not None or parity is not None:
-            refusal = "bijection takes no --min-part or --parity; the map fixes its domain"
-        elif k is not None and not takes_k(args.bijection):
-            refusal = "%s takes no --k; only the shift maps read it" % args.bijection
+        if not takes_k(args.bijection) and (args.family or args.i or k is not None):
+            refusal = "%s takes no --family, --i or --k; only the shift maps read them" % args.bijection
     elif parity is not None and k is None:
         refusal = "--parity needs --k"
     elif k is not None and min_part is not None:
@@ -157,20 +150,10 @@ def _member_lines(groups, sep, open_, close, between=""):
             yield head + (between + head).join(strings)
 
 
-class _Line:
-    """A file whose write returns its text, so csv writerow returns one line."""
-
-    def write(self, text):
-        return text
-
-
 def _csv_lines(header, rows):
-    # imported on first use, so that only csv output pays to load the module
-    import csv
-
-    line = csv.writer(_Line(), lineterminator="\n").writerow
-    yield line(header)
-    yield from map(line, rows)
+    # no field needs quoting: they are ints, bools, map names and
+    # space-joined parts, and no row is one empty field
+    return (",".join(map(str, row)) + "\n" for row in chain([header], rows))
 
 
 _json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -250,6 +233,9 @@ def _counter(args, f, n, m=None):
 
 def cmd_verify(args) -> int:
     f = args.family
+    if args.refined and f.kind != "A":
+        print("--refined applies to kind A only", file=sys.stderr)
+        return 2
     if f.kind == "A":
         max_n = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
         reads = "verify reads the kind-A product and the System1 table"
@@ -492,49 +478,49 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    # no defaults here, so that table and witness can refuse them when given
-    common.add_argument("--family", choices=("A", "B", "P"))
-    common.add_argument("--i", type=int, choices=(1, 2))
-    common.add_argument("--min-part", type=int, dest="min_part")
-    common.add_argument("--k", type=int)
-    common.add_argument("--parity", choices=("odd", "even"))
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--out")
-    common.add_argument("--oracle-limit", type=int, dest="oracle_limit", default=DEFAULT_ORACLE_LIMIT)
+# every flag a command may read, and the flags each command reads besides
+# --format and --out; a flag a command does not read is refused by main
+_FLAGS = {
+    "--family": dict(choices=("A", "B", "P")),
+    "--i": dict(type=int, choices=(1, 2)),
+    "--min-part": dict(type=int),
+    "--k": dict(type=int),
+    "--parity": dict(choices=("odd", "even")),
+    "--oracle-limit": dict(type=int, default=DEFAULT_ORACLE_LIMIT),
+    "--max-n": dict(type=int),
+    "--n": dict(type=int, required=True),
+    "--fixed-length": dict(type=int),
+    "--refined": dict(action="store_true",
+                      help="for kind A, also search for a fixed-length counterexample"),
+}
+_FAMILY = ("--family", "--i", "--min-part", "--k", "--parity", "--oracle-limit")
+_READS = {
+    "verify": ("identity sweeps", _FAMILY + ("--max-n", "--refined")),
+    "count": ("count one family at one weight", _FAMILY + ("--n", "--fixed-length")),
+    "list": ("list family members at one weight", _FAMILY + ("--n", "--fixed-length")),
+    "bijection": ("trace a map over its domain", ("--family", "--i", "--k", "--oracle-limit", "--n")),
+    "series": ("generating function coefficients", _FAMILY + ("--max-n",)),
+    "table": ("recurrence table cells", ("--min-part", "--k", "--parity", "--max-n")),
+    "witness": ("fixed-length A vs B counterexample", ("--i", "--oracle-limit", "--max-n")),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evenodd",
         description="verify and explore the even-odd partition identities",
     )
+    # what the commands without a selector read in its place
+    parser.set_defaults(family=None, i=None, min_part=None, k=None, parity=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="identity sweeps")
-    p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--refined", action="store_true",
-                   help="for kind A, also search for a fixed-length counterexample")
-
-    p = sub.add_parser("count", parents=[common], help="count one family at one weight")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fixed-length", type=int, dest="fixed_length")
-
-    p = sub.add_parser("list", parents=[common], help="list family members at one weight")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fixed-length", type=int, dest="fixed_length")
-
-    p = sub.add_parser("bijection", parents=[common], help="trace a map over its domain")
-    p.add_argument("bijection", choices=BIJECTION_NAMES)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("series", parents=[common], help="generating function coefficients")
-    p.add_argument("--max-n", type=int, dest="max_n")
-
-    p = sub.add_parser("table", parents=[common], help="recurrence table cells")
-    p.add_argument("--max-n", type=int, dest="max_n")
-
-    p = sub.add_parser("witness", parents=[common], help="fixed-length A vs B counterexample")
-    p.add_argument("--max-n", type=int, dest="max_n")
+    for command, (help_, flags) in _READS.items():
+        p = sub.add_parser(command, help=help_)
+        if command == "bijection":
+            p.add_argument("bijection", choices=BIJECTION_NAMES)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out")
     return parser
 
 
@@ -550,7 +536,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        print("%s takes no %s" % (args.command, " ".join(unread)), file=sys.stderr)
+        return 2
     for flag in ("--max-n", "--n", "--fixed-length", "--oracle-limit"):
         if (getattr(args, flag[2:].replace("-", "_"), None) or 0) < 0:
             print("%s must be >= 0" % flag, file=sys.stderr)

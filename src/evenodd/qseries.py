@@ -39,10 +39,6 @@ class TruncatedSeries:
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return "TruncatedSeries([%s%s])" % (head, tail)
 
-    def to_decimal_strings(self) -> list:
-        """JSON-friendly export: decimal strings indexed by degree."""
-        return [str(c) for c in self.coeffs]
-
 
 def restricted_parts_product(allowed: Callable[[int], bool], degree: int) -> TruncatedSeries:
     """Product of 1/(1-q^j) over allowed part sizes j <= degree.

@@ -122,7 +122,7 @@ def _criterion_4() -> str:
         prod = product_for_A(i, 200)
         for n in range(0, 201):
             assert prod[n] == family_count_via_table(table, i, n), (i, n)
-        lines.append("i=%d coeffs=%s" % (i, ",".join(prod.to_decimal_strings())))
+        lines.append("i=%d coeffs=%s" % (i, ",".join(map(str, prod.coeffs))))
     return "\n".join(lines) + "\n"
 
 

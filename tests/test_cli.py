@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -413,10 +414,9 @@ def test_family_flag_validation(capsys):
     assert exc.value.code == 2
 
 
-# shift flags that would select no family or go unread, and the flags table,
-# witness and the non-shift bijection maps would not read (table reads no
-# --family or --i, witness no --family): each is refused with one stderr line
-# before anything runs
+# shift flags that would select no family or go unread, flags a command or
+# a non-shift bijection map would not read, --refined on kinds P and B, and
+# an unknown flag: each is refused with one stderr line before anything runs
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -438,12 +438,61 @@ def test_family_flag_validation(capsys):
         (["table", "--family", "B", "--max-n", "3"], "--family B"),
         (["witness", "--family", "A", "--max-n", "5"], "--family"),
         (["witness", "--family", "B", "--max-n", "5"], "--family"),
+        (["bijection", "B-case-min3", "--family", "A", "--i", "1", "--n", "6"],
+         "B-case-min3 takes no --family, --i or --k"),
+        (["bijection", "P-drop-one", "--i", "1", "--n", "6"], "P-drop-one takes no --family, --i or --k"),
+        (["table", "--oracle-limit", "5", "--max-n", "2"], "--oracle-limit 5"),
+        (["verify", "--family", "P", "--refined", "--max-n", "5"], "--refined"),
+        (["count", "--bogus", "3", "--n", "5"], "--bogus 3"),
     ],
 )
 def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and flag in err
+
+
+# the flags each command reads besides --format and --out and a run of it
+# that exits 0, and a value for each flag
+READS = {
+    "verify": ({"--family", "--i", "--min-part", "--k", "--parity", "--oracle-limit", "--max-n",
+                "--refined"}, ["verify", "--max-n", "2"]),
+    "count": ({"--family", "--i", "--min-part", "--k", "--parity", "--oracle-limit", "--n",
+               "--fixed-length"}, ["count", "--n", "2"]),
+    "list": ({"--family", "--i", "--min-part", "--k", "--parity", "--oracle-limit", "--n",
+              "--fixed-length"}, ["list", "--n", "2"]),
+    "series": ({"--family", "--i", "--min-part", "--k", "--parity", "--oracle-limit", "--max-n"},
+               ["series", "--max-n", "2"]),
+    "bijection": ({"--family", "--i", "--k", "--oracle-limit", "--n"},
+                  ["bijection", "P-drop-one", "--n", "2"]),
+    "table": ({"--min-part", "--k", "--parity", "--max-n"}, ["table", "--max-n", "2"]),
+    "witness": ({"--i", "--oracle-limit", "--max-n"}, ["witness", "--max-n", "2"]),
+}
+FLAG_VALUES = {
+    "--family": ["P"], "--i": ["2"], "--min-part": ["1"], "--k": ["1"], "--parity": ["odd"],
+    "--oracle-limit": ["5"], "--max-n": ["2"], "--n": ["2"], "--fixed-length": ["1"],
+    "--refined": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, (reads, _) in READS.items() for f in FLAG_VALUES if f not in reads],
+)
+def test_each_unread_flag_is_refused(capsys, command, flag):
+    argv = READS[command][1] + [flag] + FLAG_VALUES[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "%s takes no %s\n" % (command, " ".join([flag] + FLAG_VALUES[flag]))
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == READS[command][0] | {"-h", "--help", "--format", "--out"}
 
 
 # bounds no other test reaches: one stderr line names the flag, its value
@@ -1009,14 +1058,23 @@ def test_startup_loads_no_dataclasses_inspect_or_csv():
     added = _modules_added(["count", "--family", "B", "--n", "5"])
     assert "evenodd.cli" in added
     assert not added & {"dataclasses", "inspect", "csv"}
-    # list and table format their csv directly
+    # every command formats its csv directly, and json needs no csv either
     added = _modules_added(
-        ["list", "--family", "B", "--n", "9", "--format", "csv"],
-        ["table", "--max-n", "3", "--format", "csv"],
+        *[
+            [*argv, "--format", fmt]
+            for argv in (
+                ["verify", "--family", "P", "--max-n", "4"],
+                ["count", "--family", "B", "--n", "5"],
+                ["list", "--family", "B", "--n", "9"],
+                ["bijection", "P-drop-one", "--n", "6"],
+                ["series", "--max-n", "4"],
+                ["table", "--max-n", "3"],
+                ["witness", "--max-n", "4"],
+            )
+            for fmt in ("json", "csv")
+        ]
     )
     assert not added & {"dataclasses", "inspect", "csv"}
-    # the other csv renderers load the module when they first write
-    assert "csv" in _modules_added(["count", "--family", "B", "--n", "5", "--format", "csv"])
 
 
 # the outputs the benchmark pins for its invocations, replayed in-process

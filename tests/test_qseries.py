@@ -86,7 +86,3 @@ def test_truncation_consistency():
     big = product_for_A(2, 50)
     small = product_for_A(2, 20)
     assert big.coeffs[:21] == small.coeffs
-
-
-def test_decimal_export():
-    assert product_for_A(2, 6).to_decimal_strings() == ["1", "1", "1", "1", "2", "2", "3"]
