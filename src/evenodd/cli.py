@@ -60,9 +60,9 @@ def _family_from_args(args):
 
     Each command has only the flags it reads (see _READS); this refuses the
     values that would select no family or go unread: --k below 1, --parity
-    without --k, --k without --parity, --min-part with --k, and --family,
-    --i or --k on a bijection map other than the shift maps, which alone
-    read them.
+    without --k, --k without --parity, --min-part with --k, --family, --i or
+    --k on a bijection map other than the shift maps, which alone read them,
+    and --oracle-limit where the family decides that nothing is enumerated.
     """
     k, parity, min_part = args.k, args.parity, args.min_part
     refusal = None
@@ -77,6 +77,8 @@ def _family_from_args(args):
         refusal = "--min-part and --k are mutually exclusive"
     elif k is not None and parity is None:
         refusal = "--k needs --parity {odd,even}"
+    elif args.oracle_limit is not None and (unread := _oracle_limit_unread(args)):
+        refusal = "%s takes no --oracle-limit %s" % (args.command, unread)
     elif k is not None:
         min_part = 2 * k + 1 if parity == "odd" else 2 * k
     if refusal is None:
@@ -85,6 +87,19 @@ def _family_from_args(args):
         except ValueError as e:
             refusal = str(e)
     print(refusal, file=sys.stderr)
+    return None
+
+
+def _oracle_limit_unread(args):
+    """Why the command would not read --oracle-limit with these flags, or None."""
+    kind = args.family or "P"
+    totals = getattr(args, "fixed_length", None) is None
+    if args.command in ("count", "series") and kind == "A" and totals:
+        return "on kind-A totals, which come from the product"
+    if args.command == "list" and kind == "B":
+        return "on kind B, which it lists at any --n"
+    if args.command == "verify" and kind == "A" and not args.refined:
+        return "on kind A without --refined"
     return None
 
 
@@ -486,7 +501,7 @@ _FLAGS = {
     "--min-part": dict(type=int),
     "--k": dict(type=int),
     "--parity": dict(choices=("odd", "even")),
-    "--oracle-limit": dict(type=int, default=DEFAULT_ORACLE_LIMIT),
+    "--oracle-limit": dict(type=int),
     "--max-n": dict(type=int),
     "--n": dict(type=int, required=True),
     "--fixed-length": dict(type=int),
@@ -511,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify and explore the even-odd partition identities",
     )
     # what the commands without a selector read in its place
-    parser.set_defaults(family=None, i=None, min_part=None, k=None, parity=None)
+    parser.set_defaults(family=None, i=None, min_part=None, k=None, parity=None, oracle_limit=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_, flags) in _READS.items():
         p = sub.add_parser(command, help=help_)
@@ -548,6 +563,8 @@ def main(argv=None) -> int:
     args.family = _family_from_args(args)
     if args.family is None:
         return 2
+    if args.oracle_limit is None:
+        args.oracle_limit = DEFAULT_ORACLE_LIMIT
     try:
         return _COMMANDS[args.command](args)
     except OSError as e:

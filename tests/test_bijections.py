@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from evenodd import bijections, cli
 from evenodd.bijections import (
     BIJECTION_NAMES,
     BijectionDomainError,
@@ -58,6 +59,41 @@ def test_maps_reject_non_canonical_input(name):
     fn, bad = NON_CANONICAL[name]
     with pytest.raises(BijectionDomainError):
         fn(bad)
+
+
+# every public map and inverse with an input of its domain (each maps it
+# without error) and that input with one part a bool, a float, 0 or negative
+PUBLIC_MAPS = {
+    "p_drop_one": (p_drop_one, (5, 1)),
+    "p_drop_one_inverse": (p_drop_one_inverse, (3,)),
+    "b_drop_one": (b_drop_one, (5, 1)),
+    "b_drop_one_inverse": (b_drop_one_inverse, (3,)),
+    "p_case_map": (p_case_map, (6, 3, 3)),
+    "p_case_inverse": (lambda q: p_case_inverse(1, q, 3), (3, 3)),
+    "b_case_map": (b_case_map, (6, 3)),
+    "b_case_inverse": (lambda q: b_case_inverse(2, q), (4, 1)),
+    "shift_sub_2k": (lambda p: shift_sub_2k(p, 1), (5, 3)),
+    "shift_sub_2k_inverse": (lambda q: shift_sub_2k_inverse(q, 1), (3, 1)),
+    "shift_add_one": (lambda p: shift_add_one(p, 1), (4, 2)),
+    "shift_add_one_inverse": (lambda q: shift_add_one_inverse(q, 1), (5, 3)),
+}
+
+
+def _bad_parts(p):
+    last = p[-1]
+    yield p[:-1] + (last == 1,)  # the bool True equals 1, False equals 0
+    yield p[:-1] + (float(last),)
+    yield p[:-1] + (0,)
+    yield p[:-1] + (-last,)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_MAPS))
+def test_maps_reject_non_integer_or_non_positive_parts(name):
+    fn, good = PUBLIC_MAPS[name]
+    fn(good)
+    for bad in _bad_parts(good):
+        with pytest.raises(BijectionDomainError):
+            fn(bad)
 
 
 def test_p_case_map_examples():
@@ -270,3 +306,116 @@ def test_case_images_split_by_smallest_even():
                 assert not evens or evens[-1] >= 2 * len(q) + 2
             elif case == 2:
                 assert evens and evens[-1] == 2 * len(q)
+
+
+def _public_row(name, p, k, kind, i):
+    """(case, image) from the public forward map of the named traced map, and
+    the public inverse's preimage of the image."""
+    if name.endswith("drop-one"):
+        fwd, inv = (p_drop_one, p_drop_one_inverse) if name[0] == "P" else (b_drop_one, b_drop_one_inverse)
+        q = fwd(p)
+        return None, q, inv(q)
+    if name.startswith("P-case"):
+        case, q = p_case_map(p)
+        return case, q, p_case_inverse(case, q, len(p))
+    if name.startswith("B-case"):
+        case, q = b_case_map(p)
+        return case, q, b_case_inverse(case, q)
+    fwd, inv = (shift_sub_2k, shift_sub_2k_inverse) if name == "shift-sub-2k" else (shift_add_one, shift_add_one_inverse)
+    q = fwd(p, k, kind, i)
+    return None, q, inv(q, k, kind, i)
+
+
+# every traced map with the shift maps' k, kind and index
+TRACES = [(name, None, "P", None) for name in BIJECTION_NAMES if not bijections.takes_k(name)] + [
+    (name, k, kind, i)
+    for name in BIJECTION_NAMES
+    if bijections.takes_k(name)
+    for k in (1, 2)
+    for kind in "PB"
+    for i in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name,k,kind,i", TRACES)
+def test_trace_rows_equal_the_public_maps(name, k, kind, i):
+    seen = 0
+    for n in range(31):
+        rows = trace_bijection(name, n, k=k, kind=kind, i=i)
+        assert [r.input for r in rows] == list(bijection_domain(name, n, k=k, kind=kind, i=i))
+        for r in rows:
+            case, image, preimage = _public_row(name, r.input, k, kind, i)
+            assert preimage == r.input
+            got = (r.bijection, r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok)
+            assert got == (name, case, image, True, True, True)
+        seen += len(rows)
+    assert seen
+
+
+def _outside(image):
+    return image + (0,)  # no family has a part 0
+
+
+def _off_by_one(preimage):
+    return preimage[:-1] + (preimage[-1] + 1,)
+
+
+def _mutant(name, which, k):
+    """The private arithmetic that the trace of name resolves as which
+    ("forward" or "inverse"), its output broken by _outside or _off_by_one.
+    A shift map's forward and inverse are one function, called with the
+    shift and its negation."""
+    rec = bijections._MAPS[name]
+    real = getattr(bijections, getattr(rec, which))
+    bad = _outside if which == "forward" else _off_by_one
+    shift_forward = rec.codomain(k) - rec.domain(k) if bijections.takes_k(name) else None
+
+    def broken(*args):
+        out = real(*args)
+        if shift_forward is not None and (args[1] == shift_forward) != (which == "forward"):
+            return out
+        if which == "forward" and rec.case is not None:
+            return out[0], bad(out[1])
+        return bad(out)
+
+    return broken
+
+
+@pytest.mark.parametrize("which", ["forward", "inverse"])
+@pytest.mark.parametrize("name", BIJECTION_NAMES)
+def test_broken_arithmetic_fails_every_row(capsys, monkeypatch, name, which):
+    rec = bijections._MAPS[name]
+    monkeypatch.setattr(bijections, getattr(rec, which), _mutant(name, which, 1))
+    rows = trace_bijection(name, 14, k=1)
+    assert rows
+    for r in rows:
+        if which == "forward":
+            assert (r.case, r.codomain_ok, r.roundtrip_ok) == (None, False, False)
+            assert 0 in r.output
+        else:
+            assert (r.codomain_ok, r.roundtrip_ok) == (True, False)
+    argv = ["bijection", name, "--n", "14"] + (["--k", "1"] if bijections.takes_k(name) else [])
+    assert cli.main(argv) == 1
+    assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", BIJECTION_NAMES)
+def test_trace_makes_two_membership_checks_per_row(monkeypatch, name):
+    # the input's domain and the image's codomain; the inverse repeats neither
+    calls = Counter()
+
+    def counting(p, f):
+        calls[f] += 1
+        return is_member(p, f)
+
+    monkeypatch.setattr(bijections, "is_member", counting)
+    rows = trace_bijection(name, 40, k=1)
+    assert rows and sum(calls.values()) == 2 * len(rows)
+
+
+def test_trace_refuses_an_input_under_another_case(monkeypatch):
+    real = bijections._b_case_map
+    monkeypatch.setattr(bijections, "_b_case_map", lambda p: (1,) + real(p)[1:] if p == (7, 3) else real(p))
+    assert len(trace_bijection("B-case-min3", 9)) == 2
+    with pytest.raises(BijectionDomainError, match="case 1"):
+        trace_bijection("B-case-min3", 10)

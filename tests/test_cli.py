@@ -158,11 +158,9 @@ def test_bijection_shift_rejects_family_a(capsys, name):
 
 
 def _image_fails_codomain(real):
-    # (7,3) goes to (5,4), whose gap of 1 fails the map's own codomain check
+    # (7,3) goes to (5,4), whose gap of 1 fails the trace's codomain check
     def bad_map(p):
-        if p != (7, 3):
-            return real(p)
-        return 2, bijections._check_codomain((5, 4), FamilySpec("B", 2), "b_case_map[2]")
+        return (2, (5, 4)) if p == (7, 3) else real(p)
 
     return bad_map
 
@@ -175,10 +173,11 @@ def _inverse_misses(real):
     return bad_inverse
 
 
-# patched name, patch, and the (7,3) row: case, output, codomain_ok, text line
+# patched name (the private arithmetic the trace resolves), patch, and the
+# (7,3) row: case, output, codomain_ok, text line
 FAILING_TRACES = {
-    "codomain": ("b_case_map", _image_fails_codomain, None, (5, 4), False, "(7,3) -> (5,4) FAILED"),
-    "roundtrip": ("b_case_inverse", _inverse_misses, 2, (5, 1), True, "(7,3) -> case 2 -> (5,1) FAILED"),
+    "codomain": ("_b_case_map", _image_fails_codomain, None, (5, 4), False, "(7,3) -> (5,4) FAILED"),
+    "roundtrip": ("_b_case_inverse", _inverse_misses, 2, (5, 1), True, "(7,3) -> case 2 -> (5,1) FAILED"),
 }
 
 
@@ -444,12 +443,46 @@ def test_family_flag_validation(capsys):
         (["table", "--oracle-limit", "5", "--max-n", "2"], "--oracle-limit 5"),
         (["verify", "--family", "P", "--refined", "--max-n", "5"], "--refined"),
         (["count", "--bogus", "3", "--n", "5"], "--bogus 3"),
+        (["count", "--family", "A", "--n", "100", "--oracle-limit", "5"],
+         "count takes no --oracle-limit on kind-A totals"),
+        (["series", "--family", "A", "--max-n", "10", "--oracle-limit", "5"],
+         "series takes no --oracle-limit on kind-A totals"),
+        (["list", "--family", "B", "--n", "8", "--oracle-limit", "1"],
+         "list takes no --oracle-limit on kind B"),
+        (["verify", "--family", "A", "--max-n", "5", "--oracle-limit", "1"],
+         "verify takes no --oracle-limit on kind A without --refined"),
     ],
 )
 def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and flag in err
+
+
+# --oracle-limit where the family makes the run read it: a given value, even
+# the default, is accepted, and it is the bound the run is refused past
+@pytest.mark.parametrize(
+    "argv,refused",
+    [
+        (["count", "--family", "A", "--n", "6", "--fixed-length", "2"], "--n 6 exceeds the oracle limit 5"),
+        (["count", "--family", "B", "--n", "6"], None),
+        (["series", "--family", "P", "--max-n", "6"], None),
+        (["list", "--family", "P", "--n", "6"], "--n 6 exceeds the oracle limit 5"),
+        (["verify", "--family", "A", "--refined", "--max-n", "6"], None),
+        (["verify", "--family", "B", "--max-n", "6"], "--max-n 6 exceeds the oracle limit 5"),
+        (["bijection", "P-drop-one", "--n", "6"], "--n 6 exceeds the oracle limit 5"),
+        (["witness", "--max-n", "6"], "--max-n 6 exceeds the oracle limit 5"),
+    ],
+)
+def test_oracle_limit_is_taken_where_read(capsys, argv, refused):
+    default = run(capsys, *argv)
+    assert default[0] in (0, 1) and default[1] and default[2] == ""
+    assert run(capsys, *argv, "--oracle-limit", "60") == default
+    code, out, err = run(capsys, *argv, "--oracle-limit", "5")
+    if refused is None:
+        assert code in (0, 1) and out and err == ""
+    else:
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1 and refused in err
 
 
 # the flags each command reads besides --format and --out and a run of it
