@@ -1,10 +1,14 @@
 """Invertible maps behind the even-odd partition identities.
 
-Each public map validates its input (as_partition, then its domain), runs
-private arithmetic that checks the remaining clauses, and checks the image
-against the claimed codomain (the check is an executable restatement of the
-corresponding proof step, never assumed).  The inverse maps validate and
-reconstruct exactly; a trace runs the arithmetic with each check once.
+Each traced map is one _MAPS record, the only statement of its domain and
+codomain families and of the case rule that picks its domain out of the
+domain family; the public maps, their inverses and the trace all read it.  A
+public map validates its input (as_partition, then the domain), runs private
+arithmetic that checks the remaining clauses, and checks the image against
+the codomain of the case the arithmetic returns (an executable restatement of
+the corresponding proof step, never assumed).  A public inverse checks its
+input against that codomain, reconstructs exactly, and checks the preimage
+against the domain and the case rule; a trace makes each check once.
 
 Weight and length bookkeeping, with m the input length and n its weight:
 
@@ -18,10 +22,10 @@ Weight and length bookkeeping, with m the input length and n its weight:
   every part by 1, weight n+m, swapping part parities.
 """
 
-import bisect
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .partitions import FamilySpec, Partition, as_partition, enumerate_family, is_member
+from .partitions import FamilySpec, Partition, as_partition, enumerate_family, is_member_unchecked
 
 
 class BijectionDomainError(ValueError):
@@ -41,68 +45,13 @@ def _require(cond, clause):
         raise BijectionDomainError(clause)
 
 
-def _input(p, f):
-    try:
-        p = as_partition(p)
-    except ValueError as e:
-        raise BijectionDomainError(str(e)) from None
-    _require_member(p, f)
-    return p
-
-
-def _require_member(p, f):
-    if not is_member(p, f):
-        raise BijectionDomainError("not a member of %s" % f.label())
-
-
-def _check_codomain(image, f, name):
-    if not is_member(image, f):
-        raise CodomainError("%s image %r is not in %s" % (name, image, f.label()), image)
-    return image
-
-
-def _insert_desc(p: Partition, v: int) -> Partition:
-    # keep non-increasing order; bisect works on the ascending reversal
-    asc = list(p[::-1])
-    bisect.insort(asc, v)
-    return tuple(asc[::-1])
-
-
-_P1, _P2 = FamilySpec("P", 1), FamilySpec("P", 2)
-_B1, _B2 = FamilySpec("B", 1), FamilySpec("B", 2)
-# the codomain of each case of the case maps, as the public maps read it
-_P_IMAGE = {1: _P1, 2: _P1, 3: _P2}
-_B_IMAGE = {1: _B1, 2: _B2}
-
-
-def _drop_one(p: Partition) -> Partition:
+def _drop_one(p: Partition) -> tuple[None, Partition]:
     _require(p.count(1) == 1, "expected exactly one part equal to 1")
-    return tuple([x - 2 for x in p[:-1]])
+    return None, tuple([x - 2 for x in p[:-1]])
 
 
-def _drop_one_inverse(q: Partition) -> Partition:
+def _drop_one_inverse(case: None, q: Partition, m: int) -> Partition:
     return tuple([x + 2 for x in q]) + (1,)
-
-
-def _drop_one_maps(f: FamilySpec, name: str):
-    """The drop-one map of f, named name in its errors, and its inverse."""
-
-    def forward(p: Partition) -> Partition:
-        """Delete the single part 1 and remove 2 from every other part."""
-        return _check_codomain(_drop_one(_input(p, f)), f, name)
-
-    def inverse(q: Partition) -> Partition:
-        """Add 2 to every part, then append a part 1."""
-        image = _drop_one_inverse(_input(q, f))
-        if image.count(1) != 1 or not is_member(image, f):
-            raise CodomainError("%s_inverse image %r invalid" % (name, image), image)
-        return image
-
-    return forward, inverse
-
-
-p_drop_one, p_drop_one_inverse = _drop_one_maps(_P2, "p_drop_one")
-b_drop_one, b_drop_one_inverse = _drop_one_maps(_B2, "b_drop_one")
 
 
 def _p_case_of(p: Partition) -> int:
@@ -126,24 +75,12 @@ def _p_case_map(p: Partition) -> tuple[int, Partition]:
         rest = list(p)
         rest.remove(3)
         rest.remove(3)
-        return 2, _insert_desc(tuple([x - 4 for x in rest]), 2 * m - 2)
+        return 2, tuple(sorted([x - 4 for x in rest] + [2 * m - 2], reverse=True))
     return 3, tuple([x - 2 for x in p])
 
 
-def p_case_map(p: Partition) -> tuple[int, Partition]:
-    """Three-way split of the even-odd members without a part 1.
-
-    Case 1 (smallest even part equals twice the length): delete that part.
-    Case 2 (two parts equal to 3): delete both, remove 4 from the remaining
-    parts, insert a new part 2m-2.  Case 3 (otherwise): remove 2 from every
-    part.  Cases 1 and 2 land back in the i=1 family one part shorter; case 3
-    lands in the i=2 family at the same length.
-    """
-    case, image = _p_case_map(_input(p, _P1))
-    return case, _check_codomain(image, _P_IMAGE[case], "p_case_map[%d]" % case)
-
-
 def _p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
+    _require(target_m >= 1, "target length must be at least 1")
     if case == 3:
         _require(len(q) == target_m, "case 3 needs len(q) == target_m")
         return tuple([x + 2 for x in q])
@@ -152,30 +89,12 @@ def _p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
     if case == 1:
         clause = "case 1 needs every even part of q to be at least 2*target_m"
         _require(not evens or evens[-1] >= 2 * target_m, clause)
-        return _insert_desc(q, 2 * target_m)
+        return tuple(sorted(q + (2 * target_m,), reverse=True))
     clause = "case 2 needs smallest even part of q equal to 2*(target_m - 1)"
     _require(bool(evens) and evens[-1] == 2 * (target_m - 1), clause)
     rest = list(q)
     rest.remove(2 * (target_m - 1))
     return tuple(sorted(tuple([x + 4 for x in rest]) + (3, 3), reverse=True))
-
-
-def p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
-    """Rebuild the preimage of q under the given case, of length target_m.
-
-    Case 1 inserts a part equal to 2*target_m, so q's even parts, if any,
-    must already be at least that big (partitions with no even part do occur
-    as case 1 images and are accepted).  Case 2 requires the smallest even
-    part of q to equal 2*(target_m - 1); it is deleted, 4 is added to the
-    rest and two parts 3 are appended.  Case 3 adds 2 to every part.
-    """
-    if case not in (1, 2, 3):
-        raise ValueError("case must be 1, 2 or 3")
-    _require(target_m >= 1, "target length must be at least 1")
-    image = _p_case_inverse(case, _input(q, _P_IMAGE[case]), target_m)
-    if not is_member(image, _P1) or _p_case_of(image) != case:
-        raise CodomainError("p_case_inverse[%d] image %r invalid" % (case, image), image)
-    return image
 
 
 def _b_case_map(p: Partition) -> tuple[int, Partition]:
@@ -185,83 +104,39 @@ def _b_case_map(p: Partition) -> tuple[int, Partition]:
     return 2, tuple([x - 2 for x in p])
 
 
-def b_case_map(p: Partition) -> tuple[int, Partition]:
-    """Two-way split of the gap members with smallest part at least 2.
-
-    Case 1 (smallest part is 2): delete it and remove 2 from the rest,
-    landing one part shorter in the same family.  Case 2 (smallest part at
-    least 3): remove 2 from every part, landing in the i=2 family.
-    """
-    case, image = _b_case_map(_input(p, _B1))
-    return case, _check_codomain(image, _B_IMAGE[case], "b_case_map[%d]" % case)
-
-
-def _b_case_inverse(case: int, q: Partition) -> Partition:
+def _b_case_inverse(case: int, q: Partition, m: int) -> Partition:
     _require(case == 1 or q, "case 2 preimages are nonempty")
     return tuple([x + 2 for x in q]) + ((2,) if case == 1 else ())
 
 
-def b_case_inverse(case: int, q: Partition) -> Partition:
-    """Add 2 to every part, appending a part 2 for case 1."""
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
-    image = _b_case_inverse(case, _input(q, _B_IMAGE[case]))
-    if not is_member(image, _B1) or (image[-1] == 2) != (case == 1):
-        raise CodomainError("b_case_inverse[%d] image %r invalid" % (case, image), image)
-    return image
+def _shift(p: Partition, delta: int) -> tuple[None, Partition]:
+    return None, tuple([x + delta for x in p])
 
 
-def _shift_family(kind: str, i: int, min_part: int) -> FamilySpec:
-    if kind not in ("B", "P"):
-        raise BijectionDomainError("shift maps apply to kinds B and P only")
-    return FamilySpec(kind, i, min_part)
-
-
-def _shift_parts(p: Partition, delta: int) -> Partition:
-    return tuple([x + delta for x in p])
-
-
-def _shift(p, k, kind, i, source, target, name):
-    """Move p, a member of (kind, i) with minimum part source, to minimum part target."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = _input(p, _shift_family(kind, i, source))
-    return _check_codomain(_shift_parts(p, target - source), FamilySpec(kind, i, target), name)
-
-
-def shift_sub_2k(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Remove 2k from every part: minimum part 2k+1 down to the base family."""
-    return _shift(p, k, kind, i, 2 * k + 1, 1, "shift_sub_2k")
-
-
-def shift_sub_2k_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Add 2k to every part: base family up to minimum part 2k+1."""
-    return _shift(q, k, kind, i, 1, 2 * k + 1, "shift_sub_2k_inverse")
-
-
-def shift_add_one(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Add 1 to every part: minimum part 2k up to 2k+1, swapping parities."""
-    return _shift(p, k, kind, i, 2 * k, 2 * k + 1, "shift_add_one")
-
-
-def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Remove 1 from every part: minimum part 2k+1 down to 2k."""
-    return _shift(q, k, kind, i, 2 * k + 1, 2 * k, "shift_add_one_inverse")
+def _unshift(case: None, q: Partition, m: int, delta: int) -> Partition:
+    return tuple([x - delta for x in q])
 
 
 class _Map(NamedTuple):
     """One traced map: its families (FamilySpecs, or for a shift map minimum
-    parts as functions of k), takes(p), true when a nonempty member is in
-    the domain, the case a case map's domain falls under, and its private
-    arithmetic by module name."""
+    parts as functions of k), takes(p), true when a nonempty member of the
+    domain family is in the map's domain (a case map's case rule), the case
+    a case map's domain falls under, and its private arithmetic by module
+    name: forward(p) -> (case, image) and inverse(case, q, m) -> the preimage
+    of q, of length m, each checking the clauses of its steps that membership
+    does not (a shift map's also take the shift, delta).  _resolve returns a
+    record with FamilySpecs and functions."""
 
     domain: object
     takes: Callable[[Partition], bool]
     case: Optional[int]
     codomain: object
-    forward: str
-    inverse: str
+    forward: object
+    inverse: object
 
+
+_P1, _P2 = FamilySpec("P", 1), FamilySpec("P", 2)
+_B1, _B2 = FamilySpec("B", 1), FamilySpec("B", 2)
 
 _MAPS = {
     "P-drop-one": _Map(_P2, lambda p: p.count(1) == 1, None, _P2, "_drop_one", "_drop_one_inverse"),
@@ -271,8 +146,8 @@ _MAPS = {
     "B-drop-one": _Map(_B2, lambda p: p.count(1) == 1, None, _B2, "_drop_one", "_drop_one_inverse"),
     "B-case-min2": _Map(_B1, lambda p: p[-1] == 2, 1, _B1, "_b_case_map", "_b_case_inverse"),
     "B-case-min3": _Map(_B1, lambda p: p[-1] != 2, 2, _B2, "_b_case_map", "_b_case_inverse"),
-    "shift-sub-2k": _Map(lambda k: 2 * k + 1, bool, None, lambda k: 1, "_shift_parts", "_shift_parts"),
-    "shift-add-one": _Map(lambda k: 2 * k, bool, None, lambda k: 2 * k + 1, "_shift_parts", "_shift_parts"),
+    "shift-sub-2k": _Map(lambda k: 2 * k + 1, lambda p: True, None, lambda k: 1, "_shift", "_unshift"),
+    "shift-add-one": _Map(lambda k: 2 * k, lambda p: True, None, lambda k: 2 * k + 1, "_shift", "_unshift"),
 }
 
 BIJECTION_NAMES = tuple(_MAPS)
@@ -290,29 +165,151 @@ def takes_k(name) -> bool:
     return callable(_record(name).domain)
 
 
-def _resolve(name, k, kind, i):
-    """The named map as (domain, takes, case, codomain, forward, inverse):
-    FamilySpecs, forward(p) -> (case or None, image), and inverse(case,
-    image, m) -> the preimage of length m.  The arithmetic is read from the
-    module when this runs, so a trace uses whatever the module names then.
+def _resolve(name, k, kind, i) -> _Map:
+    """The named map's record with its families as FamilySpecs and its
+    arithmetic as functions, read from the module when this runs (so a trace
+    uses whatever the module names then).  A shift map needs k >= 1 and
+    kind B or P; its index defaults to 2, and its arithmetic gets the shift.
     """
     rec = _record(name)
     domain, codomain = rec.domain, rec.codomain
-    fwd, inv = globals()[rec.forward], globals()[rec.inverse]
+    forward, inverse = globals()[rec.forward], globals()[rec.inverse]
     if callable(domain):
         if k is None or k < 1:
             raise ValueError("%s needs k >= 1" % name)
+        if kind not in ("B", "P"):
+            raise BijectionDomainError("shift maps apply to kinds B and P only")
         i = 2 if i is None else i
         source, target = domain(k), codomain(k)
-        domain, codomain = _shift_family(kind, i, source), FamilySpec(kind, i, target)
-        delta = target - source
-        forward, inverse = (lambda p: (None, fwd(p, delta))), (lambda c, q, m: inv(q, -delta))
-    elif rec.case is None:
-        forward, inverse = (lambda p: (None, fwd(p))), (lambda c, q, m: inv(q))
-    else:
-        # of the case inverses, only kind P's needs the preimage's length
-        forward, inverse = fwd, inv if domain.kind == "P" else (lambda c, q, m: inv(c, q))
-    return domain, rec.takes, rec.case, codomain, forward, inverse
+        domain, codomain = FamilySpec(kind, i, source), FamilySpec(kind, i, target)
+        forward, inverse = partial(forward, delta=target - source), partial(inverse, delta=target - source)
+    return _Map(domain, rec.takes, rec.case, codomain, forward, inverse)
+
+
+def _cases(prefix, k=None, kind="P", i=None) -> dict:
+    """{case: resolved record} of the maps named prefix...: the cases of one
+    public case map, or one map under case None."""
+    recs = [_resolve(name, k, kind, i) for name in _MAPS if name.startswith(prefix)]
+    return {rec.case: rec for rec in recs}
+
+
+def _input(p, f: FamilySpec) -> Partition:
+    try:
+        p = as_partition(p)
+    except ValueError as e:
+        raise BijectionDomainError(str(e)) from None
+    if not is_member_unchecked(p, f):
+        raise BijectionDomainError("not a member of %s" % f.label())
+    return p
+
+
+def _forward(prefix, p, k=None, kind="P", i=None) -> tuple[Optional[int], Partition]:
+    """(case, image) of p under the public map over the maps named prefix...,
+    which share a domain; the image is checked against the codomain of the
+    case the arithmetic returns."""
+    cases = _cases(prefix, k, kind, i)
+    rec = next(iter(cases.values()))
+    case, image = rec.forward(_input(p, rec.domain))
+    codomain = cases[case].codomain
+    if not is_member_unchecked(image, codomain):
+        raise CodomainError("%s image %r is not in %s" % (prefix, image, codomain.label()), image)
+    return case, image
+
+
+def _inverse(prefix, case, q, m=None, k=None, kind="P", i=None) -> Partition:
+    """The preimage of q of length m under the given case of the maps named
+    prefix..., checked against the domain and that case's rule."""
+    cases = _cases(prefix, k, kind, i)
+    rec = cases.get(case)
+    if rec is None:
+        raise ValueError("case must be one of %s" % sorted(cases))
+    image = rec.inverse(case, _input(q, rec.codomain), m)
+    if not (is_member_unchecked(image, rec.domain) and rec.takes(image)):
+        raise CodomainError("%s inverse image %r invalid" % (prefix, image), image)
+    return image
+
+
+def p_drop_one(p: Partition) -> Partition:
+    """Delete the single part 1 and remove 2 from every other part."""
+    return _forward("P-drop-one", p)[1]
+
+
+def p_drop_one_inverse(q: Partition) -> Partition:
+    """Add 2 to every part, then append a part 1."""
+    return _inverse("P-drop-one", None, q)
+
+
+def b_drop_one(p: Partition) -> Partition:
+    """Delete the single part 1 and remove 2 from every other part."""
+    return _forward("B-drop-one", p)[1]
+
+
+def b_drop_one_inverse(q: Partition) -> Partition:
+    """Add 2 to every part, then append a part 1."""
+    return _inverse("B-drop-one", None, q)
+
+
+def p_case_map(p: Partition) -> tuple[int, Partition]:
+    """Three-way split of the even-odd members without a part 1.
+
+    Case 1 (smallest even part equals twice the length): delete that part.
+    Case 2 (two parts equal to 3): delete both, remove 4 from the remaining
+    parts, insert a new part 2m-2.  Case 3 (otherwise): remove 2 from every
+    part.  Cases 1 and 2 land back in the i=1 family one part shorter; case 3
+    lands in the i=2 family at the same length.
+    """
+    return _forward("P-case", p)
+
+
+def p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
+    """Rebuild the preimage of q under the given case, of length target_m.
+
+    Case 1 inserts a part equal to 2*target_m, so q's even parts, if any,
+    must already be at least that big (partitions with no even part do occur
+    as case 1 images and are accepted).  Case 2 requires the smallest even
+    part of q to equal 2*(target_m - 1); it is deleted, 4 is added to the
+    rest and two parts 3 are appended.  Case 3 adds 2 to every part.
+    """
+    return _inverse("P-case", case, q, target_m)
+
+
+def b_case_map(p: Partition) -> tuple[int, Partition]:
+    """Two-way split of the gap members with smallest part at least 2.
+
+    Case 1 (smallest part is 2): delete it and remove 2 from the rest,
+    landing one part shorter in the same family.  Case 2 (smallest part at
+    least 3): remove 2 from every part, landing in the i=2 family.
+    """
+    return _forward("B-case", p)
+
+
+def b_case_inverse(case: int, q: Partition) -> Partition:
+    """Add 2 to every part, appending a part 2 for case 1."""
+    return _inverse("B-case", case, q)
+
+
+def shift_sub_2k(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
+    """Remove 2k from every part: minimum part 2k+1 down to the base family."""
+    return _forward("shift-sub-2k", p, k, kind, i)[1]
+
+
+def shift_sub_2k_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
+    """Add 2k to every part: base family up to minimum part 2k+1."""
+    return _inverse("shift-sub-2k", None, q, k=k, kind=kind, i=i)
+
+
+def shift_add_one(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
+    """Add 1 to every part: minimum part 2k up to 2k+1, swapping parities."""
+    return _forward("shift-add-one", p, k, kind, i)[1]
+
+
+def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
+    """Remove 1 from every part: minimum part 2k+1 down to 2k."""
+    return _inverse("shift-add-one", None, q, k=k, kind=kind, i=i)
+
+
+def _domain_members(n, rec: _Map):
+    return (p for p in enumerate_family(n, rec.domain) if p and rec.takes(p))
 
 
 def bijection_domain(name, n, k=None, kind="P", i=None):
@@ -321,8 +318,7 @@ def bijection_domain(name, n, k=None, kind="P", i=None):
     The empty partition is never listed (weight 0 traces are empty).  Shift
     maps need k >= 1; their kind defaults to P and their index to 2.
     """
-    domain, takes = _resolve(name, k, kind, i)[:2]
-    return (p for p in enumerate_family(n, domain) if p and takes(p))
+    return _domain_members(n, _resolve(name, k, kind, i))
 
 
 class TraceRow:
@@ -356,25 +352,27 @@ def trace_bijection(name, n, k=None, kind="P", i=None):
     """Apply the named map to every domain member at weight n.
 
     Returns a list of TraceRow; the map is resolved once per trace.  A row
-    checks the input's domain and case (raising BijectionDomainError), maps
-    it, checks the image's codomain (codomain_ok; case None on a failure)
-    and inverts it (roundtrip_ok: the preimage equals the input), making
-    each distinct check once: the public inverse's own checks repeat these.
+    checks the input against the domain family and the case the arithmetic
+    returns (domain_ok; case and output None on a failure, which fails the
+    other flags too), maps it, checks the image's codomain (codomain_ok;
+    case None on a failure) and inverts it (roundtrip_ok: the preimage
+    equals the input), making each distinct check once: the public
+    inverse's own checks repeat these.
     """
-    domain, _, want, codomain, forward, inverse = _resolve(name, k, kind, i)
+    rec = _resolve(name, k, kind, i)
+    domain, want, codomain, forward, inverse = rec.domain, rec.case, rec.codomain, rec.forward, rec.inverse
     rows = []
     append = rows.append
-    for p in bijection_domain(name, n, k=k, kind=kind, i=i):
-        _require_member(p, domain)
-        case, image = forward(p)
-        if case != want:
-            raise BijectionDomainError("input falls under case %d" % case)
-        if not is_member(image, codomain):
+    for p in _domain_members(n, rec):
+        case, image = forward(p) if is_member_unchecked(p, domain) else (None, None)
+        if image is None or case != want:
+            append(TraceRow(name, p, None, None, False, False, False))
+        elif not is_member_unchecked(image, codomain):
             append(TraceRow(name, p, None, image, True, False, False))
-            continue
-        try:
-            rt_ok = inverse(case, image, len(p)) == p
-        except BijectionDomainError:
-            rt_ok = False
-        append(TraceRow(name, p, case, image, True, True, rt_ok))
+        else:
+            try:
+                rt_ok = inverse(case, image, len(p)) == p
+            except BijectionDomainError:
+                rt_ok = False
+            append(TraceRow(name, p, case, image, True, True, rt_ok))
     return rows

@@ -62,15 +62,22 @@ def _family_from_args(args):
     values that would select no family or go unread: --k below 1, --parity
     without --k, --k without --parity, --min-part with --k, --family, --i or
     --k on a bijection map other than the shift maps, which alone read them,
-    and --oracle-limit where the family decides that nothing is enumerated.
+    a shift map without --k or with --family A, and --oracle-limit where the
+    family decides that nothing is enumerated.
     """
     k, parity, min_part = args.k, args.parity, args.min_part
     refusal = None
     if k is not None and k < 1:
         refusal = "--k must be >= 1"
     elif args.command == "bijection":
-        if not takes_k(args.bijection) and (args.family or args.i or k is not None):
-            refusal = "%s takes no --family, --i or --k; only the shift maps read them" % args.bijection
+        name = args.bijection
+        if not takes_k(name):
+            if args.family or args.i or k is not None:
+                refusal = "%s takes no --family, --i or --k; only the shift maps read them" % name
+        elif k is None:
+            refusal = "%s needs --k >= 1" % name
+        elif args.family == "A":
+            refusal = "%s applies to families P and B only" % name
     elif parity is not None and k is None:
         refusal = "--parity needs --k"
     elif k is not None and min_part is not None:
@@ -373,16 +380,7 @@ def cmd_bijection(args) -> int:
     n = args.n
     if _exceeds("bijection enumerates the domain", "--n", n, "oracle limit", args.oracle_limit):
         return 2
-    name = args.bijection
-    kind = args.family.kind
-    if takes_k(name):
-        if args.k is None:
-            print("%s needs --k >= 1" % name, file=sys.stderr)
-            return 2
-        if kind == "A":
-            print("%s applies to families P and B only" % name, file=sys.stderr)
-            return 2
-    rows = trace_bijection(name, n, k=args.k, kind=kind, i=args.family.i)
+    rows = trace_bijection(args.bijection, n, k=args.k, kind=args.family.kind, i=args.family.i)
     ok = all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)
     part = _Parts().__getitem__
     if args.format == "json":
@@ -411,6 +409,8 @@ def cmd_bijection(args) -> int:
                 ",".join(map(part, r.output)),
                 "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED",
             )
+            if r.domain_ok
+            else "(%s) not in the domain FAILED\n" % ",".join(map(part, r.input))
             for r in rows
         )
     _emit(args, chunks)

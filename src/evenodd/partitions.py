@@ -101,13 +101,22 @@ def part_allowed_for_A(x: int, i: int) -> bool:
 
 
 def is_member(p: Partition, f: FamilySpec) -> bool:
-    """Membership predicate for a canonical partition in family f.
+    """Membership predicate for a partition in family f.
 
-    A tuple whose parts increase anywhere is not canonical and belongs to no
-    family (for kind B the gap clause already says so).  All gap clauses are
-    vacuous when the relevant parity class has fewer than 3 parts; the
-    smallest-part bound clauses are vacuous when that parity class is empty.
-    The empty partition belongs to every family.
+    A tuple with a part whose type is not int (a bool, a float) or whose
+    parts increase anywhere is not canonical and belongs to no family.
+    """
+    return set(map(type, p)) <= {int} and is_member_unchecked(p, f)
+
+
+def is_member_unchecked(p: Partition, f: FamilySpec) -> bool:
+    """is_member for a tuple whose parts are known to be ints.
+
+    A tuple whose parts increase anywhere belongs to no family (for kind B
+    the gap clause already says so).  All gap clauses are vacuous when the
+    relevant parity class has fewer than 3 parts; the smallest-part bound
+    clauses are vacuous when that parity class is empty.  The empty partition
+    belongs to every family.
     """
     j = f.min_part
     if p and p[-1] < j:

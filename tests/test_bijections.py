@@ -6,6 +6,7 @@ from evenodd import bijections, cli
 from evenodd.bijections import (
     BIJECTION_NAMES,
     BijectionDomainError,
+    CodomainError,
     b_case_inverse,
     b_case_map,
     b_drop_one,
@@ -21,7 +22,7 @@ from evenodd.bijections import (
     shift_sub_2k_inverse,
     trace_bijection,
 )
-from evenodd.partitions import FamilySpec, count_family, enumerate_family, is_member
+from evenodd.partitions import FamilySpec, count_family, enumerate_family, is_member_unchecked
 
 P1, P2 = FamilySpec("P", 1), FamilySpec("P", 2)
 B1, B2 = FamilySpec("B", 1), FamilySpec("B", 2)
@@ -94,6 +95,50 @@ def test_maps_reject_non_integer_or_non_positive_parts(name):
     for bad in _bad_parts(good):
         with pytest.raises(BijectionDomainError):
             fn(bad)
+
+
+# the traced map whose private arithmetic each public map runs, and for an
+# inverse with a case rule, a member of its domain family under another case
+ARITHMETIC = {
+    "p_drop_one": ("P-drop-one", None),
+    "p_drop_one_inverse": ("P-drop-one", (5,)),
+    "b_drop_one": ("B-drop-one", None),
+    "b_drop_one_inverse": ("B-drop-one", (5,)),
+    "p_case_map": ("P-case-generic", None),
+    "p_case_inverse": ("P-case-even-eq", (10, 3, 3)),
+    "b_case_map": ("B-case-min3", None),
+    "b_case_inverse": ("B-case-min3", (4, 2)),
+    "shift_sub_2k": ("shift-sub-2k", None),
+    "shift_sub_2k_inverse": ("shift-sub-2k", None),
+    "shift_add_one": ("shift-add-one", None),
+    "shift_add_one_inverse": ("shift-add-one", None),
+}
+
+
+def _with_part_zero(out):
+    """out, an image or (case, image), with a part 0 appended to the image."""
+    if out and isinstance(out[-1], tuple):
+        return out[:-1] + (out[-1] + (0,),)
+    return out + (0,)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_MAPS))
+def test_public_maps_check_what_their_arithmetic_returns(monkeypatch, name):
+    # a forward image outside the codomain, or an inverse's preimage outside
+    # the domain or under another case, raises CodomainError
+    fn, good = PUBLIC_MAPS[name]
+    traced, other_case = ARITHMETIC[name]
+    attr = getattr(bijections._MAPS[traced], "inverse" if name.endswith("_inverse") else "forward")
+    real = getattr(bijections, attr)
+    monkeypatch.setattr(bijections, attr, lambda *args, **kwargs: _with_part_zero(real(*args, **kwargs)))
+    with pytest.raises(CodomainError) as raised:
+        fn(good)
+    assert raised.value.image[-1] == 0
+    if other_case is not None:
+        monkeypatch.setattr(bijections, attr, lambda *args, **kwargs: other_case)
+        with pytest.raises(CodomainError) as raised:
+            fn(good)
+        assert raised.value.image == other_case
 
 
 def test_p_case_map_examples():
@@ -360,23 +405,15 @@ def _off_by_one(preimage):
     return preimage[:-1] + (preimage[-1] + 1,)
 
 
-def _mutant(name, which, k):
+def _mutant(name, which):
     """The private arithmetic that the trace of name resolves as which
-    ("forward" or "inverse"), its output broken by _outside or _off_by_one.
-    A shift map's forward and inverse are one function, called with the
-    shift and its negation."""
-    rec = bijections._MAPS[name]
-    real = getattr(bijections, getattr(rec, which))
-    bad = _outside if which == "forward" else _off_by_one
-    shift_forward = rec.codomain(k) - rec.domain(k) if bijections.takes_k(name) else None
+    ("forward", returning (case, image), or "inverse", returning the
+    preimage), its output broken by _outside or _off_by_one."""
+    real = getattr(bijections, getattr(bijections._MAPS[name], which))
 
-    def broken(*args):
-        out = real(*args)
-        if shift_forward is not None and (args[1] == shift_forward) != (which == "forward"):
-            return out
-        if which == "forward" and rec.case is not None:
-            return out[0], bad(out[1])
-        return bad(out)
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return (out[0], _outside(out[1])) if which == "forward" else _off_by_one(out)
 
     return broken
 
@@ -385,7 +422,7 @@ def _mutant(name, which, k):
 @pytest.mark.parametrize("name", BIJECTION_NAMES)
 def test_broken_arithmetic_fails_every_row(capsys, monkeypatch, name, which):
     rec = bijections._MAPS[name]
-    monkeypatch.setattr(bijections, getattr(rec, which), _mutant(name, which, 1))
+    monkeypatch.setattr(bijections, getattr(rec, which), _mutant(name, which))
     rows = trace_bijection(name, 14, k=1)
     assert rows
     for r in rows:
@@ -406,9 +443,9 @@ def test_trace_makes_two_membership_checks_per_row(monkeypatch, name):
 
     def counting(p, f):
         calls[f] += 1
-        return is_member(p, f)
+        return is_member_unchecked(p, f)
 
-    monkeypatch.setattr(bijections, "is_member", counting)
+    monkeypatch.setattr(bijections, "is_member_unchecked", counting)
     rows = trace_bijection(name, 40, k=1)
     assert rows and sum(calls.values()) == 2 * len(rows)
 
@@ -416,6 +453,10 @@ def test_trace_makes_two_membership_checks_per_row(monkeypatch, name):
 def test_trace_refuses_an_input_under_another_case(monkeypatch):
     real = bijections._b_case_map
     monkeypatch.setattr(bijections, "_b_case_map", lambda p: (1,) + real(p)[1:] if p == (7, 3) else real(p))
-    assert len(trace_bijection("B-case-min3", 9)) == 2
-    with pytest.raises(BijectionDomainError, match="case 1"):
-        trace_bijection("B-case-min3", 10)
+    assert [r.domain_ok for r in trace_bijection("B-case-min3", 9)] == [True, True]
+    rows = trace_bijection("B-case-min3", 10)
+    assert [(r.input, r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok) for r in rows] == [
+        ((10,), 2, (8,), True, True, True),
+        ((7, 3), None, None, False, False, False),
+        ((6, 4), 2, (4, 2), True, True, True),
+    ]

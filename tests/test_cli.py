@@ -167,8 +167,8 @@ def _image_fails_codomain(real):
 
 def _inverse_misses(real):
     # the image (5,1) of (7,3) is sent back to (8,3)
-    def bad_inverse(case, q):
-        return (8, 3) if q == (5, 1) else real(case, q)
+    def bad_inverse(case, q, m):
+        return (8, 3) if q == (5, 1) else real(case, q, m)
 
     return bad_inverse
 
@@ -213,6 +213,26 @@ def test_failing_trace_is_reported_and_exits_1(capsys, monkeypatch, broken, fmt)
             line,
             "(6,4) -> case 2 -> (4,2) round-trip ok",
         ]
+
+
+# bijection P-case-generic --n 6 with (4,2), which is not a member of
+# P(i=1), listed first as its domain
+INJECTED_NON_MEMBER = {
+    "text": "(4,2) not in the domain FAILED\n(6) -> case 3 -> (4) round-trip ok\n",
+    "json": '[{"bijection":"P-case-generic","codomain_ok":false,"domain_ok":false,"input":[4,2],"output":null},'
+    '{"bijection":"P-case-generic","case":3,"codomain_ok":true,"domain_ok":true,"input":[6],"output":[4]}]\n',
+    "csv": "bijection,input,case,output,domain_ok,codomain_ok\n"
+    "P-case-generic,4 2,,,False,False\nP-case-generic,6,3,4,True,True\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(INJECTED_NON_MEMBER))
+def test_trace_reports_a_domain_disagreement(capsys, monkeypatch, fmt):
+    # the enumerator and is_member are two sources: a disagreement is exit 1
+    real = bijections.enumerate_family
+    monkeypatch.setattr(bijections, "enumerate_family", lambda n, f: itertools.chain([(4, 2)], real(n, f)))
+    code, out, err = run(capsys, "bijection", "P-case-generic", "--n", "6", "--format", fmt)
+    assert (code, out, err) == (1, INJECTED_NON_MEMBER[fmt], "")
 
 
 def test_json_trace_row_matches_the_encoder():
@@ -414,8 +434,9 @@ def test_family_flag_validation(capsys):
 
 
 # shift flags that would select no family or go unread, flags a command or
-# a non-shift bijection map would not read, --refined on kinds P and B, and
-# an unknown flag: each is refused with one stderr line before anything runs
+# a non-shift bijection map would not read, a shift map without --k or on
+# kind A, --refined on kinds P and B, and an unknown flag: each is refused
+# with one stderr line before anything runs, a bound on --n included
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -451,6 +472,9 @@ def test_family_flag_validation(capsys):
          "list takes no --oracle-limit on kind B"),
         (["verify", "--family", "A", "--max-n", "5", "--oracle-limit", "1"],
          "verify takes no --oracle-limit on kind A without --refined"),
+        (["bijection", "shift-sub-2k", "--n", "61"], "shift-sub-2k needs --k >= 1"),
+        (["bijection", "shift-add-one", "--family", "A", "--k", "1", "--n", "61"],
+         "shift-add-one applies to families P and B only"),
     ],
 )
 def test_unread_shift_flags_are_usage_errors(capsys, argv, flag):

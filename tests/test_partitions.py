@@ -113,6 +113,9 @@ def test_family_spec_value_semantics():
         ((3, 6, 5), FamilySpec("P", 2), False),  # not non-increasing
         ((1, 4), FamilySpec("A", 2), False),  # not non-increasing
         ((4, 1), FamilySpec("A", 2), True),
+        ((3.0, 1), FamilySpec("B", 2), False),  # a float part
+        ((5, True), FamilySpec("P", 2), False),  # a bool part
+        ((4.0, 1), FamilySpec("A", 2), False),
     ],
 )
 def test_is_member_base_families(p, f, expect):
