@@ -9,10 +9,11 @@ Each subcommand has only the flags it reads, as _READS lists them, plus
 totals come from the product; any other count is enumerated up to
 --oracle-limit; above that, kinds P and B read the recursion table of their
 minimum part (so `count --family P` is the table's value there), filled up
-to MAX_FILL_N.  `verify` names its sources itself, since the identity it
-checks fixes which counts it compares.  A bound that a run would pass is
-refused with one stderr line, "<what the command reads>; <flag> <value>
-exceeds the <bound> <limit>", and exit status 2.
+to MAX_FILL_N.  `verify` runs one check of the library, which names the
+counts its identity compares: recurrences.verify_family for kinds P and B,
+verify_product for kind A (given this module's product_for_A series).  A
+bound that a run would pass is refused with one stderr line, "<what the
+command reads>; <flag> <value> exceeds the <bound> <limit>", and exit status 2.
 
 Exit status is 0 exactly when the executed checks report zero violations,
 1 when violations were found, 2 on usage errors, infeasible bounds or a
@@ -32,16 +33,15 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .bijections import BIJECTION_NAMES, takes_k, trace_bijection
-from .partitions import FamilySpec, count_family, counts_by_length, member_groups
+from .partitions import FamilySpec, count_family, member_groups
 from .qseries import product_for_A
 from .recurrences import (
     VerificationReport,
     family_count_via_table,
-    mismatches,
     refined_AB_witness,
-    shift_identity_check,
-    system1,
     variant_for_min_part,
+    verify_family,
+    verify_product,
 )
 
 DEFAULT_ORACLE_LIMIT = 60
@@ -196,7 +196,7 @@ def _json_array(items, open_="[", close="]\n"):
     yield close
 
 
-def _render_report(args, report: VerificationReport, rows):
+def _render_report(args, report: VerificationReport):
     if args.format == "json":
         return [_json_text(report.to_dict())]
     if args.format == "csv":
@@ -208,7 +208,8 @@ def _render_report(args, report: VerificationReport, rows):
             ),
         )
     lines = ["%s %s max_n=%d" % (report.system, report.family, report.max_n)]
-    lines += rows
+    for n, totals in report.totals:
+        lines.append("n=%d: " % n + " ".join("%s=%d" % total for total in totals.items()))
     lines.append("violations: %d" % len(report.violations))
     for v in report.violations[:50]:
         lines.append(
@@ -263,57 +264,14 @@ def cmd_verify(args) -> int:
         reads = "verify reads the kind-A product and the System1 table"
         if _exceeds(reads, "--max-n", max_n, "fill limit", MAX_FILL_N):
             return 2
-        prod = product_for_A(f.i, max_n)
-        table = system1()
-        totals = [(n, prod[n], family_count_via_table(table, f.i, n)) for n in range(max_n + 1)]
-        rows = ["n=%d: A=%d B=%d" % t for t in totals]
-        # the product against the table's totals, then the first cell where
-        # the enumerated fixed-length counts disagree
-        cells = [(f.i, None, n, {"A": a, "B": b}) for n, a, b in totals]
-        if args.refined:
-            w = refined_AB_witness(f.i, min(max_n, args.oracle_limit))
-            if w is not None:
-                m, n, ca, cb = w
-                cells.append((f.i, m, n, {"A": ca, "B": cb}))
-        report = VerificationReport(
-            "A-product=B-counts" + ("+refined" if args.refined else ""),
-            f.label(),
-            max_n,
-            list(mismatches(cells, [("B", "A")])),
-        )
-        _emit(args, _render_report(args, report, rows))
-        return 0 if report.ok else 1
-
-    max_n = args.max_n if args.max_n is not None else args.oracle_limit
-    if _exceeds("verify enumerates P and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
-        return 2
-    table = variant_for_min_part(f.min_part)
-    fP = FamilySpec("P", f.i, f.min_part)
-    fB = FamilySpec("B", f.i, f.min_part)
-    # one column per family, handed on to the shift check, which reads the
-    # same two columns
-    columns = {g: [counts_by_length(n, g) for n in range(max_n + 1)] for g in (fP, fB)}
-    colP, colB = columns[fP], columns[fB]
-    rows = [
-        "n=%d: P=%d B=%d" % (n, sum(colP[n].values()), sum(colB[n].values()))
-        for n in range(max_n + 1)
-    ]
-    cells = (
-        (f.i, m, n, {"P": colP[n][m], "B": colB[n][m], "table": table.value(f.i, m, n)})
-        for n in range(max_n + 1)
-        for m in range(n + 1)
-    )
-    report = VerificationReport(
-        "P=B+%s" % table.variant,
-        "P+B(i=%d,min_part=%d)" % (f.i, f.min_part),
-        max_n,
-        list(mismatches(cells, [("B", "P"), ("table", "P"), ("table", "B")])),
-    )
-    if f.min_part > 1:
-        k = f.min_part // 2  # the minimum part is 2k+1 or 2k
-        report.violations.extend(shift_identity_check(k, f.i, max_n, columns).violations)
-        report.system += "+shift-equations"
-    _emit(args, _render_report(args, report, rows))
+        witness_max_n = min(max_n, args.oracle_limit) if args.refined else None
+        report = verify_product(f.i, max_n, product_for_A(f.i, max_n), witness_max_n)
+    else:
+        max_n = args.max_n if args.max_n is not None else args.oracle_limit
+        if _exceeds("verify enumerates P and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
+            return 2
+        report = verify_family(f, max_n)
+    _emit(args, _render_report(args, report))
     return 0 if report.ok else 1
 
 

@@ -87,10 +87,6 @@ class FamilySpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "i": self.i, "min_part": self.min_part}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FamilySpec":
-        return cls(kind=d["kind"], i=d["i"], min_part=d.get("min_part", 1))
-
     def label(self) -> str:
         return "%s(i=%d,min_part=%d)" % (self.kind, self.i, self.min_part)
 

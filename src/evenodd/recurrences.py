@@ -114,13 +114,15 @@ def family_count_via_table(t: CountTable, i: int, n: int) -> int:
 
 
 class VerificationReport:
-    """Outcome of one identity sweep: empty violations means verified."""
+    """Outcome of one identity sweep: empty violations means verified.  A
+    sweep of totals lists them per weight in totals, as (n, {source: total})."""
 
-    def __init__(self, system: str, family: str, max_n: int, violations=None):
+    def __init__(self, system: str, family: str, max_n: int, violations=None, totals=()):
         self.system = system
         self.family = family
         self.max_n = max_n
         self.violations = [] if violations is None else violations
+        self.totals = totals
 
     @property
     def ok(self) -> bool:
@@ -153,6 +155,26 @@ def mismatches(cells, pairs):
                 yield {"i": i, "m": m, "n": n, "expected": counts[want], "actual": counts[got]}
 
 
+def column(f: FamilySpec, max_n: int, columns=None) -> list:
+    """[counts_by_length(n, f) for n = 0 .. max_n], one enumeration per
+    weight; or the column for f that the caller has counted in columns."""
+    col = (columns or {}).get(f)
+    return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
+
+
+def sweep(system, family, max_n, sources, pairs, indices=(1, 2)) -> VerificationReport:
+    """The mismatches of pairs at every cell (i, m, n), 0 <= m <= n <= max_n
+    and i in indices, in n, m, i order; sources maps each source name to a
+    function (i, m, n) -> count, read once per cell."""
+    cells = (
+        (i, m, n, {name: count(i, m, n) for name, count in sources.items()})
+        for n in range(max_n + 1)
+        for m in range(n + 1)
+        for i in indices
+    )
+    return VerificationReport(system, family, max_n, list(mismatches(cells, pairs)))
+
+
 def variant_for_min_part(min_part: int) -> CountTable:
     """The recursion system governing a family with the given minimum part."""
     if min_part == 1:
@@ -162,17 +184,16 @@ def variant_for_min_part(min_part: int) -> CountTable:
     return system3(min_part // 2)
 
 
-def _oracle_columns(t, f, max_n):
-    # the variant check, then counts[i][n], a Counter over lengths: one
-    # enumeration per (i, n)
+def _oracle(t, f, max_n):
+    # the variant check, then the enumerated count of f's kind at (i, m, n)
+    # for both index values, as a source
     if variant_for_min_part(f.min_part).variant != t.variant:
         raise ValueError(
             "table %s does not govern min_part %d" % (t.variant, f.min_part)
         )
-    return {
-        i: [counts_by_length(n, FamilySpec(f.kind, i, f.min_part)) for n in range(max_n + 1)]
-        for i in (1, 2)
-    }
+    columns = [column(FamilySpec(f.kind, i, f.min_part), max_n) for i in (1, 2)]
+    # out-of-range cells count nothing; in-range cells come from the oracle
+    return lambda i, m, n: columns[i - 1][n][m] if 0 <= m <= n else 0
 
 
 def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
@@ -184,29 +205,18 @@ def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationRepor
     usage error.  Violated cells carry the equation's right-hand side as
     "expected" and the oracle count as "actual".
     """
-    counts = _oracle_columns(t, f, max_n)
+    oracle = _oracle(t, f, max_n)
+    a = t.offset
 
-    def c(i, m, n):
-        # out-of-range cells count nothing; in-range cells come from the oracle
-        if m < 0 or n < 0 or m > n:
-            return 0
-        return counts[i][n][m]
+    def equation(i, m, n):
+        if (m, n) == (0, 0):
+            return 1  # the base value
+        if i == 1:
+            return oracle(1, m - 1, n - 2 * m - a) + oracle(2, m, n - 2 * m)
+        return oracle(1, m, n) + oracle(2, m - 1, n - 2 * m - a + 1)
 
-    def cells():
-        a = t.offset
-        for n in range(0, max_n + 1):
-            for m in range(0, n + 1):
-                if (m, n) == (0, 0):
-                    for i in (1, 2):
-                        yield i, 0, 0, {"equation": 1, "oracle": c(i, 0, 0)}
-                    continue
-                rhs1 = c(1, m - 1, n - 2 * m - a) + c(2, m, n - 2 * m)
-                yield 1, m, n, {"equation": rhs1, "oracle": c(1, m, n)}
-                rhs2 = c(1, m, n) + c(2, m - 1, n - 2 * m - a + 1)
-                yield 2, m, n, {"equation": rhs2, "oracle": c(2, m, n)}
-
-    violations = mismatches(cells(), [("equation", "oracle")])
-    return VerificationReport(t.variant, f.label(), max_n, list(violations))
+    sources = {"equation": equation, "oracle": oracle}
+    return sweep(t.variant, f.label(), max_n, sources, [("equation", "oracle")])
 
 
 def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
@@ -214,15 +224,8 @@ def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> Verificati
 
     Same variant-matching rule as verify_system; both index values swept.
     """
-    counts = _oracle_columns(t, f, max_n)
-    cells = (
-        (i, m, n, {"table": t.value(i, m, n), "oracle": counts[i][n][m]})
-        for n in range(0, max_n + 1)
-        for m in range(0, n + 1)
-        for i in (1, 2)
-    )
-    violations = mismatches(cells, [("table", "oracle")])
-    return VerificationReport(t.variant + ":cells", f.label(), max_n, list(violations))
+    sources = {"table": t.value, "oracle": _oracle(t, f, max_n)}
+    return sweep(t.variant + ":cells", f.label(), max_n, sources, [("table", "oracle")])
 
 
 def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> VerificationReport:
@@ -241,34 +244,67 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
     enumerated at a cell that no equation reads.
 
     columns, when given, maps a FamilySpec to a column the caller has
-    already counted, [counts_by_length(n, f) for n = 0 .. max_n]; such a
-    column is read from it rather than enumerated again.
+    already counted, which is read rather than enumerated again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    columns = columns or {}
 
-    def column(f):
-        col = columns.get(f)
-        return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
+    def equations(kind):
+        f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
+        odd = column(f_odd, max_n, columns)
+        even = column(FamilySpec(kind, i, 2 * k), max_n, columns)
+        sources = {
+            "odd": lambda i, m, n: odd[n][m],
+            "base": lambda i, m, n: count_family(n - 2 * m * k, f_base, m) if n >= 2 * m * k else 0,
+            "even": lambda i, m, n: even[n][m],
+            "odd-up": lambda i, m, n: odd[n + m][m] if n + m <= max_n else count_family(n + m, f_odd, m),
+        }
+        pairs = [("base", "odd"), ("odd-up", "even")]
+        return sweep("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n, sources, pairs, (i,))
 
-    def cells():
-        for kind in ("P", "B"):
-            f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
-            odd = column(f_odd)
-            even = column(FamilySpec(kind, i, 2 * k))
-            for n in range(0, max_n + 1):
-                for m in range(0, n + 1):
-                    w, up = n - 2 * m * k, n + m
-                    yield i, m, n, {
-                        "odd": odd[n][m],
-                        "base": count_family(w, f_base, fixed_length=m) if w >= 0 else 0,
-                        "even": even[n][m],
-                        "odd-up": odd[up][m] if up <= max_n else count_family(up, f_odd, m),
-                    }
+    report = equations("P")
+    report.violations += equations("B").violations
+    return report
 
-    violations = mismatches(cells(), [("base", "odd"), ("odd-up", "even")])
-    return VerificationReport("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n, list(violations))
+
+def verify_family(f: FamilySpec, max_n: int) -> VerificationReport:
+    """Enumerated P and B of f's index and minimum part against each other
+    and the table that governs them, at every cell up to max_n; then, at a
+    minimum part 2k+1 or 2k, the shift equations, read from the same two
+    columns.  The totals are P's and B's at each weight."""
+    table = variant_for_min_part(f.min_part)
+    fP, fB = FamilySpec("P", f.i, f.min_part), FamilySpec("B", f.i, f.min_part)
+    colP, colB = column(fP, max_n), column(fB, max_n)
+    sources = {
+        "P": lambda i, m, n: colP[n][m],
+        "B": lambda i, m, n: colB[n][m],
+        "table": table.value,
+    }
+    pairs = [("B", "P"), ("table", "P"), ("table", "B")]
+    family = "P+B(i=%d,min_part=%d)" % (f.i, f.min_part)
+    report = sweep("P=B+%s" % table.variant, family, max_n, sources, pairs, (f.i,))
+    report.totals = [(n, {"P": colP[n].total(), "B": colB[n].total()}) for n in range(max_n + 1)]
+    if f.min_part > 1:
+        k = f.min_part // 2  # the minimum part is 2k+1 or 2k
+        report.violations += shift_identity_check(k, f.i, max_n, {fP: colP, fB: colB}).violations
+        report.system += "+shift-equations"
+    return report
+
+
+def verify_product(i: int, max_n: int, product, witness_max_n) -> VerificationReport:
+    """The kind-A product series against the System1 table's B totals at each
+    weight up to max_n; then, unless witness_max_n is None, refined_AB_witness
+    up to that weight, whose cell is a violation.  The totals are A's and B's."""
+    table = system1()
+    totals = [(n, {"A": product[n], "B": family_count_via_table(table, i, n)}) for n in range(max_n + 1)]
+    cells = [(i, None, n, counts) for n, counts in totals]
+    w = None if witness_max_n is None else refined_AB_witness(i, witness_max_n)
+    if w is not None:
+        m, n, ca, cb = w
+        cells.append((i, m, n, {"A": ca, "B": cb}))
+    system = "A-product=B-counts" + ("" if witness_max_n is None else "+refined")
+    violations = list(mismatches(cells, [("B", "A")]))
+    return VerificationReport(system, FamilySpec("A", i).label(), max_n, violations, totals)
 
 
 def refined_AB_witness(i: int, max_n: int):

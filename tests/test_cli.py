@@ -862,7 +862,6 @@ def test_shifted_verify_counts_each_column_once(capsys, monkeypatch, parity):
         seen[n, f] += 1
         return partitions.counts_by_length(n, f)
 
-    monkeypatch.setattr(cli, "counts_by_length", counting)
     monkeypatch.setattr(recurrences, "counts_by_length", counting)
     code, _, _ = run(capsys, "verify", "--family", "P", "--k", "1", "--parity", parity, "--max-n", "12")
     assert code == 0
@@ -1029,21 +1028,37 @@ def _bump_product(monkeypatch):
     monkeypatch.setattr(cli, "product_for_A", bumped)
 
 
+def _bump_table(monkeypatch):
+    # t(2, 2, 10) is off by one in every recursion table, as read through
+    # CountTable.row, which CountTable.value and the table totals read
+    original = recurrences.CountTable.row
+
+    def bumped(self, i, n):
+        row = original(self, i, n)
+        if (i, n) == (2, 10):
+            row = row[:2] + [row[2] + 1] + row[3:]
+        return row
+
+    monkeypatch.setattr(recurrences.CountTable, "row", bumped)
+
+
 # members are dropped at whatever minimum part they occur: (3,3), (4,2) and
 # (5,1) at (m=2, n=6), (9,7,5,3) at (m=4, n=24), (6,) and (11,5) at
 # (m=1, n=6) and (m=2, n=16).  drop-PB leaves P, B and the table three
 # different counts at one cell; drop-P-shift breaks both shift equations at
-# some cells.
+# some cells.  bump-table perturbs the recursion table itself, not P or B.
 MUTANTS = {
     "drop-P": lambda mp: _drop_p_members(mp, {(9, 7, 5, 3), (3, 3)}),
     "drop-B": lambda mp: _drop_b_members(mp, {(4, 2)}),
     "drop-PB": lambda mp: (_drop_p_members(mp, {(3, 3)}), _drop_b_members(mp, {(5, 1), (4, 2)})),
     "drop-P-shift": lambda mp: _drop_p_members(mp, {(6,), (11, 5)}),
     "bump-A": _bump_product,
+    "bump-table": _bump_table,
 }
 
 # stdout SHA-256 and exit status of failing sweeps, recorded before the
-# comparisons shared one primitive: the violation lists stay byte-identical
+# comparisons shared one primitive (the bump-table rows before verify moved
+# into the library): the violation lists stay byte-identical
 FAILING_DIGESTS = [
     ("drop-P", "verify --family P --i 2 --max-n 24 --format text", 1, "7a7755c63906a8a15de616c605662e179b163bdb8760bf76668f5be71a13bf26"),
     ("drop-P", "verify --family P --i 2 --max-n 24 --format json", 1, "f080b358927925295416a5382f5011ba4e7c20cf4ccc5465a916f20286df93bf"),
@@ -1062,6 +1077,15 @@ FAILING_DIGESTS = [
     ("bump-A", "verify --family A --max-n 30 --format csv", 1, "861a6dad59dd755c248c522df93cf0f2c234412c7a0c375ce8c65eff237027bb"),
     ("drop-PB", "verify --family P --i 2 --max-n 12 --format text", 1, "7fcd31b6c99acad5a0cc0bbec4a397b6cc06264f2077f20b5a0c5e3eff22713d"),
     ("drop-P-shift", "verify --family P --k 1 --parity odd --max-n 16 --format text", 1, "52bc06f640109bebe5ec3aa618954b0bba3c6f417e4b6b724599dcfa04b508cb"),
+    ("bump-table", "verify --family P --i 2 --max-n 24 --format text", 1, "6d092fdaa5b39d94aa85b8bbdce42007cb23f91564811443a6709f31d4af62d3"),
+    ("bump-table", "verify --family P --i 2 --max-n 24 --format json", 1, "4b2771c0daa0f4efac79d96f57dc49701cc547e56aa0e3f514a30a1ce6fa48da"),
+    ("bump-table", "verify --family P --i 2 --max-n 24 --format csv", 1, "65851716ca27496da722c7be1416bb87675570972b0ea18fff92f399b9b447c7"),
+    ("bump-table", "verify --family P --k 1 --parity odd --max-n 24 --format text", 1, "62ec741ab19346822f862221f329ff39876a44218fe4c5cf1ae5733c38c4e9a3"),
+    ("bump-table", "verify --family P --k 1 --parity odd --max-n 24 --format json", 1, "093edd0b06f6446f6f04dbb13b09b3740e7706e36c35371eee4d7f1d9a181309"),
+    ("bump-table", "verify --family P --k 1 --parity odd --max-n 24 --format csv", 1, "41a7dd78b499b6b74b16c6c7736b8d2ce0679e99dfe7b1d100cffb67bee50318"),
+    ("bump-table", "verify --family A --max-n 30 --format text", 1, "29fcd4dd3c5d116ff14e63d030555a2bf7742b61dfbc54c72af221f8f225c01e"),
+    ("bump-table", "verify --family A --max-n 30 --format json", 1, "bd14dc29cfbf8ea75577602afb0bfc3344a04b39b4b026d89eee706014068df9"),
+    ("bump-table", "verify --family A --max-n 30 --format csv", 1, "1ae4d8bccc8c234c4763f085a05fbf312831882d8a9dff0e57a8ccf67b97ae51"),
 ]
 
 

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from evenodd import partitions
+from evenodd.cli import main
 from evenodd.partitions import FamilySpec, count_family
+from evenodd.qseries import product_for_A
 from evenodd.recurrences import (
     VerificationReport,
     compare_table_oracle,
@@ -15,6 +17,8 @@ from evenodd.recurrences import (
     system2,
     system3,
     variant_for_min_part,
+    verify_family,
+    verify_product,
     verify_system,
 )
 
@@ -216,6 +220,62 @@ def test_shift_check_sees_a_dropped_member(monkeypatch, enumerator, member, min_
 
     monkeypatch.setattr(partitions, enumerator, dropping)
     assert shift_identity_check(1, 2, 20).violations == [violation]
+
+
+@pytest.mark.parametrize("i", (1, 2))
+@pytest.mark.parametrize("min_part", (1, 2, 3, 4))
+def test_verify_family_clean(i, min_part):
+    f = FamilySpec("P", i, min_part)
+    report = verify_family(f, 20)
+    assert report.ok and report.max_n == 20
+    assert report.family == "P+B(i=%d,min_part=%d)" % (i, min_part)
+    assert report.totals == [
+        (n, {"P": count_family(n, f), "B": count_family(n, FamilySpec("B", i, min_part))})
+        for n in range(21)
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags,f",
+    [
+        (["--i", "2"], FamilySpec("P", 2)),
+        (["--family", "B", "--i", "1", "--min-part", "3"], FamilySpec("B", 1, 3)),
+        (["--k", "1", "--parity", "even"], FamilySpec("P", 2, 2)),
+    ],
+)
+def test_verify_family_is_what_the_cli_prints(capsys, flags, f):
+    report = verify_family(f, 12)
+    assert main(["verify", *flags, "--max-n", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "%s %s max_n=12" % (report.system, report.family)
+    assert lines[1:-1] == ["n=%d: P=%d B=%d" % (n, t["P"], t["B"]) for n, t in report.totals]
+    assert lines[-1] == "violations: 0"
+
+
+def test_verify_family_violations_are_the_cli_json(capsys, monkeypatch):
+    original = partitions._p_members_fixed
+
+    def dropping(n, i, j, m):
+        return [p for p in original(n, i, j, m) if p != (3, 3)]
+
+    monkeypatch.setattr(partitions, "_p_members_fixed", dropping)
+    report = verify_family(FamilySpec("P", 2), 20)
+    assert report.violations
+    assert main(["verify", "--family", "P", "--i", "2", "--max-n", "20", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == report.violations
+
+
+def test_verify_product_witness():
+    product = product_for_A(2, 20)
+    totals = verify_product(2, 20, product, None)
+    assert totals.ok and totals.system == "A-product=B-counts"
+    assert totals.totals == [
+        (n, {"A": product[n], "B": family_count_via_table(system1(), 2, n)}) for n in range(21)
+    ]
+    refined = verify_product(2, 20, product, 20)
+    assert refined.system == "A-product=B-counts+refined"
+    assert refined.violations == [{"i": 2, "m": 1, "n": 2, "expected": 1, "actual": 0}]
+    assert verify_product(2, 20, product, 1).ok
 
 
 def test_shift_spot_value():
