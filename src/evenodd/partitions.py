@@ -123,22 +123,16 @@ def is_member_unchecked(p: Partition, f: FamilySpec) -> bool:
         return False
     if f.kind == "A":
         return all(part_allowed_for_A(x, f.i) for x in p)
-    if p.count(j) > f.i - 1:
+    # kind P, one parity class at a time: every part of the bound class
+    # (the parity of j-1) is at least 2m+j-1 for m = len(p); in the gap
+    # class (the parity of j) at most i-1 parts equal j, and parts two
+    # places apart differ by at least 4
+    bound_class = [x for x in p if x % 2 != j % 2]
+    if bound_class and bound_class[-1] < 2 * len(p) + j - 1:
         return False
-    # kind P
-    m = len(p)
-    evens = [x for x in p if x % 2 == 0]
-    odds = [x for x in p if x % 2 == 1]
-    if j % 2 == 1:
-        k = (j - 1) // 2
-        if evens and evens[-1] < 2 * (m + k):
-            return False
-        gap_class = odds
-    else:
-        k = j // 2
-        if odds and odds[-1] + 1 < 2 * (m + k):
-            return False
-        gap_class = evens
+    gap_class = [x for x in p if x % 2 == j % 2]
+    if gap_class.count(j) > f.i - 1:
+        return False
     return all(gap_class[t] - gap_class[t + 2] >= 4 for t in range(len(gap_class) - 2))
 
 
@@ -176,9 +170,13 @@ def enumerate_partitions(
     return gen(n, n, fixed_length)
 
 
-# free-length subtrees of at most this remaining weight are listed once per
-# _b_groups call and replayed for every prefix that reaches them
+# sub-lists of at most this weight (the free-length B tails and the P class
+# lists) are built once per process and shared by every call that reaches
+# them; heavier ones are built again on each call, so the memos stay small.
+# Each memo maps a key whose first field is that weight to a tuple of tuples.
 _B_MEMO_MAX_REM = 32
+_B_TAILS = {}
+_P_CLASSES = {}
 
 # the tails of a group whose prefix is a whole member
 _WHOLE = ((),)
@@ -186,10 +184,11 @@ _WHOLE = ((),)
 
 def _b_groups(n, i, j, fixed_length):
     # the members as member_groups describes them.  A free-length subtree of
-    # remaining weight <= _B_MEMO_MAX_REM below a nonempty prefix is listed
-    # once per call, keyed by (remaining weight, max part), and that one list
-    # is the tails of every prefix that reaches it.  It can be empty, since
-    # parts() bounds what a tail can make up only from above.
+    # remaining weight <= _B_MEMO_MAX_REM below a nonempty prefix is one
+    # group: the prefix and that subtree's list in _B_TAILS, keyed by
+    # (remaining weight, max part, floor), which every prefix reaching the
+    # subtree shares.  It can be empty, since parts() bounds what a tail can
+    # make up only from above.
     # gap >= 2 forces distinct parts, so "at most i-1 parts equal j" reduces
     # to a floor: lo = j for i=2, lo = j+1 for i=1
     lo = j if i == 2 else j + 1
@@ -199,7 +198,6 @@ def _b_groups(n, i, j, fixed_length):
         return
     if fixed_length == 0:
         return
-    memo = {}
 
     def parts(rem, hi):
         # each next part v <= hi, largest first, that leaves a remainder of 0
@@ -219,10 +217,10 @@ def _b_groups(n, i, j, fixed_length):
 
     def tails(rem, maxp):
         # every gap->=2 partition of rem > 0 with parts in [lo, maxp], as a
-        # list in lexicographically decreasing order
+        # tuple in lexicographically decreasing order
         maxp = min(maxp, rem)
-        key = (rem, maxp)
-        out = memo.get(key)
+        key = (rem, maxp, lo)
+        out = _B_TAILS.get(key)
         if out is None:
             out = []
             for v in parts(rem, maxp):
@@ -230,7 +228,7 @@ def _b_groups(n, i, j, fixed_length):
                     out.append((v,))
                 else:
                     out.extend([(v,) + tail for tail in tails(rem - v, v - 2)])
-            memo[key] = out
+            out = _B_TAILS[key] = tuple(out)
         return out
 
     def gen(prefix, rem, maxp, left):
@@ -283,12 +281,18 @@ def _p_least_weights(i, j, m):
     """lw[l] for l = 0 .. m: a lower bound on the weight of any l parts of an
     m-part member of P with index i and minimum part j.
 
-    lw[l] is the sum of min(c_t, 2m+j-1) over t < l, where c_0, c_1, ... is
-    the gap-class chain: j, j+2, j+4, ... when a copy of j may be used
-    (i = 2), else j+2, j+2, j+6, j+6, ... .  See _p_members_fixed for the
-    proof.  For t <= m-2, c_t <= j+2+2t < 2m+j-1, so for l <= m-1 lw[l] is
-    the least weight of l gap-class parts.  lw[m] grows with m: each term
-    is nondecreasing in m, and a longer member adds a term.
+    lw[l] is the sum of min(c_t, bound) over t < l, where bound = 2m+j-1 and
+    c_0, c_1, ... is j, j+2, j+4, ... when i = 2, else j+2, j+2, j+6, j+6, ...
+    Proof: take the l smallest parts.  Each in the bound class (the parity
+    of j-1) is at least bound.  Those in the gap class (the parity of j),
+    ascending y_0 <= y_1 <= ..., have y_0 >= j (j+2 when i = 1, as no part
+    equals j), y_1 >= j+2 (at most one part equals j) and y_{t+2} >= y_t + 4
+    (they are the smallest of their class), so y_t >= c_t.  Term by term,
+    g gap-class and l-g bound-class parts thus weigh at least lw[l].
+
+    For t <= m-2, c_t <= j+2+2t < bound, so for l <= m-1 lw[l] is the least
+    weight of l gap-class parts.  lw[m] grows with m: each term is
+    nondecreasing in m, and a longer member adds a term.
     """
     bound = 2 * m + j - 1
     lw = [0]
@@ -298,81 +302,74 @@ def _p_least_weights(i, j, m):
     return lw
 
 
+def _p_class(rem, left, a, b, gap, lo, last_lo):
+    # every non-increasing tuple of `left` parts of lo's parity summing to
+    # rem, as a tuple in lexicographically decreasing order: the first part
+    # is at most a and the second at most b, parts two places apart differ
+    # by at least gap, and every part is at least lo except the last, which
+    # is at least last_lo (<= lo, of lo's parity)
+    if (rem - left * lo) % 2:
+        return ()
+    if left == 0:
+        return _WHOLE if rem == 0 else ()
+    if left == 1:
+        return ((rem,),) if last_lo <= rem <= a else ()
+    a = min(a, rem)
+    b = min(b, a)
+    key = (rem, left, a, b, gap, lo, last_lo)
+    out = _P_CLASSES.get(key)
+    if out is None:
+        # the first part is the largest, so at least rem/left, and leaves
+        # at least (left-2)*lo + last_lo for the others
+        hi = min(a, rem - (left - 2) * lo - last_lo)
+        hi -= (hi - lo) % 2
+        out = []
+        for x in range(hi, max(lo, -(-rem // left)) - 1, -2):
+            rest = _p_class(rem - x, left - 1, min(x, b), x - gap, gap, lo, last_lo)
+            out.extend([(x,) + t for t in rest])
+        out = tuple(out)
+        if rem <= _B_MEMO_MAX_REM:
+            _P_CLASSES[key] = out
+    return out
+
+
 def _p_members_fixed(n, i, j, m):
     """List the even-odd family members with exactly m parts.
 
-    Lexicographically decreasing.  A member's parts split into two classes.
-    The bound class (parity of j-1) holds parts >= bound = 2m+j-1.  The gap
-    class (parity of j) holds parts >= j, at most i-1 of them equal to j,
-    and any two of its parts two positions apart in the class differ by at
-    least 4.  The recursion places parts largest first, and rejects a child
-    (remaining weight r, l parts left) before recursing unless a member can
-    still complete it.  Each rule below is a necessary condition on the l
-    remaining parts of a member, so a rejected child holds no member.
+    Lexicographically decreasing.  By is_member_unchecked, the parts of an
+    m-part member split by parity into two classes, each with clauses of
+    its own:
 
-    Least weight: r >= lw[l] (_p_least_weights).  Ascending, the
-    gap-class parts y_0 <= y_1 <= ... among the remaining parts are a tail
-    of the class, so y_{t+2} >= y_t + 4; also y_0 >= j and y_1 >= j+2 (a
-    second copy of j is never allowed), and y_0 >= j+2 when no copy of j
-    is allowed (i = 1).  By induction y_t >= c_t.  So g gap-class parts
-    weigh at least c_0 + ... + c_{g-1}, and each of the l-g bound-class
-    parts weighs at least bound; term by term, that total is at least
-    min(c_0, bound) + ... + min(c_{l-1}, bound) = lw[l].  A node applies
-    this to all its children at once through its top value
-    hi <= rem - lw[left-1].  At the root, n < lw[m] rejects the length.
+    * the bound class: r1 parts of the parity of j-1, each at least
+      bound = 2m+j-1, so bound + 2u_1, ..., bound + 2u_r1 for u a
+      partition into at most r1 parts, padded with zeros;
+    * the gap class: the other m-r1 parts, of the parity of j, any two of
+      them two places apart differing by at least 4, each at least j+2
+      except the smallest, which is at least j when i = 2 (at most i-1
+      parts equal j).
 
-    Gap-class-only tails: after a part v < bound, no bound-class part fits
-    below v, so the l remaining parts are all gap class.  Then
-    (1) parity: each has the parity of j, so r = l*j (mod 2);
-    (2) greedy maximum: with g1, g2 the last two gap-class parts placed
-    (g2 = v), the remaining parts x_1 >= x_2 >= ... satisfy
-    x_1 <= a = min(g2, g1-4) (a = g2 when no g1 is placed),
-    x_2 <= b = min(a, g2-4) and x_{t+2} <= x_t - 4, so by induction x_t is
-    at most the t-th term of a, b, a-4, b-4, a-8, ..., and r is at most that
-    chain's sum over l terms.
+    The classes differ in parity, so every pair of class lists merges into
+    one member and every member splits into one pair: the members are the
+    product of the two classes' lists, over r1 and the weight of the bound
+    class.
     """
-    lw = _p_least_weights(i, j, m)
-    if n < lw[m]:
-        return []
     if m == 0:
         return [()] if n == 0 else []
     bound = 2 * m + j - 1
-    bound_parity = 1 - j % 2
-    limit = i - 1
+    last_lo = j if i == 2 else j + 2
+    # the m - r1 gap-class parts weigh at least lw[m - r1], and the parts'
+    # parities make n = m*j - r1 (mod 2)
+    lw = _p_least_weights(i, j, m)
     out = []
-
-    def gen(rem, prev, left, jcount, prefix, g1, g2):
-        l = left - 1
-        hi = min(prev, rem - lw[l])
-        lo = max(j, -(-rem // left))
-        for v in range(hi, lo - 1, -1):
-            r = rem - v
-            if v % 2 == bound_parity:
-                if v < bound:
-                    continue
-                nj, n1, n2 = jcount, g1, g2
+    for r1 in range((m * j - n) % 2, m + 1, 2):
+        for w1 in range(r1 * bound, n - lw[m - r1] + 1, 2) if r1 else (0,):
+            gaps = _p_class(n - w1, m - r1, n, n, 4, j + 2, last_lo)
+            tops = _p_class(w1, r1, w1, w1, 0, bound, bound) if gaps else ()
+            if r1 == 0:
+                out.extend(gaps)
             else:
-                # two-apart gap: v lands two positions after g1 in its class
-                if g1 is not None and g1 - v < 4:
-                    continue
-                nj, n1, n2 = jcount + (v == j), g2, v
-                if nj > limit:
-                    continue
-                if v < bound and l:
-                    # only gap-class parts remain
-                    if (r - l * j) % 2:
-                        continue
-                    a = v if g2 is None else min(v, g2 - 4)
-                    b = min(a, v - 4)
-                    p, q = (l + 1) // 2, l // 2
-                    if r > p * a - 2 * p * (p - 1) + q * b - 2 * q * (q - 1):
-                        continue
-            if l:
-                gen(r, v, l, nj, prefix + (v,), n1, n2)
-            else:
-                out.append(prefix + (v,))
-
-    gen(n, n, m, 0, (), None, None)
+                out.extend([tuple(sorted(t + g, reverse=True)) for t in tops for g in gaps])
+    out.sort(reverse=True)
     return out
 
 
@@ -407,10 +404,11 @@ def enumerate_family(
     where both are feasible.  The B enumerator prunes on the gap structure
     (output-proportional cost, usable far beyond the unrestricted oracle)
     and yields groups of members that share a prefix (see member_groups);
-    this form flattens them.  The P enumerator lists each length on its own,
-    rejecting every subtree that fails a least-weight, parity or
-    greedy-maximum bound, and the free-length form merges the lengths'
-    lists.
+    this form flattens them.  The P enumerator lists each length on its own
+    as the product of its two parity classes, and the free-length form
+    merges the lengths' lists.  Sub-lists of weight at most 32 (B tails, P
+    class lists) are built once per process and shared by later calls, as
+    tuples no consumer can change.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -428,12 +426,13 @@ def member_groups(
     """The members of enumerate_family(n, f, fixed_length), in its order, as
     (prefix, tails) groups whose members are prefix + t for t in tails.
 
-    For kind B, a group's tails may be a free-length tail list that the
-    enumerator lists once per call and hands to every prefix that reaches
-    it, so a consumer can do per-tail work once per distinct list.  Such a
-    list can be empty.  Every other member, and every member of kinds P and
-    A, is a group of its own with tails ((),).  A prefix is empty only in
-    the group of the empty partition.
+    Every tails is a tuple.  For kind B, a group's tails may be a
+    free-length tail list that the enumerator lists once per process and
+    hands to every prefix that reaches it, so a consumer can do per-tail
+    work once per distinct list.  Such a list can be empty.  Every other
+    member, and every member of kinds P and A, is a group of its own with
+    tails ((),).  A prefix is empty only in the group of the empty
+    partition.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

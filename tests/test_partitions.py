@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from evenodd import partitions
 from evenodd.partitions import (
     _B_MEMO_MAX_REM,
     FamilySpec,
@@ -15,6 +16,7 @@ from evenodd.partitions import (
     enumerate_partitions,
     is_member,
     is_member_unchecked,
+    member_groups,
 )
 
 
@@ -233,8 +235,8 @@ def test_enumerate_family_matches_filtered_oracle():
 
 @pytest.mark.parametrize("i", (1, 2))
 def test_b_enumerator_matches_filtered_oracle_past_the_memo(i):
-    # free-length B subtrees up to weight _B_MEMO_MAX_REM are replayed from a
-    # per-call memo, so the weights run well past it
+    # free-length B subtrees up to weight _B_MEMO_MAX_REM are listed once per
+    # process and replayed from a shared memo, so the weights run well past it
     top = 40
     assert _B_MEMO_MAX_REM < top
     for n in range(0, top + 1):
@@ -251,8 +253,8 @@ def test_b_enumerator_matches_filtered_oracle_past_the_memo(i):
 
 @pytest.mark.parametrize("i", (1, 2))
 def test_p_enumerator_matches_filtered_oracle_past_the_prune(i):
-    # the P enumerator rejects subtrees by least weight, parity and a greedy
-    # maximum of the gap class, so the weights run past the oracle test above
+    # the P enumerator merges class lists, those up to weight
+    # _B_MEMO_MAX_REM shared across calls, so the weights run past that cap
     for n in range(0, 41):
         # int parts, so the unchecked predicate is the membership test
         everything = list(enumerate_partitions(n))
@@ -263,6 +265,37 @@ def test_p_enumerator_matches_filtered_oracle_past_the_prune(i):
             for m in range(0, 10):
                 got = list(enumerate_family(n, f, fixed_length=m))
                 assert got == [p for p in ref if len(p) == m], (n, f, m)
+
+
+def test_memos_hold_only_light_tuple_lists():
+    # without the weight cap, one free-length P enumeration at n = 100 keeps
+    # megabytes of sub-lists for the rest of the process
+    for kind in ("P", "B"):
+        list(enumerate_family(100, FamilySpec(kind, 2)))
+        for _, tails in member_groups(100, FamilySpec(kind, 2)):
+            assert type(tails) is tuple
+    for memo in (partitions._B_TAILS, partitions._P_CLASSES):
+        assert memo
+        for key, members in memo.items():
+            # the first key field is the weight of every listed member
+            assert key[0] <= _B_MEMO_MAX_REM, key
+            assert type(members) is tuple, key
+            assert all(type(t) is tuple and sum(t) == key[0] for t in members), key
+
+
+@pytest.mark.parametrize("kind", ("P", "B"))
+def test_enumeration_does_not_depend_on_the_memos(kind):
+    # the memos outlive each call, so a result must be the same whether
+    # heavier calls filled them first or they start empty
+    specs = [FamilySpec(kind, i, j) for i in (1, 2) for j in range(1, 5)]
+    for f in specs:
+        list(enumerate_family(60, f))
+    calls = [(n, f, m) for f in specs for n in range(31) for m in (None, *range(n + 1))]
+    warm = [list(enumerate_family(*call)) for call in calls]
+    for call, members in zip(calls, warm):
+        partitions._B_TAILS.clear()
+        partitions._P_CLASSES.clear()
+        assert list(enumerate_family(*call)) == members, call
 
 
 def _least_gap_class_offset(i, g):
@@ -304,8 +337,9 @@ def test_count_family_refined():
 
 
 def test_counts_by_length_matches_count_family():
-    # the fixed-length branches of the P and B enumerators prune on their
-    # own, so each is checked against the whole column split by length
+    # the fixed-length branch of the B enumerator prunes on its own, and the
+    # free-length P form stops at the first length too light to reach n, so
+    # each is checked against the whole column split by length
     specs = [
         FamilySpec(kind, i, j) for kind in ("P", "B") for i in (1, 2) for j in range(1, 8)
     ] + [FamilySpec("A", 2)]
