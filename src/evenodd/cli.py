@@ -21,11 +21,14 @@ failure to write the output, and 3 on an internal error (a crash is never a
 verdict).
 Identical invocations produce byte-identical output.  Output is rendered
 while it is written, so a run that exits 2 or 3 part way may leave partial
-output behind; only the exit status says that a run finished.
+output on stdout; only the exit status says that a run finished.  --out
+names a file that is replaced only when the run exits 0 or 1, so a file
+there was written whole.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
@@ -116,27 +119,41 @@ _EMIT_BLOCK_CHARS = 1 << 16  # one write; a default Linux pipe holds 64 KiB
 def _emit(args, chunks: Iterable[str]) -> None:
     """Write an iterable of string chunks to --out or stdout, in blocks.
 
-    The target is opened before the first chunk is rendered, and chunks are
-    rendered only as they are written, so a failure mid-stream leaves the
-    output written so far in place.
+    Chunks are rendered only as they are written, so a failure mid-stream
+    leaves the stdout written so far in place.  --out is written to a new
+    file beside it, which replaces it once every chunk is written; commands
+    emit last, so only a run that exits 0 or 1 leaves a file there.  A
+    target that exists but is not a regular file (a device, a pipe) is
+    written in place.
 
     Every write but the last is a whole number of _EMIT_BLOCK_CHARS
     characters (bytes: the output is ASCII), so a reader on a pipe gets one
     full read per block, not a full read plus a few-byte tail per batch.
     """
-    target = open(args.out, "w") if args.out else nullcontext(sys.stdout)
-    with target as fh:
-        batch, size = [], 0
-        for chunk in chunks:
-            batch.append(chunk)
-            size += len(chunk)
-            if size >= _EMIT_BLOCK_CHARS:
-                text = "".join(batch)
-                size %= _EMIT_BLOCK_CHARS
-                cut = len(text) - size
-                fh.write(text[:cut])
-                batch = [text[cut:]]
-        fh.write("".join(batch))
+    path = args.out and os.path.realpath(args.out)
+    replace = path and (os.path.isfile(path) or not os.path.exists(path))
+    # "x" neither follows a link planted at that name nor reuses a file
+    tmp = "%s.%d.tmp" % (path, os.getpid()) if replace else path
+    target = open(tmp, "x" if replace else "w") if path else nullcontext(sys.stdout)
+    try:
+        with target as fh:
+            batch, size = [], 0
+            for chunk in chunks:
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= _EMIT_BLOCK_CHARS:
+                    text = "".join(batch)
+                    size %= _EMIT_BLOCK_CHARS
+                    cut = len(text) - size
+                    fh.write(text[:cut])
+                    batch = [text[cut:]]
+            fh.write("".join(batch))
+        if replace:
+            os.replace(tmp, path)
+    except BaseException:
+        if replace:
+            os.unlink(tmp)
+        raise
 
 
 class _Parts(dict):

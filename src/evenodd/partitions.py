@@ -262,17 +262,22 @@ def _enumerate_B(n, i, j, fixed_length):
             yield prefix + t
 
 
+def _p_lengths(n, i, j):
+    # the least weight of an m-part member grows with m, so the first
+    # length that cannot reach n ends the lengths a member of weight n has
+    m = 0
+    while _p_least_weights(i, j, m)[m] <= n:
+        yield m
+        m += 1
+
+
 def _enumerate_P(n, i, j, fixed_length):
     if fixed_length is not None:
         yield from _p_members_fixed(n, i, j, fixed_length)
         return
-    # the least weight of an m-part member grows with m, so the first
-    # length that cannot reach n ends the loop
     out = []
-    m = 0
-    while _p_least_weights(i, j, m)[m] <= n:
+    for m in _p_lengths(n, i, j):
         out.extend(_p_members_fixed(n, i, j, m))
-        m += 1
     out.sort(reverse=True)
     yield from out
 
@@ -333,12 +338,13 @@ def _p_class(rem, left, a, b, gap, lo, last_lo):
     return out
 
 
-def _p_members_fixed(n, i, j, m):
-    """List the even-odd family members with exactly m parts.
+def _p_pairs(n, i, j, m):
+    """The even-odd family members with exactly m parts, as (tops, gaps)
+    pairs of class lists whose members are every merge of one entry of
+    tops with one entry of gaps.
 
-    Lexicographically decreasing.  By is_member_unchecked, the parts of an
-    m-part member split by parity into two classes, each with clauses of
-    its own:
+    By is_member_unchecked, the parts of an m-part member split by parity
+    into two classes, each with clauses of its own:
 
     * the bound class: r1 parts of the parity of j-1, each at least
       bound = 2m+j-1, so bound + 2u_1, ..., bound + 2u_r1 for u a
@@ -348,29 +354,39 @@ def _p_members_fixed(n, i, j, m):
       except the smallest, which is at least j when i = 2 (at most i-1
       parts equal j).
 
-    The classes differ in parity, so every pair of class lists merges into
-    one member and every member splits into one pair: the members are the
-    product of the two classes' lists, over r1 and the weight of the bound
-    class.
+    The classes differ in parity, so every pair of class-list entries
+    merges into one member and every member splits into one pair of
+    entries: the lists pair up once per r1 and bound-class weight, and
+    hold len(tops) * len(gaps) members.  tops is ((),) when r1 = 0.
     """
-    if m == 0:
-        return [()] if n == 0 else []
     bound = 2 * m + j - 1
     last_lo = j if i == 2 else j + 2
     # the m - r1 gap-class parts weigh at least lw[m - r1], and the parts'
     # parities make n = m*j - r1 (mod 2)
     lw = _p_least_weights(i, j, m)
-    out = []
     for r1 in range((m * j - n) % 2, m + 1, 2):
         for w1 in range(r1 * bound, n - lw[m - r1] + 1, 2) if r1 else (0,):
             gaps = _p_class(n - w1, m - r1, n, n, 4, j + 2, last_lo)
-            tops = _p_class(w1, r1, w1, w1, 0, bound, bound) if gaps else ()
-            if r1 == 0:
-                out.extend(gaps)
-            else:
-                out.extend([tuple(sorted(t + g, reverse=True)) for t in tops for g in gaps])
+            if gaps:
+                yield _p_class(w1, r1, w1, w1, 0, bound, bound), gaps
+
+
+def _p_members_fixed(n, i, j, m):
+    # the members of every pair of _p_pairs, lexicographically decreasing;
+    # a gap-class entry alone is a whole member
+    out = []
+    for tops, gaps in _p_pairs(n, i, j, m):
+        if tops == _WHOLE:
+            out.extend(gaps)
+        else:
+            out.extend([tuple(sorted(t + g, reverse=True)) for t in tops for g in gaps])
     out.sort(reverse=True)
     return out
+
+
+def _p_count(n, i, j, m):
+    # the number of members _p_members_fixed lists, from the pairs alone
+    return sum(len(tops) * len(gaps) for tops, gaps in _p_pairs(n, i, j, m))
 
 
 def _enumerate_A(n, i, fixed_length):
@@ -395,6 +411,13 @@ def _enumerate_A(n, i, fixed_length):
     return gen(n, n, fixed_length)
 
 
+def _check_bounds(n, fixed_length):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if fixed_length is not None and fixed_length < 0:
+        raise ValueError("fixed_length must be >= 0")
+
+
 def enumerate_family(
     n: int, f: FamilySpec, fixed_length: Optional[int] = None
 ) -> Iterator[Partition]:
@@ -408,10 +431,9 @@ def enumerate_family(
     as the product of its two parity classes, and the free-length form
     merges the lengths' lists.  Sub-lists of weight at most 32 (B tails, P
     class lists) are built once per process and shared by later calls, as
-    tuples no consumer can change.
+    tuples no consumer can change; the counts read the same sub-lists.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_bounds(n, fixed_length)
     if f.kind == "A":
         yield from _enumerate_A(n, f.i, fixed_length)
     elif f.kind == "B":
@@ -434,25 +456,46 @@ def member_groups(
     tails ((),).  A prefix is empty only in the group of the empty
     partition.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_bounds(n, fixed_length)
     if f.kind == "B":
         return _b_groups(n, f.i, f.min_part, fixed_length)
     return ((p, _WHOLE) for p in enumerate_family(n, f, fixed_length))
 
 
 def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> int:
-    """Number of members of family f at weight n (optionally of fixed length)."""
+    """Number of members of family f at weight n (optionally of fixed length).
+
+    Kinds P and B are counted from the enumerator's sub-lists, building no
+    member: len(tops) * len(gaps) per pair of P class lists, len(tails) per
+    B group.  Kind A is enumerated.
+    """
+    _check_bounds(n, fixed_length)
+    if f.kind == "B":
+        return sum(len(tails) for _, tails in _b_groups(n, f.i, f.min_part, fixed_length))
+    if f.kind == "P":
+        lengths = _p_lengths(n, f.i, f.min_part) if fixed_length is None else (fixed_length,)
+        return sum(_p_count(n, f.i, f.min_part, m) for m in lengths)
     return sum(1 for _ in enumerate_family(n, f, fixed_length))
 
 
 def counts_by_length(n: int, f: FamilySpec) -> Counter:
-    """Counter mapping length m to the number of members of f at weight n.
+    """Counter mapping length m to the number of members of f at weight n;
+    lengths with no member are absent.
 
-    One enumeration pass; cheaper than calling count_family per length when
-    a whole column of refined counts is needed.
+    One pass over the sub-lists count_family reads (a B member's length is
+    its prefix's plus its tail's); cheaper than calling count_family per
+    length when a whole column of refined counts is needed.
     """
+    _check_bounds(n, None)
+    if f.kind == "A":
+        return Counter(map(len, enumerate_family(n, f)))
     c = Counter()
-    for p in enumerate_family(n, f):
-        c[len(p)] += 1
+    if f.kind == "B":
+        for prefix, tails in _b_groups(n, f.i, f.min_part, None):
+            c.update(map(len(prefix).__add__, map(len, tails)))
+    else:
+        for m in _p_lengths(n, f.i, f.min_part):
+            members = _p_count(n, f.i, f.min_part, m)
+            if members:
+                c[m] = members
     return c

@@ -156,8 +156,8 @@ def mismatches(cells, pairs):
 
 
 def column(f: FamilySpec, max_n: int, columns=None) -> list:
-    """[counts_by_length(n, f) for n = 0 .. max_n], one enumeration per
-    weight; or the column for f that the caller has counted in columns."""
+    """[counts_by_length(n, f) for n = 0 .. max_n], one count per weight;
+    or the column for f that the caller has counted in columns."""
     col = (columns or {}).get(f)
     return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
 
@@ -236,15 +236,16 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
         p[2k+1](m, n) = p(m, n - 2mk)        b[2k+1](m, n) = b(m, n - 2mk)
         p[2k](m, n)   = p[2k+1](m, n + m)    b[2k](m, n)   = b[2k+1](m, n + m)
 
-    Every left side is read from a whole column (one enumeration per weight
-    n <= max_n, split by length).  A right side is read per cell: the base
-    count p(m, n - 2mk) as one fixed-length enumeration (0 at a negative
-    weight), and p[2k+1](m, n + m) from the odd-shift column when
-    n + m <= max_n, else as one fixed-length enumeration.  So no member is
-    enumerated at a cell that no equation reads.
+    Every left side is read from a whole column (counts_by_length at each
+    weight n <= max_n).  A right side is read per cell: the base count
+    p(m, n - 2mk) as one fixed-length count (0 at a negative weight), and
+    p[2k+1](m, n + m) from the odd-shift column when n + m <= max_n, else
+    as one fixed-length count.  So nothing is counted at a cell that no
+    equation reads.  Each count reads the enumerator's sub-lists
+    (count_family) and builds no member.
 
     columns, when given, maps a FamilySpec to a column the caller has
-    already counted, which is read rather than enumerated again.
+    already counted, which is read rather than counted again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

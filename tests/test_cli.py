@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +19,7 @@ from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family, member_groups, part_allowed_for_A
 from evenodd.qseries import TruncatedSeries, restricted_parts_product
 from evenodd.recurrences import family_count_via_table, system1, variant_for_min_part
+from mutants import drop_b_members, drop_p_members
 
 
 def run(capsys, *argv):
@@ -635,6 +637,70 @@ def _ref_csv(header, rows):
     return buf.getvalue()
 
 
+def _emitting(error=None):
+    # a command that writes 20,000 rows that read "ok", more than one
+    # block, then raises error, if given
+    def command(args):
+        def rows():
+            yield from ("row %d ok\n" % r for r in range(20000))
+            if error is not None:
+                raise error
+
+        cli._emit(args, rows())
+        return 0
+
+    return command
+
+
+@pytest.mark.parametrize("error,code", [(RuntimeError("boom"), 3), (OSError(28, "No space left"), 2)])
+@pytest.mark.parametrize("existing", [None, "old\n"])
+def test_out_is_left_alone_by_a_run_that_fails(capsys, monkeypatch, tmp_path, error, code, existing):
+    target = tmp_path / "out.txt"
+    if existing is not None:
+        target.write_text(existing)
+    monkeypatch.setitem(cli._COMMANDS, "count", _emitting(error))
+    got, out, err = run(capsys, "count", "--n", "6", "--out", str(target))
+    assert (got, out, len(err.splitlines())) == (code, "", 1)
+    # no partial file, at the target or beside it
+    assert os.listdir(tmp_path) == ([] if existing is None else ["out.txt"])
+    assert existing is None or target.read_text() == existing
+
+
+def test_out_is_replaced_by_a_run_that_finishes(capsys, monkeypatch, tmp_path):
+    target, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    monkeypatch.setitem(cli._COMMANDS, "count", _emitting())
+    assert run(capsys, "count", "--n", "6", "--out", str(link)) == (0, "", "")
+    # through the link, with the mode a plain open for writing gives
+    assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["link.txt", "out.txt"]
+    assert target.read_text() == "".join("row %d ok\n" % r for r in range(20000))
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+
+
+def test_out_leaves_a_file_at_its_temporary_name_alone(capsys, tmp_path):
+    # a link planted where the run would write first is neither followed
+    # nor removed, and the run writes nothing
+    target, victim = tmp_path / "out.txt", tmp_path / "victim.txt"
+    victim.write_text("keep\n")
+    planted = tmp_path / ("out.txt.%d.tmp" % os.getpid())
+    planted.symlink_to(victim)
+    code, out, err = run(capsys, "count", "--n", "6", "--out", str(target))
+    assert (code, out, len(err.splitlines())) == (2, "", 1) and planted.name in err
+    assert victim.read_text() == "keep\n" and planted.is_symlink() and not target.exists()
+
+
+def test_out_holds_the_violations_of_a_run_that_exits_1(capsys, monkeypatch, tmp_path):
+    _bump_product(monkeypatch)
+    argv = ["verify", "--family", "A", "--max-n", "30"]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert code == 1 and target.read_text() == out
+
+
 def _ref_partition(p):
     return "(" + ",".join(str(x) for x in p) + ")"
 
@@ -997,25 +1063,6 @@ def test_output_digests(capsys, argv, code, sha256):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
 
 
-def _drop_p_members(monkeypatch, members):
-    original = partitions._p_members_fixed
-
-    def dropping(n, i, j, m):
-        return [p for p in original(n, i, j, m) if p not in members]
-
-    monkeypatch.setattr(partitions, "_p_members_fixed", dropping)
-
-
-def _drop_b_members(monkeypatch, members):
-    original = partitions._b_groups
-
-    def dropping(n, i, j, fixed_length):
-        for prefix, tails in original(n, i, j, fixed_length):
-            yield prefix, [t for t in tails if prefix + t not in members]
-
-    monkeypatch.setattr(partitions, "_b_groups", dropping)
-
-
 def _bump_product(monkeypatch):
     # one coefficient of the kind-A product is off by one
     original = cli.product_for_A
@@ -1048,10 +1095,10 @@ def _bump_table(monkeypatch):
 # different counts at one cell; drop-P-shift breaks both shift equations at
 # some cells.  bump-table perturbs the recursion table itself, not P or B.
 MUTANTS = {
-    "drop-P": lambda mp: _drop_p_members(mp, {(9, 7, 5, 3), (3, 3)}),
-    "drop-B": lambda mp: _drop_b_members(mp, {(4, 2)}),
-    "drop-PB": lambda mp: (_drop_p_members(mp, {(3, 3)}), _drop_b_members(mp, {(5, 1), (4, 2)})),
-    "drop-P-shift": lambda mp: _drop_p_members(mp, {(6,), (11, 5)}),
+    "drop-P": lambda mp: drop_p_members(mp, {(9, 7, 5, 3), (3, 3)}),
+    "drop-B": lambda mp: drop_b_members(mp, {(4, 2)}),
+    "drop-PB": lambda mp: (drop_p_members(mp, {(3, 3)}), drop_b_members(mp, {(5, 1), (4, 2)})),
+    "drop-P-shift": lambda mp: drop_p_members(mp, {(6,), (11, 5)}),
     "bump-A": _bump_product,
     "bump-table": _bump_table,
 }

@@ -18,6 +18,7 @@ from evenodd.partitions import (
     is_member_unchecked,
     member_groups,
 )
+from mutants import drop_b_members, drop_p_members
 
 
 def test_as_partition_accepts_canonical():
@@ -337,17 +338,82 @@ def test_count_family_refined():
 
 
 def test_counts_by_length_matches_count_family():
-    # the fixed-length branch of the B enumerator prunes on its own, and the
-    # free-length P form stops at the first length too light to reach n, so
-    # each is checked against the whole column split by length
+    # the counts read the enumerator's sub-lists (P class-list pairs, B
+    # prefix groups) without building a member, so each is checked against
+    # the members listed, split by length
     specs = [
         FamilySpec(kind, i, j) for kind in ("P", "B") for i in (1, 2) for j in range(1, 8)
-    ] + [FamilySpec("A", 2)]
-    for n in range(0, 25):
+    ] + [FamilySpec("A", 1), FamilySpec("A", 2)]
+    for n in range(0, 41):
         for f in specs:
-            c = counts_by_length(n, f)
-            for m in range(0, n + 1):
-                assert c[m] == count_family(n, f, fixed_length=m), (f, n, m)
+            listed = Counter(map(len, enumerate_family(n, f)))
+            # items, not ==, which would pass a length stored with count 0
+            assert sorted(counts_by_length(n, f).items()) == sorted(listed.items()), (f, n)
+            assert count_family(n, f) == listed.total(), (f, n)
+            for m in range(0, n + 2):
+                assert count_family(n, f, fixed_length=m) == listed[m], (f, n, m)
+
+
+def test_counts_build_no_member(monkeypatch):
+    # P and B are counted from class-list and tail-list lengths, so they
+    # still count with the member-building listings made to raise
+    specs = [FamilySpec(kind, i, j) for kind in ("P", "B") for i in (1, 2) for j in (1, 2, 3)]
+    calls = [(n, f, m) for f in specs for n in (0, 7, 30) for m in (None, 0, 3, 5)]
+    want = [count_family(*call) for call in calls]
+    columns = [counts_by_length(n, f) for f in specs for n in (0, 7, 30)]
+
+    def raising(*args):
+        raise AssertionError("a member was built to be counted")
+
+    monkeypatch.setattr(partitions, "_p_members_fixed", raising)
+    monkeypatch.setattr(partitions, "_enumerate_B", raising)
+    assert [count_family(*call) for call in calls] == want
+    assert [counts_by_length(n, f) for f in specs for n in (0, 7, 30)] == columns
+
+
+# members dropped by each mutant, each a member at one or more indices and
+# minimum parts; the P ones include pairs of each shape: a gap-class entry
+# alone (3,3), a bound-class entry alone (6,) and one of each (8,5,5)
+DROPS = {
+    "P": (drop_p_members, {(3, 3), (9, 7, 5, 3), (6,), (11, 5), (8, 5, 5)}),
+    "B": (drop_b_members, {(4, 2), (9, 7, 5, 3), (5, 1), (12, 9, 3)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DROPS))
+def test_counts_and_listing_see_the_same_drop(monkeypatch, kind):
+    drop, members = DROPS[kind]
+    specs = [FamilySpec(kind, i, j) for i in (1, 2) for j in range(1, 5)]
+    weights = sorted({sum(p) for p in members})
+    before = {(n, f): list(enumerate_family(n, f)) for n in weights for f in specs}
+    assert all(any(p in whole for whole in before.values()) for p in members)
+    drop(monkeypatch, members)
+    for (n, f), whole in before.items():
+        listed = list(enumerate_family(n, f))
+        assert listed == [p for p in whole if p not in members], (n, f)
+        assert counts_by_length(n, f) == Counter(map(len, listed)), (n, f)
+        for m in range(n + 2):
+            assert count_family(n, f, m) == sum(len(p) == m for p in listed), (n, f, m)
+
+
+@pytest.mark.parametrize("kind", ("A", "B", "P"))
+def test_negative_bounds_are_refused(kind):
+    f = FamilySpec(kind, 2)
+    for call in (
+        lambda: list(enumerate_family(5, f, -1)),
+        lambda: member_groups(5, f, -1),
+        lambda: count_family(5, f, -1),
+    ):
+        with pytest.raises(ValueError, match="^fixed_length must be >= 0$"):
+            call()
+    for call in (
+        lambda: list(enumerate_family(-1, f)),
+        lambda: member_groups(-1, f),
+        lambda: count_family(-1, f),
+        lambda: counts_by_length(-1, f),
+    ):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            call()
 
 
 def test_i_monotonicity():

@@ -21,6 +21,7 @@ from evenodd.recurrences import (
     verify_product,
     verify_system,
 )
+from mutants import drop_b_members, drop_p_members
 
 
 def test_base_cells():
@@ -198,27 +199,25 @@ def test_shift_identity_check_clean():
         shift_identity_check(0, 2, 5)
 
 
-# (enumerator, dropped member, its minimum part, the one violation expected
-# from shift_identity_check(1, 2, 20)): the first member of each kind sits at
-# an odd-shift cell above max_n, read by the even-shift equation at
-# (m=4, n=20); the second at a base cell, read by the odd-shift equation at
-# (m=2, n=6+4)
+# (listing, dropped member, its minimum part, the one violation expected
+# from shift_identity_check(1, 2, 20)): the member is dropped at that
+# minimum part from the seam that both the listing and the counts read.
+# The first member of each kind sits at an odd-shift cell above max_n,
+# read by the even-shift equation at (m=4, n=20); the second at a base
+# cell, read by the odd-shift equation at (m=2, n=6+4)
 DROPPED = [
     ("_p_members_fixed", (9, 7, 5, 3), 3, {"i": 2, "m": 4, "n": 20, "expected": 0, "actual": 1}),
     ("_p_members_fixed", (3, 3), 1, {"i": 2, "m": 2, "n": 10, "expected": 1, "actual": 2}),
     ("_enumerate_B", (9, 7, 5, 3), 3, {"i": 2, "m": 4, "n": 20, "expected": 0, "actual": 1}),
     ("_enumerate_B", (4, 2), 1, {"i": 2, "m": 2, "n": 10, "expected": 1, "actual": 2}),
 ]
+_DROPPERS = {"_p_members_fixed": drop_p_members, "_enumerate_B": drop_b_members}
 
 
-@pytest.mark.parametrize("enumerator,member,min_part,violation", DROPPED)
-def test_shift_check_sees_a_dropped_member(monkeypatch, enumerator, member, min_part, violation):
-    original = getattr(partitions, enumerator)
-
-    def dropping(n, i, j, m):
-        return [p for p in original(n, i, j, m) if (p, j) != (member, min_part)]
-
-    monkeypatch.setattr(partitions, enumerator, dropping)
+@pytest.mark.parametrize("listing,member,min_part,violation", DROPPED)
+def test_shift_check_sees_a_dropped_member(monkeypatch, listing, member, min_part, violation):
+    _DROPPERS[listing](monkeypatch, {member}, min_part)
+    assert member not in getattr(partitions, listing)(sum(member), 2, min_part, len(member))
     assert shift_identity_check(1, 2, 20).violations == [violation]
 
 
@@ -253,12 +252,7 @@ def test_verify_family_is_what_the_cli_prints(capsys, flags, f):
 
 
 def test_verify_family_violations_are_the_cli_json(capsys, monkeypatch):
-    original = partitions._p_members_fixed
-
-    def dropping(n, i, j, m):
-        return [p for p in original(n, i, j, m) if p != (3, 3)]
-
-    monkeypatch.setattr(partitions, "_p_members_fixed", dropping)
+    drop_p_members(monkeypatch, {(3, 3)})
     report = verify_family(FamilySpec("P", 2), 20)
     assert report.violations
     assert main(["verify", "--family", "P", "--i", "2", "--max-n", "20", "--format", "json"]) == 1
@@ -329,12 +323,7 @@ def test_report_serialization():
     ],
 )
 def test_failing_report_digests(monkeypatch, sweep, members, sha256):
-    original = partitions._p_members_fixed
-
-    def dropping(n, i, j, m):
-        return [p for p in original(n, i, j, m) if p not in members]
-
-    monkeypatch.setattr(partitions, "_p_members_fixed", dropping)
+    drop_p_members(monkeypatch, members)
     report = sweep(system1(), FamilySpec("P", 2), 20)
     assert not report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha256
