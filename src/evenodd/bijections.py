@@ -22,7 +22,7 @@ Weight and length bookkeeping, with m the input length and n its weight:
   every part by 1, weight n+m, swapping part parities.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .partitions import FamilySpec, Partition, as_partition, enumerate_family, is_member_unchecked
@@ -54,6 +54,9 @@ def _drop_one_inverse(case: None, q: Partition, m: int) -> Partition:
     return tuple([x + 2 for x in q]) + (1,)
 
 
+# a trace asks each member's case twice in a row, once to pick the domain
+# (the record's takes) and once to map it, so the last answer is kept
+@lru_cache(maxsize=1)
 def _p_case_of(p: Partition) -> int:
     m = len(p)
     evens = [x for x in p if x % 2 == 0]

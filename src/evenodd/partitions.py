@@ -178,8 +178,45 @@ _B_MEMO_MAX_REM = 32
 _B_TAILS = {}
 _P_CLASSES = {}
 
+# the counts recurse over the same branching rules and keep every state they
+# reach, each value an int or a tuple of ints: the B length histograms, the
+# fixed-length B counts, the P class-list sizes and the P least weights
+_B_HISTS = {}
+_B_FIXED = {}
+_P_SIZES = {}
+_P_LEAST = {}
+
 # the tails of a group whose prefix is a whole member
 _WHOLE = ((),)
+
+
+def _b_floor(i, j):
+    # gap >= 2 forces distinct parts, so "at most i-1 parts equal j" reduces
+    # to a floor: lo = j for i=2, lo = j+1 for i=1
+    return j if i == 2 else j + 1
+
+
+def _b_parts(rem, hi, lo):
+    # each next part v <= hi, largest first, that leaves a remainder of 0
+    # or one a gap->=2 partition with parts in [lo, v-2] can make up; the
+    # heaviest such partition is v-2, v-4, ... down to lo
+    for v in range(hi, lo - 1, -1):
+        r = rem - v
+        if r == 0:
+            yield v
+            continue
+        top = v - 2
+        t = (top - lo) // 2 + 1
+        if top < lo or r > t * (top - t + 1):
+            return
+        if r >= lo:
+            yield v
+
+
+def _b_fixed_hi(rem, maxp, left, lo):
+    # the largest first of `left` parts that keeps room for left-1 smaller
+    # ones, the tightest packing below it being v-2, v-4, ...
+    return min(maxp, rem - ((left - 1) * lo + (left - 1) * (left - 2)))
 
 
 def _b_groups(n, i, j, fixed_length):
@@ -187,33 +224,15 @@ def _b_groups(n, i, j, fixed_length):
     # remaining weight <= _B_MEMO_MAX_REM below a nonempty prefix is one
     # group: the prefix and that subtree's list in _B_TAILS, keyed by
     # (remaining weight, max part, floor), which every prefix reaching the
-    # subtree shares.  It can be empty, since parts() bounds what a tail can
-    # make up only from above.
-    # gap >= 2 forces distinct parts, so "at most i-1 parts equal j" reduces
-    # to a floor: lo = j for i=2, lo = j+1 for i=1
-    lo = j if i == 2 else j + 1
+    # subtree shares.  It can be empty, since _b_parts bounds what a tail
+    # can make up only from above.
+    lo = _b_floor(i, j)
     if n == 0:
         if not fixed_length:
             yield (), _WHOLE
         return
     if fixed_length == 0:
         return
-
-    def parts(rem, hi):
-        # each next part v <= hi, largest first, that leaves a remainder of 0
-        # or one a gap->=2 partition with parts in [lo, v-2] can make up; the
-        # heaviest such partition is v-2, v-4, ... down to lo
-        for v in range(hi, lo - 1, -1):
-            r = rem - v
-            if r == 0:
-                yield v
-                continue
-            top = v - 2
-            t = (top - lo) // 2 + 1
-            if top < lo or r > t * (top - t + 1):
-                return
-            if r >= lo:
-                yield v
 
     def tails(rem, maxp):
         # every gap->=2 partition of rem > 0 with parts in [lo, maxp], as a
@@ -223,7 +242,7 @@ def _b_groups(n, i, j, fixed_length):
         out = _B_TAILS.get(key)
         if out is None:
             out = []
-            for v in parts(rem, maxp):
+            for v in _b_parts(rem, maxp, lo):
                 if v == rem:
                     out.append((v,))
                 else:
@@ -242,17 +261,63 @@ def _b_groups(n, i, j, fixed_length):
                 yield prefix + (rem,), _WHOLE
             return
         else:
-            # keep room for `left-1` smaller parts, the tightest packing
-            # below v being v-2, v-4, ...
-            hi = min(maxp, rem - ((left - 1) * lo + (left - 1) * (left - 2)))
+            hi = _b_fixed_hi(rem, maxp, left, lo)
             left -= 1
-        for v in parts(rem, hi):
+        for v in _b_parts(rem, hi, lo):
             if v == rem:
                 yield prefix + (v,), _WHOLE
             else:
                 yield from gen(prefix + (v,), rem - v, v - 2, left)
 
     yield from gen((), n, n, fixed_length)
+
+
+def _b_hist(rem, maxp, lo):
+    # h with h[l] the number of tails(rem, maxp) of l parts (the empty tail
+    # when rem = 0), by the rule tails lists them with
+    if rem == 0:
+        return (1,)
+    if maxp > rem:
+        maxp = rem
+    key = (rem, maxp, lo)
+    h = _B_HISTS.get(key)
+    if h is None:
+        h = [0]
+        for v in _b_parts(rem, maxp, lo):
+            sub = _b_hist(rem - v, v - 2, lo)
+            if len(sub) >= len(h):
+                h += [0] * (len(sub) + 1 - len(h))
+            for l, c in enumerate(sub, 1):
+                h[l] += c
+        h = _B_HISTS[key] = tuple(h)
+    return h
+
+
+def _b_lengths(n, i, j):
+    # the length histogram of the B members of weight n: gen's free-length
+    # tree from the root is tails(n, n)
+    return _b_hist(n, n, _b_floor(i, j))
+
+
+def _b_fixed(rem, maxp, left, lo):
+    # the number of members gen's fixed-length branch yields below a prefix
+    # that leaves `left` parts of weight rem, each at most maxp
+    if left == 1:
+        return int(lo <= rem <= maxp)
+    hi = _b_fixed_hi(rem, maxp, left, lo)
+    key = (rem, hi, left, lo)
+    c = _B_FIXED.get(key)
+    if c is None:
+        # hi < rem, so no part ends a member early
+        c = _B_FIXED[key] = sum([_b_fixed(rem - v, v - 2, left - 1, lo) for v in _b_parts(rem, hi, lo)])
+    return c
+
+
+def _b_count(n, i, j, m):
+    # the number of B members of weight n with m parts
+    if n == 0 or m == 0:
+        return int(n == m)
+    return _b_fixed(n, n, m, _b_floor(i, j))
 
 
 def _enumerate_B(n, i, j, fixed_length):
@@ -283,8 +348,8 @@ def _enumerate_P(n, i, j, fixed_length):
 
 
 def _p_least_weights(i, j, m):
-    """lw[l] for l = 0 .. m: a lower bound on the weight of any l parts of an
-    m-part member of P with index i and minimum part j.
+    """lw[l] for l = 0 .. m, as a tuple: a lower bound on the weight of any
+    l parts of an m-part member of P with index i and minimum part j.
 
     lw[l] is the sum of min(c_t, bound) over t < l, where bound = 2m+j-1 and
     c_0, c_1, ... is j, j+2, j+4, ... when i = 2, else j+2, j+2, j+6, j+6, ...
@@ -299,12 +364,24 @@ def _p_least_weights(i, j, m):
     weight of l gap-class parts.  lw[m] grows with m: each term is
     nondecreasing in m, and a longer member adds a term.
     """
-    bound = 2 * m + j - 1
-    lw = [0]
-    for t in range(m):
-        c = j + 2 * t if i == 2 else j + 2 + 4 * (t // 2)
-        lw.append(lw[-1] + min(c, bound))
+    lw = _P_LEAST.get((i, j, m))
+    if lw is None:
+        bound = 2 * m + j - 1
+        lw = [0]
+        for t in range(m):
+            c = j + 2 * t if i == 2 else j + 2 + 4 * (t // 2)
+            lw.append(lw[-1] + min(c, bound))
+        lw = _P_LEAST[i, j, m] = tuple(lw)
     return lw
+
+
+def _p_first_parts(rem, left, a, lo, last_lo):
+    # the first part of a class list: at most a, of lo's parity, the largest
+    # part so at least rem/left, and leaving at least (left-2)*lo + last_lo
+    # for the others
+    hi = min(a, rem - (left - 2) * lo - last_lo)
+    hi -= (hi - lo) % 2
+    return range(hi, max(lo, -(-rem // left)) - 1, -2)
 
 
 def _p_class(rem, left, a, b, gap, lo, last_lo):
@@ -324,12 +401,8 @@ def _p_class(rem, left, a, b, gap, lo, last_lo):
     key = (rem, left, a, b, gap, lo, last_lo)
     out = _P_CLASSES.get(key)
     if out is None:
-        # the first part is the largest, so at least rem/left, and leaves
-        # at least (left-2)*lo + last_lo for the others
-        hi = min(a, rem - (left - 2) * lo - last_lo)
-        hi -= (hi - lo) % 2
         out = []
-        for x in range(hi, max(lo, -(-rem // left)) - 1, -2):
+        for x in _p_first_parts(rem, left, a, lo, last_lo):
             rest = _p_class(rem - x, left - 1, min(x, b), x - gap, gap, lo, last_lo)
             out.extend([(x,) + t for t in rest])
         out = tuple(out)
@@ -338,10 +411,31 @@ def _p_class(rem, left, a, b, gap, lo, last_lo):
     return out
 
 
-def _p_pairs(n, i, j, m):
+def _p_size(rem, left, a, b, gap, lo, last_lo):
+    # len(_p_class(rem, left, a, b, gap, lo, last_lo)), by the same rule
+    if (rem - left * lo) % 2:
+        return 0
+    if left < 2:
+        return int(rem == 0 if left == 0 else last_lo <= rem <= a)
+    if a > rem:
+        a = rem
+    if b > a:
+        b = a
+    key = (rem, left, a, b, gap, lo, last_lo)
+    c = _P_SIZES.get(key)
+    if c is None:
+        c = _P_SIZES[key] = sum([
+            _p_size(rem - x, left - 1, x if x < b else b, x - gap, gap, lo, last_lo)
+            for x in _p_first_parts(rem, left, a, lo, last_lo)
+        ])
+    return c
+
+
+def _p_pairs(n, i, j, m, cls):
     """The even-odd family members with exactly m parts, as (tops, gaps)
     pairs of class lists whose members are every merge of one entry of
-    tops with one entry of gaps.
+    tops with one entry of gaps, for cls = _p_class; for cls = _p_size,
+    the lengths of those lists.
 
     By is_member_unchecked, the parts of an m-part member split by parity
     into two classes, each with clauses of its own:
@@ -366,16 +460,16 @@ def _p_pairs(n, i, j, m):
     lw = _p_least_weights(i, j, m)
     for r1 in range((m * j - n) % 2, m + 1, 2):
         for w1 in range(r1 * bound, n - lw[m - r1] + 1, 2) if r1 else (0,):
-            gaps = _p_class(n - w1, m - r1, n, n, 4, j + 2, last_lo)
+            gaps = cls(n - w1, m - r1, n, n, 4, j + 2, last_lo)
             if gaps:
-                yield _p_class(w1, r1, w1, w1, 0, bound, bound), gaps
+                yield cls(w1, r1, w1, w1, 0, bound, bound), gaps
 
 
 def _p_members_fixed(n, i, j, m):
     # the members of every pair of _p_pairs, lexicographically decreasing;
     # a gap-class entry alone is a whole member
     out = []
-    for tops, gaps in _p_pairs(n, i, j, m):
+    for tops, gaps in _p_pairs(n, i, j, m, _p_class):
         if tops == _WHOLE:
             out.extend(gaps)
         else:
@@ -385,8 +479,8 @@ def _p_members_fixed(n, i, j, m):
 
 
 def _p_count(n, i, j, m):
-    # the number of members _p_members_fixed lists, from the pairs alone
-    return sum(len(tops) * len(gaps) for tops, gaps in _p_pairs(n, i, j, m))
+    # the number of P members of weight n with m parts
+    return sum([tops * gaps for tops, gaps in _p_pairs(n, i, j, m, _p_size)])
 
 
 def _enumerate_A(n, i, fixed_length):
@@ -431,7 +525,8 @@ def enumerate_family(
     as the product of its two parity classes, and the free-length form
     merges the lengths' lists.  Sub-lists of weight at most 32 (B tails, P
     class lists) are built once per process and shared by later calls, as
-    tuples no consumer can change; the counts read the same sub-lists.
+    tuples no consumer can change.  The counts recurse over the same
+    branching rules and build none of these lists.
     """
     _check_bounds(n, fixed_length)
     if f.kind == "A":
@@ -465,13 +560,18 @@ def member_groups(
 def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> int:
     """Number of members of family f at weight n (optionally of fixed length).
 
-    Kinds P and B are counted from the enumerator's sub-lists, building no
-    member: len(tops) * len(gaps) per pair of P class lists, len(tails) per
-    B group.  Kind A is enumerated.
+    Kinds P and B are counted by memoized recursions over the enumerators'
+    own branching rules, building no member and no sub-list: a pair of P
+    class lists holds len(tops) * len(gaps) members, the free-length B
+    tree is counted as a length histogram and the fixed-length one by
+    remaining length.  Every state reached is kept for the rest of the
+    process, as an int or a tuple of ints.  Kind A is enumerated.
     """
     _check_bounds(n, fixed_length)
     if f.kind == "B":
-        return sum(len(tails) for _, tails in _b_groups(n, f.i, f.min_part, fixed_length))
+        if fixed_length is None:
+            return sum(_b_lengths(n, f.i, f.min_part))
+        return _b_count(n, f.i, f.min_part, fixed_length)
     if f.kind == "P":
         lengths = _p_lengths(n, f.i, f.min_part) if fixed_length is None else (fixed_length,)
         return sum(_p_count(n, f.i, f.min_part, m) for m in lengths)
@@ -482,20 +582,15 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
     """Counter mapping length m to the number of members of f at weight n;
     lengths with no member are absent.
 
-    One pass over the sub-lists count_family reads (a B member's length is
-    its prefix's plus its tail's); cheaper than calling count_family per
-    length when a whole column of refined counts is needed.
+    Kinds P and B read the recursions count_family reads (for B, one length
+    histogram of the free-length tree); cheaper than calling count_family
+    per length when a whole column of refined counts is needed.
     """
     _check_bounds(n, None)
     if f.kind == "A":
         return Counter(map(len, enumerate_family(n, f)))
-    c = Counter()
     if f.kind == "B":
-        for prefix, tails in _b_groups(n, f.i, f.min_part, None):
-            c.update(map(len(prefix).__add__, map(len, tails)))
+        counts = enumerate(_b_lengths(n, f.i, f.min_part))
     else:
-        for m in _p_lengths(n, f.i, f.min_part):
-            members = _p_count(n, f.i, f.min_part, m)
-            if members:
-                c[m] = members
-    return c
+        counts = ((m, _p_count(n, f.i, f.min_part, m)) for m in _p_lengths(n, f.i, f.min_part))
+    return Counter({m: c for m, c in counts if c})

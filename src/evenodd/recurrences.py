@@ -156,8 +156,9 @@ def mismatches(cells, pairs):
 
 
 def column(f: FamilySpec, max_n: int, columns=None) -> list:
-    """[counts_by_length(n, f) for n = 0 .. max_n], one count per weight;
-    or the column for f that the caller has counted in columns."""
+    """[counts_by_length(n, f) for n = 0 .. max_n], one count per weight
+    (for kinds P and B, by the memoized count recursions, building no
+    member); or the column for f that the caller has counted in columns."""
     col = (columns or {}).get(f)
     return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
 
@@ -241,8 +242,8 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
     p(m, n - 2mk) as one fixed-length count (0 at a negative weight), and
     p[2k+1](m, n + m) from the odd-shift column when n + m <= max_n, else
     as one fixed-length count.  So nothing is counted at a cell that no
-    equation reads.  Each count reads the enumerator's sub-lists
-    (count_family) and builds no member.
+    equation reads.  Each count is a memoized recursion over the
+    enumerator's branching rules (count_family) and builds no member.
 
     columns, when given, maps a FamilySpec to a column the caller has
     already counted, which is read rather than counted again.

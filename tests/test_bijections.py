@@ -460,3 +460,15 @@ def test_trace_refuses_an_input_under_another_case(monkeypatch):
         ((7, 3), None, None, False, False, False),
         ((6, 4), 2, (4, 2), True, True, True),
     ]
+
+
+@pytest.mark.parametrize("name", [name for name in BIJECTION_NAMES if name.startswith("P-case")])
+def test_p_case_trace_finds_each_case_once(name):
+    # the record's case rule and the forward arithmetic both ask a member's
+    # case; the trace works it out once per member of the domain family
+    bijections._p_case_of.cache_clear()
+    rows = trace_bijection(name, 60)
+    assert bijections._p_case_of.cache_info().misses == 1756
+    # the three cases split the 1,756 nonempty members of weight 60
+    assert len(rows) == {"P-case-even-eq": 468, "P-case-two-threes": 155, "P-case-generic": 1133}[name]
+    assert sum(1 for p in enumerate_family(60, P1) if p) == 1756

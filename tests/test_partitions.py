@@ -7,6 +7,8 @@ import pytest
 from evenodd import partitions
 from evenodd.partitions import (
     _B_MEMO_MAX_REM,
+    _B_TAILS,
+    _P_CLASSES,
     FamilySpec,
     _p_least_weights,
     as_partition,
@@ -18,7 +20,12 @@ from evenodd.partitions import (
     is_member_unchecked,
     member_groups,
 )
+from evenodd.recurrences import family_count_via_table, variant_for_min_part
 from mutants import drop_b_members, drop_p_members
+
+# every memo of the module: the two listing memos and the count memos
+MEMOS = [memo for name, memo in vars(partitions).items() if type(memo) is dict and name[1] != "_"]
+COUNT_MEMOS = [memo for memo in MEMOS if memo is not _B_TAILS and memo is not _P_CLASSES]
 
 
 def test_as_partition_accepts_canonical():
@@ -272,16 +279,29 @@ def test_memos_hold_only_light_tuple_lists():
     # without the weight cap, one free-length P enumeration at n = 100 keeps
     # megabytes of sub-lists for the rest of the process
     for kind in ("P", "B"):
-        list(enumerate_family(100, FamilySpec(kind, 2)))
-        for _, tails in member_groups(100, FamilySpec(kind, 2)):
+        f = FamilySpec(kind, 2)
+        list(enumerate_family(100, f))
+        for _, tails in member_groups(100, f):
             assert type(tails) is tuple
-    for memo in (partitions._B_TAILS, partitions._P_CLASSES):
+        counts_by_length(100, f)
+        assert count_family(100, f, 5) and count_family(100, f)
+    for memo in (_B_TAILS, _P_CLASSES):
         assert memo
         for key, members in memo.items():
             # the first key field is the weight of every listed member
             assert key[0] <= _B_MEMO_MAX_REM, key
             assert type(members) is tuple, key
             assert all(type(t) is tuple and sum(t) == key[0] for t in members), key
+    # the counts keep numbers only, whatever the weight
+    assert len(COUNT_MEMOS) == 4
+    for memo in COUNT_MEMOS:
+        assert memo
+        for key, value in memo.items():
+            assert type(key) is tuple and all(type(x) is int for x in key), key
+            if type(value) is tuple:
+                assert all(type(c) is int for c in value), key
+            else:
+                assert type(value) is int, key
 
 
 @pytest.mark.parametrize("kind", ("P", "B"))
@@ -291,12 +311,22 @@ def test_enumeration_does_not_depend_on_the_memos(kind):
     specs = [FamilySpec(kind, i, j) for i in (1, 2) for j in range(1, 5)]
     for f in specs:
         list(enumerate_family(60, f))
+        counts_by_length(60, f)
+        count_family(100, f, 4)
     calls = [(n, f, m) for f in specs for n in range(31) for m in (None, *range(n + 1))]
-    warm = [list(enumerate_family(*call)) for call in calls]
-    for call, members in zip(calls, warm):
-        partitions._B_TAILS.clear()
-        partitions._P_CLASSES.clear()
+    warm = [(list(enumerate_family(*call)), count_family(*call)) for call in calls]
+    columns = [counts_by_length(n, f) for f in specs for n in range(31)]
+    for call, (members, count) in zip(calls, warm):
+        for memo in MEMOS:
+            memo.clear()
         assert list(enumerate_family(*call)) == members, call
+        for memo in MEMOS:
+            memo.clear()
+        assert count_family(*call) == count, call
+    for call, column in zip([(n, f) for f in specs for n in range(31)], columns):
+        for memo in MEMOS:
+            memo.clear()
+        assert counts_by_length(*call) == column, call
 
 
 def _least_gap_class_offset(i, g):
@@ -355,8 +385,9 @@ def test_counts_by_length_matches_count_family():
 
 
 def test_counts_build_no_member(monkeypatch):
-    # P and B are counted from class-list and tail-list lengths, so they
-    # still count with the member-building listings made to raise
+    # P and B are counted by recursions over the listing's branching rules,
+    # so they still count with the member-building listings made to raise,
+    # and they leave the listing memos empty
     specs = [FamilySpec(kind, i, j) for kind in ("P", "B") for i in (1, 2) for j in (1, 2, 3)]
     calls = [(n, f, m) for f in specs for n in (0, 7, 30) for m in (None, 0, 3, 5)]
     want = [count_family(*call) for call in calls]
@@ -367,13 +398,33 @@ def test_counts_build_no_member(monkeypatch):
 
     monkeypatch.setattr(partitions, "_p_members_fixed", raising)
     monkeypatch.setattr(partitions, "_enumerate_B", raising)
+    monkeypatch.setattr(partitions, "_b_groups", raising)
+    _B_TAILS.clear()
+    _P_CLASSES.clear()
     assert [count_family(*call) for call in calls] == want
     assert [counts_by_length(n, f) for f in specs for n in (0, 7, 30)] == columns
+    assert not _B_TAILS and not _P_CLASSES
+
+
+@pytest.mark.parametrize("kind", ("P", "B"))
+def test_counts_equal_the_tables_past_the_listing(kind):
+    # the recursions count far past the weights the listings are checked
+    # at; the recursion tables (System1/2/3) are a source they never read
+    for i in (1, 2):
+        for j in range(1, 6):
+            f, t = FamilySpec(kind, i, j), variant_for_min_part(j)
+            for n in range(101):
+                row = t.row(i, n)
+                assert count_family(n, f) == family_count_via_table(t, i, n), (f, n)
+                assert counts_by_length(n, f) == Counter({m: c for m, c in enumerate(row) if c}), (f, n)
+                for m in range(len(row)):
+                    if t.stores(m, n):
+                        assert count_family(n, f, m) == row[m], (f, n, m)
 
 
 # members dropped by each mutant, each a member at one or more indices and
-# minimum parts; the P ones include pairs of each shape: a gap-class entry
-# alone (3,3), a bound-class entry alone (6,) and one of each (8,5,5)
+# minimum parts; the P ones include members of each class shape: gap-class
+# parts alone (3,3), bound-class parts alone (6,) and one of each (8,5,5)
 DROPS = {
     "P": (drop_p_members, {(3, 3), (9, 7, 5, 3), (6,), (11, 5), (8, 5, 5)}),
     "B": (drop_b_members, {(4, 2), (9, 7, 5, 3), (5, 1), (12, 9, 3)}),
