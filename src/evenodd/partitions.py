@@ -147,7 +147,12 @@ def enumerate_partitions(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _partitions(n, fixed_length, min_part, None)
 
+
+def _partitions(n, fixed_length, min_part, allowed):
+    # enumerate_partitions with every part v also satisfying allowed(v), or
+    # every part when allowed is None
     def gen(rem, maxp, left):
         if rem == 0:
             if left is None or left == 0:
@@ -159,32 +164,35 @@ def enumerate_partitions(
         lo = min_part
         if left is not None:
             # rem must split into exactly `left` parts from [min_part, v]
-            if rem < left * min_part:
-                return
             hi = min(hi, rem - (left - 1) * min_part)
             lo = max(lo, -(-rem // left))
-        for v in range(hi, lo - 1, -1):
+        parts = range(hi, lo - 1, -1)
+        for v in parts if allowed is None else filter(allowed, parts):
             for tail in gen(rem - v, v, None if left is None else left - 1):
                 yield (v,) + tail
 
     return gen(n, n, fixed_length)
 
 
-# sub-lists of at most this weight (the free-length B tails and the P class
-# lists) are built once per process and shared by every call that reaches
-# them; heavier ones are built again on each call, so the memos stay small.
-# Each memo maps a key whose first field is that weight to a tuple of tuples.
+# sub-lists of at most this weight (the free-length B tails, and the P class
+# offset tuples u, which add 2*sum(u) to their parts) are built once per
+# process and shared by every call that reaches them; heavier ones are built
+# again on each call, so the memos stay small.  Each memo maps a key whose
+# first field is the tails' weight, or sum(u), to a tuple of tuples.
 _B_MEMO_MAX_REM = 32
 _B_TAILS = {}
-_P_CLASSES = {}
+_P_OFFSETS = {}
 
-# the counts recurse over the same branching rules and keep every state they
+# the counts recurse over the same branching rules and keep the states they
 # reach, each value an int or a tuple of ints: the B length histograms, the
-# fixed-length B counts, the P class-list sizes and the P least weights
+# fixed-length B counts, the P class sizes and the P least weights.  A
+# top-level count that leaves more than _COUNT_MEMO_MAX states clears them.
 _B_HISTS = {}
 _B_FIXED = {}
 _P_SIZES = {}
 _P_LEAST = {}
+_COUNT_MEMOS = (_B_HISTS, _B_FIXED, _P_SIZES, _P_LEAST)
+_COUNT_MEMO_MAX = 1 << 18
 
 # the tails of a group whose prefix is a whole member
 _WHOLE = ((),)
@@ -337,14 +345,8 @@ def _p_lengths(n, i, j):
 
 
 def _enumerate_P(n, i, j, fixed_length):
-    if fixed_length is not None:
-        yield from _p_members_fixed(n, i, j, fixed_length)
-        return
-    out = []
-    for m in _p_lengths(n, i, j):
-        out.extend(_p_members_fixed(n, i, j, m))
-    out.sort(reverse=True)
-    yield from out
+    lengths = _p_lengths(n, i, j) if fixed_length is None else (fixed_length,)
+    return sorted([p for m in lengths for p in _p_members_fixed(n, i, j, m)], reverse=True)
 
 
 def _p_least_weights(i, j, m):
@@ -375,134 +377,98 @@ def _p_least_weights(i, j, m):
     return lw
 
 
-def _p_first_parts(rem, left, a, lo, last_lo):
-    # the first part of a class list: at most a, of lo's parity, the largest
-    # part so at least rem/left, and leaving at least (left-2)*lo + last_lo
-    # for the others
-    hi = min(a, rem - (left - 2) * lo - last_lo)
-    hi -= (hi - lo) % 2
-    return range(hi, max(lo, -(-rem // left)) - 1, -2)
-
-
-def _p_class(rem, left, a, b, gap, lo, last_lo):
-    # every non-increasing tuple of `left` parts of lo's parity summing to
-    # rem, as a tuple in lexicographically decreasing order: the first part
-    # is at most a and the second at most b, parts two places apart differ
-    # by at least gap, and every part is at least lo except the last, which
-    # is at least last_lo (<= lo, of lo's parity)
-    if (rem - left * lo) % 2:
-        return ()
-    if left == 0:
-        return _WHOLE if rem == 0 else ()
-    if left == 1:
-        return ((rem,),) if last_lo <= rem <= a else ()
-    a = min(a, rem)
-    b = min(b, a)
-    key = (rem, left, a, b, gap, lo, last_lo)
-    out = _P_CLASSES.get(key)
-    if out is None:
-        out = []
-        for x in _p_first_parts(rem, left, a, lo, last_lo):
-            rest = _p_class(rem - x, left - 1, min(x, b), x - gap, gap, lo, last_lo)
-            out.extend([(x,) + t for t in rest])
-        out = tuple(out)
-        if rem <= _B_MEMO_MAX_REM:
-            _P_CLASSES[key] = out
-    return out
-
-
-def _p_size(rem, left, a, b, gap, lo, last_lo):
-    # len(_p_class(rem, left, a, b, gap, lo, last_lo)), by the same rule
-    if (rem - left * lo) % 2:
-        return 0
+def _p_size(u, left, a, b, g, d):
+    # len(_p_offsets(u, left, a, b, g, d)), by the same rule
     if left < 2:
-        return int(rem == 0 if left == 0 else last_lo <= rem <= a)
-    if a > rem:
-        a = rem
+        return int(u == 0 if left == 0 else -d <= u <= a)
+    if a > u + d:
+        a = u + d
     if b > a:
         b = a
-    key = (rem, left, a, b, gap, lo, last_lo)
+    key = (u, left, a, b, g, d)
     c = _P_SIZES.get(key)
     if c is None:
         c = _P_SIZES[key] = sum([
-            _p_size(rem - x, left - 1, x if x < b else b, x - gap, gap, lo, last_lo)
-            for x in _p_first_parts(rem, left, a, lo, last_lo)
+            _p_size(u - x, left - 1, x if x < b else b, x - g, g, d)
+            for x in range(a, max(0, -(-u // left)) - 1, -1)
         ])
     return c
 
 
-def _p_pairs(n, i, j, m, cls):
-    """The even-odd family members with exactly m parts, as (tops, gaps)
-    pairs of class lists whose members are every merge of one entry of
-    tops with one entry of gaps, for cls = _p_class; for cls = _p_size,
-    the lengths of those lists.
+def _p_offsets(u, left, a, b, g, d):
+    # every non-increasing tuple of `left` offsets summing to u, as a tuple
+    # in lexicographically decreasing order: the first offset is at most a
+    # and the second at most b, offsets two places apart differ by at least
+    # g, and every offset is at least 0 except the last, which is at least
+    # -d.  The first offset is the largest, so at least u/left, and leaves
+    # at least -d for the others.
+    if left < 2:
+        if left == 0:
+            return _WHOLE if u == 0 else ()
+        return ((u,),) if -d <= u <= a else ()
+    a = min(a, u + d)
+    b = min(b, a)
+    key = (u, left, a, b, g, d)
+    out = _P_OFFSETS.get(key)
+    if out is None:
+        out = []
+        for x in range(a, max(0, -(-u // left)) - 1, -1):
+            out.extend([(x,) + t for t in _p_offsets(u - x, left - 1, min(x, b), x - g, g, d)])
+        out = tuple(out)
+        if 2 * u <= _B_MEMO_MAX_REM:
+            _P_OFFSETS[key] = out
+    return out
+
+
+def _p_pairs(n, i, j, m):
+    """The even-odd family members with exactly m parts, as pairs of
+    _p_offsets states (tops, gaps): the members are every merge of a tops
+    tuple u as parts 2m+j-1+2u with a gaps tuple u as parts j+2+2u.
 
     By is_member_unchecked, the parts of an m-part member split by parity
     into two classes, each with clauses of its own:
 
     * the bound class: r1 parts of the parity of j-1, each at least
-      bound = 2m+j-1, so bound + 2u_1, ..., bound + 2u_r1 for u a
-      partition into at most r1 parts, padded with zeros;
-    * the gap class: the other m-r1 parts, of the parity of j, any two of
-      them two places apart differing by at least 4, each at least j+2
-      except the smallest, which is at least j when i = 2 (at most i-1
-      parts equal j).
+      bound = 2m+j-1, so u is a partition into at most r1 parts, padded
+      with zeros;
+    * the gap class: the other m-r1 parts, of the parity of j, two places
+      apart differing by at least 4 (u by 2), each at least j+2 (u >= 0)
+      except the smallest, which is at least j (u >= -1) when i = 2 (at
+      most i-1 parts equal j).
 
-    The classes differ in parity, so every pair of class-list entries
-    merges into one member and every member splits into one pair of
-    entries: the lists pair up once per r1 and bound-class weight, and
-    hold len(tops) * len(gaps) members.  tops is ((),) when r1 = 0.
+    The classes differ in parity, so every pair of tuples merges into one
+    member and every member splits into one pair: the states pair up once
+    per r1 and bound-class weight.  A bound-class state depends on neither
+    m nor j, and a gap-class state not on j.
     """
     bound = 2 * m + j - 1
-    last_lo = j if i == 2 else j + 2
+    d = i - 1
     # the m - r1 gap-class parts weigh at least lw[m - r1], and the parts'
     # parities make n = m*j - r1 (mod 2)
     lw = _p_least_weights(i, j, m)
     for r1 in range((m * j - n) % 2, m + 1, 2):
-        for w1 in range(r1 * bound, n - lw[m - r1] + 1, 2) if r1 else (0,):
-            gaps = cls(n - w1, m - r1, n, n, 4, j + 2, last_lo)
-            if gaps:
-                yield cls(w1, r1, w1, w1, 0, bound, bound), gaps
+        u = (n - r1 * bound - (m - r1) * (j + 2)) // 2
+        for u1 in range((n - lw[m - r1] - r1 * bound) // 2 + 1 if r1 else 1):
+            yield (u1, r1, u1, u1, 0, 0), (u - u1, m - r1, u - u1 + d, u - u1 + d, 2, d)
 
 
 def _p_members_fixed(n, i, j, m):
-    # the members of every pair of _p_pairs, lexicographically decreasing;
-    # a gap-class entry alone is a whole member
+    # the members of every pair of _p_pairs, in no particular order; with
+    # r1 = 0 a gap-class tuple alone is a whole member
+    bound = 2 * m + j - 1
     out = []
-    for tops, gaps in _p_pairs(n, i, j, m, _p_class):
-        if tops == _WHOLE:
-            out.extend(gaps)
-        else:
-            out.extend([tuple(sorted(t + g, reverse=True)) for t in tops for g in gaps])
-    out.sort(reverse=True)
+    for tops, gaps in _p_pairs(n, i, j, m):
+        gaps = [tuple([j + 2 + 2 * u for u in t]) for t in _p_offsets(*gaps)]
+        if tops[1]:
+            tops = [tuple([bound + 2 * u for u in t]) for t in _p_offsets(*tops)]
+            gaps = [tuple(sorted(t + g, reverse=True)) for t in tops for g in gaps]
+        out.extend(gaps)
     return out
 
 
 def _p_count(n, i, j, m):
     # the number of P members of weight n with m parts
-    return sum([tops * gaps for tops, gaps in _p_pairs(n, i, j, m, _p_size)])
-
-
-def _enumerate_A(n, i, fixed_length):
-    def gen(rem, maxp, left):
-        if rem == 0:
-            if left is None or left == 0:
-                yield ()
-            return
-        if left == 0:
-            return
-        hi = min(maxp, rem)
-        if left is not None:
-            if rem < left:
-                return
-            hi = min(hi, rem - (left - 1))
-        for v in range(hi, 0, -1):
-            if not part_allowed_for_A(v, i):
-                continue
-            for tail in gen(rem - v, v, None if left is None else left - 1):
-                yield (v,) + tail
-
-    return gen(n, n, fixed_length)
+    return sum([_p_size(*tops) * _p_size(*gaps) for tops, gaps in _p_pairs(n, i, j, m)])
 
 
 def _check_bounds(n, fixed_length):
@@ -523,14 +489,15 @@ def enumerate_family(
     and yields groups of members that share a prefix (see member_groups);
     this form flattens them.  The P enumerator lists each length on its own
     as the product of its two parity classes, and the free-length form
-    merges the lengths' lists.  Sub-lists of weight at most 32 (B tails, P
-    class lists) are built once per process and shared by later calls, as
-    tuples no consumer can change.  The counts recurse over the same
-    branching rules and build none of these lists.
+    merges the lengths' lists; each class is listed as offsets from its
+    least part (see _p_pairs).  Sub-lists of weight at most 32 (B tails, P
+    class offset tuples) are built once per process and shared by later
+    calls, as tuples no consumer can change.  The counts recurse over the
+    same branching rules and build none of these lists.
     """
     _check_bounds(n, fixed_length)
     if f.kind == "A":
-        yield from _enumerate_A(n, f.i, fixed_length)
+        yield from _partitions(n, fixed_length, 1, lambda v: part_allowed_for_A(v, f.i))
     elif f.kind == "B":
         yield from _enumerate_B(n, f.i, f.min_part, fixed_length)
     else:
@@ -557,25 +524,31 @@ def member_groups(
     return ((p, _WHOLE) for p in enumerate_family(n, f, fixed_length))
 
 
+def _bounded(result):
+    # result, after clearing the count memos if they hold too many states
+    if sum(map(len, _COUNT_MEMOS)) > _COUNT_MEMO_MAX:
+        for memo in _COUNT_MEMOS:
+            memo.clear()
+    return result
+
+
 def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> int:
     """Number of members of family f at weight n (optionally of fixed length).
 
     Kinds P and B are counted by memoized recursions over the enumerators'
     own branching rules, building no member and no sub-list: a pair of P
-    class lists holds len(tops) * len(gaps) members, the free-length B
-    tree is counted as a length histogram and the fixed-length one by
-    remaining length.  Every state reached is kept for the rest of the
-    process, as an int or a tuple of ints.  Kind A is enumerated.
+    class states (see _p_pairs) holds the product of their sizes in
+    members, the free-length B tree is counted as a length histogram and
+    the fixed-length one by remaining length.  The states reached are kept
+    across calls, as ints or tuples of ints, until a call leaves more than
+    _COUNT_MEMO_MAX of them, which clears them all.  Kind A is enumerated.
     """
     _check_bounds(n, fixed_length)
-    if f.kind == "B":
-        if fixed_length is None:
-            return sum(_b_lengths(n, f.i, f.min_part))
-        return _b_count(n, f.i, f.min_part, fixed_length)
-    if f.kind == "P":
-        lengths = _p_lengths(n, f.i, f.min_part) if fixed_length is None else (fixed_length,)
-        return sum(_p_count(n, f.i, f.min_part, m) for m in lengths)
-    return sum(1 for _ in enumerate_family(n, f, fixed_length))
+    if fixed_length is None:
+        return counts_by_length(n, f).total()
+    if f.kind == "A":
+        return sum(1 for _ in enumerate_family(n, f, fixed_length))
+    return _bounded((_b_count if f.kind == "B" else _p_count)(n, f.i, f.min_part, fixed_length))
 
 
 def counts_by_length(n: int, f: FamilySpec) -> Counter:
@@ -593,4 +566,4 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
         counts = enumerate(_b_lengths(n, f.i, f.min_part))
     else:
         counts = ((m, _p_count(n, f.i, f.min_part, m)) for m in _p_lengths(n, f.i, f.min_part))
-    return Counter({m: c for m, c in counts if c})
+    return _bounded(Counter({m: c for m, c in counts if c}))

@@ -8,7 +8,7 @@ from evenodd import partitions
 from evenodd.partitions import (
     _B_MEMO_MAX_REM,
     _B_TAILS,
-    _P_CLASSES,
+    _P_OFFSETS,
     FamilySpec,
     _p_least_weights,
     as_partition,
@@ -25,7 +25,7 @@ from mutants import drop_b_members, drop_p_members
 
 # every memo of the module: the two listing memos and the count memos
 MEMOS = [memo for name, memo in vars(partitions).items() if type(memo) is dict and name[1] != "_"]
-COUNT_MEMOS = [memo for memo in MEMOS if memo is not _B_TAILS and memo is not _P_CLASSES]
+COUNT_MEMOS = [memo for memo in MEMOS if memo is not _B_TAILS and memo is not _P_OFFSETS]
 
 
 def test_as_partition_accepts_canonical():
@@ -285,10 +285,11 @@ def test_memos_hold_only_light_tuple_lists():
             assert type(tails) is tuple
         counts_by_length(100, f)
         assert count_family(100, f, 5) and count_family(100, f)
-    for memo in (_B_TAILS, _P_CLASSES):
+    for memo in (_B_TAILS, _P_OFFSETS):
         assert memo
         for key, members in memo.items():
-            # the first key field is the weight of every listed member
+            # the first key field is the weight of every listed tail, and
+            # the sum U of every listed P class offset tuple
             assert key[0] <= _B_MEMO_MAX_REM, key
             assert type(members) is tuple, key
             assert all(type(t) is tuple and sum(t) == key[0] for t in members), key
@@ -400,10 +401,53 @@ def test_counts_build_no_member(monkeypatch):
     monkeypatch.setattr(partitions, "_enumerate_B", raising)
     monkeypatch.setattr(partitions, "_b_groups", raising)
     _B_TAILS.clear()
-    _P_CLASSES.clear()
+    _P_OFFSETS.clear()
     assert [count_family(*call) for call in calls] == want
     assert [counts_by_length(n, f) for f in specs for n in (0, 7, 30)] == columns
-    assert not _B_TAILS and not _P_CLASSES
+    assert not _B_TAILS and not _P_OFFSETS
+
+
+def test_count_memos_stay_within_their_bound(monkeypatch):
+    # a top-level count that leaves more states than the bound clears every
+    # count memo; the counts are the same with and without the clearing
+    specs = [FamilySpec(kind, i, j) for kind in ("P", "B") for i in (1, 2) for j in (1, 3)]
+    calls = [(n, f, m) for f in specs for n in (0, 25, 50, 75) for m in (None, 2, 5)]
+    want = [count_family(*call) for call in calls]
+    columns = [((n, f), counts_by_length(n, f)) for f in specs for n in (25, 75)]
+    for memo in MEMOS:
+        memo.clear()
+    monkeypatch.setattr(partitions, "_COUNT_MEMO_MAX", 300)
+    sizes = []
+    for call, count in zip(calls, want):
+        assert count_family(*call) == count, call
+        sizes.append(sum(map(len, COUNT_MEMOS)))
+    for call, column in columns:
+        assert counts_by_length(*call) == column, call
+        sizes.append(sum(map(len, COUNT_MEMOS)))
+    assert max(sizes) <= 300
+    # the bound was passed, and cleared, more than once
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 1
+
+
+def test_p_class_states_are_shared_across_lengths_and_minimum_parts():
+    # a class state is keyed by its offsets from the least part, so a
+    # bound-class state (g = d = 0) serves every length and minimum part
+    # and a gap-class state every minimum part
+    for memo in MEMOS:
+        memo.clear()
+    for n in range(121):
+        counts_by_length(n, FamilySpec("P", 2))
+    assert len(partitions._P_SIZES) <= 8100
+    for i in (1, 2):
+        for memo in MEMOS:
+            memo.clear()
+        for n in range(61):
+            counts_by_length(n, FamilySpec("P", i, 1))
+        bound_class = {key for key in partitions._P_SIZES if key[4:] == (0, 0)}
+        assert bound_class
+        for n in range(61):
+            counts_by_length(n, FamilySpec("P", i, 3))
+        assert {key for key in partitions._P_SIZES if key[4:] == (0, 0)} == bound_class, i
 
 
 @pytest.mark.parametrize("kind", ("P", "B"))
