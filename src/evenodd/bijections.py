@@ -9,6 +9,9 @@ the codomain of the case the arithmetic returns (an executable restatement of
 the corresponding proof step, never assumed).  A public inverse checks its
 input against that codomain, reconstructs exactly, and checks the preimage
 against the domain and the case rule; a trace makes each check once.
+bijection_domain lists a map's domain at one weight, and trace_bijection
+traces whatever members its caller passes, lazily and in order, so a caller
+can trace a domain one block at a time and hold one block of rows.
 
 Weight and length bookkeeping, with m the input length and n its weight:
 
@@ -311,17 +314,14 @@ def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> 
     return _inverse("shift-add-one", None, q, k=k, kind=kind, i=i)
 
 
-def _domain_members(n, rec: _Map):
-    return (p for p in enumerate_family(n, rec.domain) if p and rec.takes(p))
-
-
 def bijection_domain(name, n, k=None, kind="P", i=None):
     """Iterate over the domain members of the named map at weight n.
 
     The empty partition is never listed (weight 0 traces are empty).  Shift
     maps need k >= 1; their kind defaults to P and their index to 2.
     """
-    return _domain_members(n, _resolve(name, k, kind, i))
+    rec = _resolve(name, k, kind, i)
+    return (p for p in enumerate_family(n, rec.domain) if p and rec.takes(p))
 
 
 class TraceRow:
@@ -351,23 +351,34 @@ class TraceRow:
         return d
 
 
-def trace_bijection(name, n, k=None, kind="P", i=None):
-    """Apply the named map to every domain member at weight n.
+def trace_bijection(name, members, k=None, kind="P", i=None):
+    """Apply the named map to each of members, read lazily and in order.
 
-    Returns a list of TraceRow; the map is resolved once per trace.  A row
-    checks the input against the domain family and the case the arithmetic
-    returns (domain_ok; case and output None on a failure, which fails the
-    other flags too), maps it, checks the image's codomain (codomain_ok;
-    case None on a failure) and inverts it (roundtrip_ok: the preimage
-    equals the input), making each distinct check once: the public
-    inverse's own checks repeat these.
+    Returns a list with one TraceRow per member; the map is resolved once per
+    call, so a caller may trace a domain one block at a time (for instance
+    islice(bijection_domain(name, n), size), called until it returns []).
+    A row checks the input (the tuple of the member) against the domain: its
+    parts are ints, it is in the domain family, and the forward arithmetic
+    accepts it under the record's case (domain_ok; case and output None on a
+    failure, which fails the other flags too).  It then checks the image's
+    codomain (codomain_ok; case None on a failure) and inverts it
+    (roundtrip_ok: the preimage equals the input), making each distinct
+    check once: the public inverse's own checks repeat these.  A member
+    that is not canonical or not in the map's domain gives a failed row,
+    never an exception.
     """
     rec = _resolve(name, k, kind, i)
     domain, want, codomain, forward, inverse = rec.domain, rec.case, rec.codomain, rec.forward, rec.inverse
     rows = []
     append = rows.append
-    for p in _domain_members(n, rec):
-        case, image = forward(p) if is_member_unchecked(p, domain) else (None, None)
+    for p in members:
+        p = tuple(p)
+        case = image = None
+        if set(map(type, p)) <= {int} and is_member_unchecked(p, domain):
+            try:
+                case, image = forward(p)
+            except BijectionDomainError:
+                pass
         if image is None or case != want:
             append(TraceRow(name, p, None, None, False, False, False))
         elif not is_member_unchecked(image, codomain):

@@ -21,9 +21,12 @@ failure to write the output, and 3 on an internal error (a crash is never a
 verdict).
 Identical invocations produce byte-identical output.  Output is rendered
 while it is written, so a run that exits 2 or 3 part way may leave partial
-output on stdout; only the exit status says that a run finished.  --out
-names a file that is replaced only when the run exits 0 or 1, so a file
-there was written whole.
+output on stdout; only the exit status says that a run finished.  A
+bijection trace is also computed while it is written, _TRACE_BLOCK rows at
+a time, so it holds one block of rows and its verdict (exit 1 when any row
+failed) is known only once the last row is written.  --out names a file
+that is replaced only when the run exits 0 or 1, so a file there was
+written whole.
 """
 
 import argparse
@@ -31,11 +34,11 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from .bijections import BIJECTION_NAMES, takes_k, trace_bijection
+from .bijections import BIJECTION_NAMES, bijection_domain, takes_k, trace_bijection
 from .partitions import FamilySpec, count_family, member_groups
 from .qseries import product_for_A
 from .recurrences import (
@@ -326,6 +329,11 @@ def cmd_list(args) -> int:
     return 0
 
 
+# rows per trace call: a json row is about 120 bytes, so the first block
+# fills the first _EMIT_BLOCK_CHARS write
+_TRACE_BLOCK = 1024
+
+
 def _json_trace_rows(rows):
     """_json_encode(r.to_dict()) for each TraceRow (with bool flags) of rows,
     formatted directly: the keys in sorted order, "case" only when not None.
@@ -355,8 +363,17 @@ def cmd_bijection(args) -> int:
     n = args.n
     if _exceeds("bijection enumerates the domain", "--n", n, "oracle limit", args.oracle_limit):
         return 2
-    rows = trace_bijection(args.bijection, n, k=args.k, kind=args.family.kind, i=args.family.i)
-    ok = all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)
+    name, kw = args.bijection, dict(k=args.k, kind=args.family.kind, i=args.family.i)
+    domain = bijection_domain(name, n, **kw)
+    verdicts = []
+
+    def traced():
+        # each block's verdict is noted before its rows are rendered
+        for block in iter(lambda: trace_bijection(name, islice(domain, _TRACE_BLOCK), **kw), []):
+            verdicts.append(all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in block))
+            yield from block
+
+    rows = traced()
     part = _Parts().__getitem__
     if args.format == "json":
         chunks = _json_array(_json_trace_rows(rows))
@@ -389,7 +406,7 @@ def cmd_bijection(args) -> int:
             for r in rows
         )
     _emit(args, chunks)
-    return 0 if ok else 1
+    return 0 if all(verdicts) else 1
 
 
 def cmd_series(args) -> int:

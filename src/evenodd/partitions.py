@@ -440,7 +440,13 @@ def _p_pairs(n, i, j, m):
     member and every member splits into one pair: the states pair up once
     per r1 and bound-class weight.  A bound-class state depends on neither
     m nor j, and a gap-class state not on j.
+
+    Every part is at least j, so there is no pair when m*j > n; this is
+    checked first, as a huge fixed length would otherwise build m+1 least
+    weights and try m+1 values of r1.
     """
+    if m * j > n:
+        return
     bound = 2 * m + j - 1
     d = i - 1
     # the m - r1 gap-class parts weigh at least lw[m - r1], and the parts'

@@ -297,7 +297,7 @@ def test_shift_add_one_swaps_parities():
 
 
 def test_trace_p_drop_one_at_six():
-    rows = trace_bijection("P-drop-one", 6)
+    rows = trace_bijection("P-drop-one", bijection_domain("P-drop-one", 6))
     assert len(rows) == 1
     r = rows[0]
     assert r.input == (5, 1) and r.output == (3,)
@@ -312,19 +312,19 @@ def test_trace_p_drop_one_at_six():
 
 
 def test_trace_includes_case_key():
-    rows = trace_bijection("P-case-two-threes", 16)
+    rows = trace_bijection("P-case-two-threes", bijection_domain("P-case-two-threes", 16))
     d = [r.to_dict() for r in rows if r.input == (10, 3, 3)]
     assert d and d[0]["case"] == 2 and d[0]["output"] == [6, 4]
 
 
 def test_traces_empty_at_zero():
     for name in BIJECTION_NAMES:
-        assert trace_bijection(name, 0, k=1) == []
+        assert trace_bijection(name, bijection_domain(name, 0, k=1), k=1) == []
 
 
 def test_trace_all_names_verify():
     for name in BIJECTION_NAMES:
-        rows = trace_bijection(name, 14, k=1)
+        rows = trace_bijection(name, bijection_domain(name, 14, k=1), k=1)
         assert all(r.codomain_ok and r.roundtrip_ok for r in rows)
 
 
@@ -386,7 +386,7 @@ TRACES = [(name, None, "P", None) for name in BIJECTION_NAMES if not bijections.
 def test_trace_rows_equal_the_public_maps(name, k, kind, i):
     seen = 0
     for n in range(31):
-        rows = trace_bijection(name, n, k=k, kind=kind, i=i)
+        rows = trace_bijection(name, bijection_domain(name, n, k=k, kind=kind, i=i), k=k, kind=kind, i=i)
         assert [r.input for r in rows] == list(bijection_domain(name, n, k=k, kind=kind, i=i))
         for r in rows:
             case, image, preimage = _public_row(name, r.input, k, kind, i)
@@ -395,6 +395,20 @@ def test_trace_rows_equal_the_public_maps(name, k, kind, i):
             assert got == (name, case, image, True, True, True)
         seen += len(rows)
     assert seen
+    # members the caller passes, read as tuples: each one that is not
+    # canonical or not in the map's domain fails its row and raises nothing
+    p = next(r.input for r in rows if len(set(r.input)) > 1)
+    bad = [p[:-1] + (True,), p[:-1] + (float(p[-1]),), p + (0,), p[::-1]]
+    if not bijections.takes_k(name):
+        bad.append(())
+    if name == "P-drop-one":
+        assert is_member_unchecked((6,), P2)
+        bad.append((6,))
+    rows = trace_bijection(name, [p, *bad, list(p)], k=k, kind=kind, i=i)
+    assert [r.input for r in rows] == [p, *bad, p]
+    assert rows[0].roundtrip_ok and rows[-1].roundtrip_ok
+    for r in rows[1:-1]:
+        assert (r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok) == (None, None, False, False, False)
 
 
 def _outside(image):
@@ -423,7 +437,7 @@ def _mutant(name, which):
 def test_broken_arithmetic_fails_every_row(capsys, monkeypatch, name, which):
     rec = bijections._MAPS[name]
     monkeypatch.setattr(bijections, getattr(rec, which), _mutant(name, which))
-    rows = trace_bijection(name, 14, k=1)
+    rows = trace_bijection(name, bijection_domain(name, 14, k=1), k=1)
     assert rows
     for r in rows:
         if which == "forward":
@@ -446,15 +460,15 @@ def test_trace_makes_two_membership_checks_per_row(monkeypatch, name):
         return is_member_unchecked(p, f)
 
     monkeypatch.setattr(bijections, "is_member_unchecked", counting)
-    rows = trace_bijection(name, 40, k=1)
+    rows = trace_bijection(name, bijection_domain(name, 40, k=1), k=1)
     assert rows and sum(calls.values()) == 2 * len(rows)
 
 
 def test_trace_refuses_an_input_under_another_case(monkeypatch):
     real = bijections._b_case_map
     monkeypatch.setattr(bijections, "_b_case_map", lambda p: (1,) + real(p)[1:] if p == (7, 3) else real(p))
-    assert [r.domain_ok for r in trace_bijection("B-case-min3", 9)] == [True, True]
-    rows = trace_bijection("B-case-min3", 10)
+    assert [r.domain_ok for r in trace_bijection("B-case-min3", bijection_domain("B-case-min3", 9))] == [True, True]
+    rows = trace_bijection("B-case-min3", bijection_domain("B-case-min3", 10))
     assert [(r.input, r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok) for r in rows] == [
         ((10,), 2, (8,), True, True, True),
         ((7, 3), None, None, False, False, False),
@@ -467,7 +481,7 @@ def test_p_case_trace_finds_each_case_once(name):
     # the record's case rule and the forward arithmetic both ask a member's
     # case; the trace works it out once per member of the domain family
     bijections._p_case_of.cache_clear()
-    rows = trace_bijection(name, 60)
+    rows = trace_bijection(name, bijection_domain(name, 60))
     assert bijections._p_case_of.cache_info().misses == 1756
     # the three cases split the 1,756 nonempty members of weight 60
     assert len(rows) == {"P-case-even-eq": 468, "P-case-two-threes": 155, "P-case-generic": 1133}[name]

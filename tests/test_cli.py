@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -14,7 +15,7 @@ from collections import Counter
 import pytest
 
 from evenodd import bijections, cli, partitions, recurrences
-from evenodd.bijections import TraceRow, trace_bijection
+from evenodd.bijections import TraceRow, bijection_domain, trace_bijection
 from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family, member_groups, part_allowed_for_A
 from evenodd.qseries import TruncatedSeries, restricted_parts_product
@@ -189,7 +190,7 @@ def test_failing_trace_is_reported_and_exits_1(capsys, monkeypatch, broken, fmt)
     # one map patched in the module: a trace resolved after the patch uses it
     attr, patch, case, image, cod_ok, line = FAILING_TRACES[broken]
     monkeypatch.setattr(bijections, attr, patch(getattr(bijections, attr)))
-    rows = trace_bijection("B-case-min3", 10)
+    rows = trace_bijection("B-case-min3", bijection_domain("B-case-min3", 10))
     assert [(r.input, r.case, r.output, r.codomain_ok, r.roundtrip_ok) for r in rows] == [
         ((10,), 2, (8,), True, True),
         ((7, 3), case, image, cod_ok, False),
@@ -235,6 +236,84 @@ def test_trace_reports_a_domain_disagreement(capsys, monkeypatch, fmt):
     monkeypatch.setattr(bijections, "enumerate_family", lambda n, f: itertools.chain([(4, 2)], real(n, f)))
     code, out, err = run(capsys, "bijection", "P-case-generic", "--n", "6", "--format", fmt)
     assert (code, out, err) == (1, INJECTED_NON_MEMBER[fmt], "")
+
+
+def _streamed(monkeypatch, argv):
+    """Run argv with trace blocks of 20 rows and writes of 1 KiB: the exit
+    status, stdout, the row count of each trace call, and how many calls
+    had been made when stdout first received bytes."""
+    sizes, first_write = [], []
+    real = cli.trace_bijection
+
+    def counting(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        sizes.append(len(rows))
+        return rows
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            if s and not first_write:
+                first_write.append(len(sizes))
+            return super().write(s)
+
+    monkeypatch.setattr(cli, "_TRACE_BLOCK", 20)
+    monkeypatch.setattr(cli, "_EMIT_BLOCK_CHARS", 1 << 10)
+    monkeypatch.setattr(cli, "trace_bijection", counting)
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue(), sizes, first_write[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_bijection_traces_and_writes_one_block_at_a_time(capsys, monkeypatch, fmt):
+    argv = ["bijection", "B-case-min3", "--n", "40", "--format", fmt]
+    ref = run(capsys, *argv)
+    code, out, sizes, first_write = _streamed(monkeypatch, argv)
+    assert (code, out, "") == ref and code == 0
+    # 154 rows: eight blocks and the empty call that ends them
+    assert sizes == [20] * 7 + [14, 0]
+    assert first_write < len(sizes)
+
+
+# B-case-min3 --n 40's last member, its image, and that row failing its
+# codomain check (the image sent to (10,9)) or its round trip (the image
+# sent back to itself)
+_LATE, _LATE_IMAGE = (12, 10, 8, 6, 4), (10, 8, 6, 4, 2)
+LATE_FAILURES = {
+    "codomain": ("_b_case_map", lambda real: lambda p: (2, (10, 9)) if p == _LATE else real(p)),
+    "roundtrip": ("_b_case_inverse", lambda real: lambda case, q, m: q if q == _LATE_IMAGE else real(case, q, m)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("broken", sorted(LATE_FAILURES))
+def test_failure_in_the_last_block_exits_1(capsys, monkeypatch, broken, fmt):
+    argv = ["bijection", "B-case-min3", "--n", "40", "--format", fmt]
+    _, ref, _ = run(capsys, *argv)
+    attr, patch = LATE_FAILURES[broken]
+    monkeypatch.setattr(bijections, attr, patch(getattr(bijections, attr)))
+    code, out, sizes, first_write = _streamed(monkeypatch, argv)
+    # output began before the last block, the one with the failing row
+    assert code == 1 and first_write < len(sizes) - 2
+    # every row but the last as before; the json and csv rows carry no
+    # round-trip flag, so there a round-trip failure shows in the exit only
+    image = (10, 9) if broken == "codomain" else _LATE_IMAGE
+    if fmt == "json":
+        want = json.loads(ref)
+        want[-1].update(codomain_ok=broken != "codomain", output=list(image))
+        if broken == "codomain":
+            del want[-1]["case"]
+        assert json.loads(out) == want
+    elif fmt == "csv":
+        want = list(csv.reader(io.StringIO(ref)))
+        if broken == "codomain":
+            want[-1][2:] = ["", "10 9", "True", "False"]
+        assert list(csv.reader(io.StringIO(out))) == want
+    else:
+        arrow = " ->" if broken == "codomain" else " -> case 2 ->"
+        failed = "(12,10,8,6,4)%s (%s) FAILED" % (arrow, ",".join(map(str, image)))
+        assert out.splitlines() == ref.splitlines()[:-1] + [failed]
 
 
 def test_json_trace_row_matches_the_encoder():
@@ -316,6 +395,15 @@ def test_structural_zero_counts_need_no_fill(capsys, monkeypatch, m):
     monkeypatch.setattr(recurrences.CountTable, "_fill", _no_fill)
     code, out, err = run(capsys, "count", "--family", "B", "--n", "1000000000", "--fixed-length", m)
     assert (code, out, err) == (0, "0\n", "")
+
+
+def test_p_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):
+    # every part is at least 1, so no member of weight 10 has more than 10
+    # parts: neither command builds least weights for a longer member
+    monkeypatch.setattr(partitions, "_P_LEAST", {})
+    assert run(capsys, "count", "--family", "P", "--n", "10", "--fixed-length", "1000000") == (0, "0\n", "")
+    assert run(capsys, "list", "--family", "P", "--n", "10", "--fixed-length", "1000000") == (0, "", "")
+    assert not [key for key in partitions._P_LEAST if key[2] > 10]
 
 
 def test_bijection_json_trace_keys(capsys):
@@ -873,7 +961,7 @@ def test_table_streams_the_reference_bytes(capsys, tmp_path, max_n, flags, min_p
 )
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_bijection_streams_the_reference_bytes(capsys, tmp_path, name, n, flags, kind, k, i, fmt):
-    rows = trace_bijection(name, n, k=k, kind=kind, i=i)
+    rows = trace_bijection(name, bijection_domain(name, n, k=k, kind=kind, i=i), k=k, kind=kind, i=i)
     assert bool(rows) == (n > 0)
     if fmt == "json":
         ref = _ref_json([r.to_dict() for r in rows])
