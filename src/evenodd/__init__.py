@@ -19,6 +19,19 @@ from .partitions import (
 
 __version__ = "0.1.0"
 
+# imported on first read of evenodd.<name> (PEP 562), so `import evenodd`
+# compiles only partitions
+_SUBMODULES = ("bijections", "cli", "qseries", "recurrences")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 __all__ = [
     "FamilySpec",
     "Partition",

@@ -5,13 +5,19 @@ Each subcommand has only the flags it reads, as _READS lists them, plus
 --format and --out.  Any other argument is refused with one stderr line,
 "<command> takes no <args>", and exit status 2.
 
+A run loads only what its command reads.  This module imports partitions,
+which every command reads; a command imports what it reads of recurrences,
+qseries, bijections or json when it runs, never into this module's
+globals, so a name patched on its module is the one run.  A subcommand's parser gets its flags
+when it first parses (_CommandParser).
+
 `count` and `series` read one source, which `_counter` picks: kind-A
 totals come from the product; any other count is enumerated up to
 --oracle-limit; above that, kinds P and B read the recursion table of their
 minimum part (so `count --family P` is the table's value there), filled up
 to MAX_FILL_N.  `verify` runs one check of the library, which names the
 counts its identity compares: recurrences.verify_family for kinds P and B,
-verify_product for kind A (given this module's product_for_A series).  A
+verify_product for kind A (given qseries.product_for_A's series).  A
 bound that a run would pass is refused with one stderr line, "<what the
 command reads>; <flag> <value> exceeds the <bound> <limit>", and exit status 2.
 
@@ -30,25 +36,12 @@ written whole.
 """
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from typing import Iterable
 
-from .bijections import BIJECTION_NAMES, bijection_domain, takes_k, trace_bijection
 from .partitions import FamilySpec, count_family, member_groups
-from .qseries import product_for_A
-from .recurrences import (
-    VerificationReport,
-    family_count_via_table,
-    refined_AB_witness,
-    variant_for_min_part,
-    verify_family,
-    verify_product,
-)
 
 DEFAULT_ORACLE_LIMIT = 60
 DEFAULT_DP_MAX_N = 200
@@ -76,6 +69,8 @@ def _family_from_args(args):
     if k is not None and k < 1:
         refusal = "--k must be >= 1"
     elif args.command == "bijection":
+        from .bijections import takes_k
+
         name = args.bijection
         if not takes_k(name):
             if args.family or args.i or k is not None:
@@ -119,7 +114,7 @@ def _oracle_limit_unread(args):
 _EMIT_BLOCK_CHARS = 1 << 16  # one write; a default Linux pipe holds 64 KiB
 
 
-def _emit(args, chunks: Iterable[str]) -> None:
+def _emit(args, chunks) -> None:
     """Write an iterable of string chunks to --out or stdout, in blocks.
 
     Chunks are rendered only as they are written, so a failure mid-stream
@@ -198,7 +193,10 @@ def _csv_lines(header, rows):
     return (",".join(map(str, row)) + "\n" for row in chain([header], rows))
 
 
-_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _json_encode(obj) -> str:
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _json_text(obj) -> str:
@@ -216,7 +214,7 @@ def _json_array(items, open_="[", close="]\n"):
     yield close
 
 
-def _render_report(args, report: VerificationReport):
+def _render_report(args, report):
     if args.format == "json":
         return [_json_text(report.to_dict())]
     if args.format == "csv":
@@ -252,18 +250,24 @@ def _counter(args, f, n, m=None):
     """The count of f at each weight w <= n, of length m when m is given, as
     a function of w, from the one source the module docstring's rule picks;
     or None, after one line on stderr, when n exceeds that source's bound.
-    The sources are this module's globals, so a patched one is the one read.
+    count_family is read from this module's globals and the product and the
+    tables from their modules when this runs, so a patched one is the one
+    read.
     """
     flag = "--n" if args.command == "count" else "--max-n"
     if f.kind == "A" and m is None:
         if _exceeds(args.command + " reads the kind-A product", flag, n, "fill limit", MAX_FILL_N):
             return None
+        from .qseries import product_for_A
+
         return product_for_A(f.i, n).__getitem__
     if n <= args.oracle_limit or f.kind == "A":
         reads = args.command + " enumerates fixed-length counts of kind A"
         if _exceeds(reads, flag, n, "oracle limit", args.oracle_limit):
             return None
         return lambda w: count_family(w, f, m)
+    from .recurrences import family_count_via_table, variant_for_min_part
+
     table = variant_for_min_part(f.min_part)
     reads = "%s reads the %s table" % (args.command, table.variant)
     # a structural zero needs no fill, at any weight
@@ -275,6 +279,8 @@ def _counter(args, f, n, m=None):
 
 
 def cmd_verify(args) -> int:
+    from .recurrences import verify_family, verify_product
+
     f = args.family
     if args.refined and f.kind != "A":
         print("--refined applies to kind A only", file=sys.stderr)
@@ -285,6 +291,8 @@ def cmd_verify(args) -> int:
         if _exceeds(reads, "--max-n", max_n, "fill limit", MAX_FILL_N):
             return 2
         witness_max_n = min(max_n, args.oracle_limit) if args.refined else None
+        from .qseries import product_for_A
+
         report = verify_product(f.i, max_n, product_for_A(f.i, max_n), witness_max_n)
     else:
         max_n = args.max_n if args.max_n is not None else args.oracle_limit
@@ -341,6 +349,8 @@ def _json_trace_rows(rows):
     The head up to "input":[ is rendered once per (bijection, case,
     codomain_ok, domain_ok), and each distinct part once per call.
     """
+    from json.encoder import encode_basestring_ascii
+
     part = _Parts().__getitem__
     heads = {}
     for r in rows:
@@ -360,6 +370,8 @@ def _json_trace_rows(rows):
 
 
 def cmd_bijection(args) -> int:
+    from .bijections import bijection_domain, trace_bijection
+
     n = args.n
     if _exceeds("bijection enumerates the domain", "--n", n, "oracle limit", args.oracle_limit):
         return 2
@@ -447,6 +459,8 @@ def cmd_table(args) -> int:
     reads = "table renders all (max_n+1)(max_n+2) cells"
     if _exceeds(reads, "--max-n", max_n, "dump limit", MAX_TABLE_DUMP_N):
         return 2
+    from .recurrences import variant_for_min_part
+
     table = variant_for_min_part(args.family.min_part)
     if args.format == "json":
         chunks = _json_array(
@@ -468,6 +482,8 @@ def cmd_witness(args) -> int:
     max_n = args.max_n if args.max_n is not None else 20
     if _exceeds("witness enumerates A and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
         return 2
+    from .recurrences import refined_AB_witness
+
     w = refined_AB_witness(args.family.i, max_n)
     if args.format == "json":
         if w is None:
@@ -512,6 +528,27 @@ _READS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its command's flags when it first
+    parses: a run builds the flags of its own command only, and only the
+    bijection command reads bijections.BIJECTION_NAMES."""
+
+    _command = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        command, self._command = self._command, None
+        if command == "bijection":
+            from .bijections import BIJECTION_NAMES
+
+            self.add_argument("bijection", choices=BIJECTION_NAMES)
+        if command is not None:
+            for flag in _READS[command][1]:
+                self.add_argument(flag, **_FLAGS[flag])
+            self.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            self.add_argument("--out")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evenodd",
@@ -519,15 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # what the commands without a selector read in its place
     parser.set_defaults(family=None, i=None, min_part=None, k=None, parity=None, oracle_limit=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_, flags) in _READS.items():
-        p = sub.add_parser(command, help=help_)
-        if command == "bijection":
-            p.add_argument("bijection", choices=BIJECTION_NAMES)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, (help_, _) in _READS.items():
+        sub.add_parser(command, help=help_)._command = command
     return parser
 
 

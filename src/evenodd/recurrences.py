@@ -13,7 +13,6 @@ minimum part 2k.  Every recursive reference lowers n, so tables fill in
 increasing n with i=1 computed before i=2 at each cell.
 """
 
-import json
 from math import isqrt
 
 from .partitions import FamilySpec, count_family, counts_by_length
@@ -137,6 +136,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 

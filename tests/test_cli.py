@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from evenodd import bijections, cli, partitions, recurrences
+from evenodd import bijections, cli, partitions, qseries, recurrences
 from evenodd.bijections import TraceRow, bijection_domain, trace_bijection
 from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family, member_groups, part_allowed_for_A
@@ -243,7 +243,7 @@ def _streamed(monkeypatch, argv):
     status, stdout, the row count of each trace call, and how many calls
     had been made when stdout first received bytes."""
     sizes, first_write = [], []
-    real = cli.trace_bijection
+    real = bijections.trace_bijection
 
     def counting(*args, **kwargs):
         rows = real(*args, **kwargs)
@@ -258,7 +258,7 @@ def _streamed(monkeypatch, argv):
 
     monkeypatch.setattr(cli, "_TRACE_BLOCK", 20)
     monkeypatch.setattr(cli, "_EMIT_BLOCK_CHARS", 1 << 10)
-    monkeypatch.setattr(cli, "trace_bijection", counting)
+    monkeypatch.setattr(bijections, "trace_bijection", counting)
     out = Recorder()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -384,7 +384,7 @@ def _no_fill(*args):
 )
 def test_fill_limit(capsys, monkeypatch, argv):
     monkeypatch.setattr(recurrences.CountTable, "_fill", _no_fill)
-    monkeypatch.setattr(cli, "product_for_A", _no_fill)
+    monkeypatch.setattr(qseries, "product_for_A", _no_fill)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "fill limit %d" % cli.MAX_FILL_N in err
@@ -642,6 +642,32 @@ def test_help_lists_exactly_the_flags_read(capsys, command):
     assert listed == READS[command][0] | {"-h", "--help", "--format", "--out"}
 
 
+# stdout SHA-256 of `evenodd -h` and of each `evenodd <command> -h` at 80
+# columns (the same on Python 3.10 to 3.13): a subparser adds its flags
+# when it first parses, and these pin their order and wording
+HELP_DIGESTS = {
+    "": "3b8b301af034f7671a31ffc8940fce4fcd6bd678b9e86aa3045491f7a4a46b15",
+    "verify": "bc6d2f06a94e2ae89ac13456dd8215d563e21a181a197ddeca4495f9556ec002",
+    "count": "867ef1e2348873eb52fc06f051b73b9bfc6a7f0588912e1e47854d01a1122b3b",
+    "list": "ba9ca66d77015d6ffed6642676740d6afc8b25ad07532921e0048c95b87f430c",
+    "bijection": "0c151ace6b7d1865ab2289b5afd0dc2cb880e311c55b948af5f67fbda8c418ed",
+    "series": "c35e518a1adbc5e6fe1a1f36ddac400f5d3d80eee7cb053e9ce423ae7bc17903",
+    "table": "b7e35b237489b423f697e4a871261eb5c7794671fdcf675fb3057438625127b1",
+    "witness": "aa1495cbf53d9c59a683eb137b3e9f00353c866f7911f5c29c4aede696e81f75",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    # argparse wraps help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["-h"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
 # bounds no other test reaches: one stderr line names the flag, its value
 # and the bound it passed
 @pytest.mark.parametrize(
@@ -693,7 +719,7 @@ def test_source_each_command_reads(capsys, monkeypatch, command, kind, length, n
 
         return wrapper
 
-    monkeypatch.setattr(cli, "product_for_A", recording("product", cli.product_for_A))
+    monkeypatch.setattr(qseries, "product_for_A", recording("product", qseries.product_for_A))
     monkeypatch.setattr(cli, "count_family", recording("enumerate", cli.count_family))
     monkeypatch.setattr(recurrences.CountTable, "_fill",
                         recording("table", recurrences.CountTable._fill))
@@ -1153,14 +1179,14 @@ def test_output_digests(capsys, argv, code, sha256):
 
 def _bump_product(monkeypatch):
     # one coefficient of the kind-A product is off by one
-    original = cli.product_for_A
+    original = qseries.product_for_A
 
     def bumped(i, degree):
         coeffs = list(original(i, degree).coeffs)
         coeffs[17] += 1
         return TruncatedSeries(coeffs)
 
-    monkeypatch.setattr(cli, "product_for_A", bumped)
+    monkeypatch.setattr(qseries, "product_for_A", bumped)
 
 
 def _bump_table(monkeypatch):
@@ -1246,16 +1272,20 @@ def test_witness_enumerates_only_up_to_its_cell(capsys, monkeypatch):
     assert seen == [(n, kind) for n in range(5) for kind in "AB"]
 
 
-# A fresh interpreter with the modules the benchmark's child holds before it
-# imports evenodd; it runs each argv through main and prints, as its last
-# line, the modules this added to sys.modules.
+# A fresh interpreter that holds os, sys and time, as the benchmark's child
+# does before it imports evenodd, but not json, so that loading json shows;
+# it builds the parser, runs each argv (split at spaces) through main and
+# prints, as its last line, the modules this added to sys.modules.
 _STARTUP_SCRIPT = """
-import json, os, sys, time
+import os, sys, time
 before = set(sys.modules)
 import evenodd.cli
-for argv in json.loads(sys.argv[1]):
-    evenodd.cli.main(argv)
-print(json.dumps(sorted(set(sys.modules) - before)))
+evenodd.cli.build_parser()
+for argv in sys.argv[1:]:
+    evenodd.cli.main(argv.split())
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps(added))
 """
 
 
@@ -1264,7 +1294,7 @@ def _modules_added(*argvs):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(argvs)],
+        [sys.executable, "-c", _STARTUP_SCRIPT, *map(" ".join, argvs)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -1291,6 +1321,21 @@ def test_startup_loads_no_dataclasses_inspect_or_csv():
         ]
     )
     assert not added & {"dataclasses", "inspect", "csv"}
+
+
+def test_each_command_loads_only_the_modules_it_reads():
+    added = _modules_added()
+    assert {m for m in added if m.split(".")[0] == "evenodd"} == {
+        "evenodd", "evenodd.partitions", "evenodd.cli"}
+    assert "json" not in added
+    added = _modules_added(["count", "--family", "B", "--n", "5"])
+    assert not added & {"evenodd.bijections", "evenodd.qseries", "json"}
+    added = _modules_added(["bijection", "P-drop-one", "--n", "5"])
+    assert "evenodd.bijections" in added
+    assert not added & {"evenodd.qseries", "evenodd.recurrences"}
+    added = _modules_added(["series", "--family", "A", "--max-n", "5"])
+    assert "evenodd.qseries" in added
+    assert not added & {"evenodd.recurrences", "evenodd.bijections"}
 
 
 # the outputs the benchmark pins for its invocations, replayed in-process
