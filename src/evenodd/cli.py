@@ -132,7 +132,8 @@ def _emit(args, chunks) -> None:
     replace = path and (os.path.isfile(path) or not os.path.exists(path))
     # "x" neither follows a link planted at that name nor reuses a file
     tmp = "%s.%d.tmp" % (path, os.getpid()) if replace else path
-    target = open(tmp, "x" if replace else "w") if path else nullcontext(sys.stdout)
+    # an empty --out names no file, and fails to open like any unwritable one
+    target = nullcontext(sys.stdout) if path is None else open(tmp, "x" if replace else "w")
     try:
         with target as fh:
             batch, size = [], 0

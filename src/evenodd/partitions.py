@@ -14,7 +14,7 @@ families, 2k or 2k+1 for the shifted variants).
 """
 
 from collections import Counter
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Optional, Sequence
 
 Partition = tuple[int, ...]
@@ -174,24 +174,24 @@ def _partitions(n, fixed_length, min_part, allowed):
     return gen(n, n, fixed_length)
 
 
-# sub-lists of at most this weight (the free-length B tails, and the P class
-# offset tuples u, which add 2*sum(u) to their parts) are built once per
-# process and shared by every call that reaches them; heavier ones are built
-# again on each call, so the memos stay small.  Each memo maps a key whose
-# first field is the tails' weight, or sum(u), to a tuple of tuples.
+# sub-lists of at most this weight (the free-length B tails, and the offset
+# tuples u of P's classes and B's fixed lengths, weighed as 2*sum(u)) are
+# built once per process and shared by every call that reaches them; heavier
+# ones are built again on each call, so the memos stay small.  Each memo
+# maps a key whose first field is the tails' weight, or sum(u), to a tuple.
 _B_MEMO_MAX_REM = 32
 _B_TAILS = {}
 _P_OFFSETS = {}
 
 # the counts recurse over the same branching rules and keep the states they
-# reach, each value an int or a tuple of ints: the B length histograms, the
-# fixed-length B counts, the P class sizes and the P least weights.  A
-# top-level count that leaves more than _COUNT_MEMO_MAX states clears them.
+# reach, each value an int or a tuple of ints: the free-length B length
+# histograms, the class sizes (of P's classes and of B's fixed lengths,
+# which are bound-class states) and the P least weights.  A top-level count
+# that leaves more than _COUNT_MEMO_MAX states clears them.
 _B_HISTS = {}
-_B_FIXED = {}
 _P_SIZES = {}
 _P_LEAST = {}
-_COUNT_MEMOS = (_B_HISTS, _B_FIXED, _P_SIZES, _P_LEAST)
+_COUNT_MEMOS = (_B_HISTS, _P_SIZES, _P_LEAST)
 _COUNT_MEMO_MAX = 1 << 18
 
 # the tails of a group whose prefix is a whole member
@@ -221,25 +221,28 @@ def _b_parts(rem, hi, lo):
             yield v
 
 
-def _b_fixed_hi(rem, maxp, left, lo):
-    # the largest first of `left` parts that keeps room for left-1 smaller
-    # ones, the tightest packing below it being v-2, v-4, ...
-    return min(maxp, rem - ((left - 1) * lo + (left - 1) * (left - 2)))
-
-
 def _b_groups(n, i, j, fixed_length):
-    # the members as member_groups describes them.  A free-length subtree of
+    # the members as member_groups describes them.  An m-part member is the
+    # staircase lo+2(m-1), ..., lo+2, lo plus a partition of u = n-m(lo+m-1)
+    # into at most m parts, padded with zeros: a fixed length lists the
+    # offset tuples of the bound-class state (u, m, u, u, 0, 0) of
+    # _p_offsets, each member a group of its own.  A free-length subtree of
     # remaining weight <= _B_MEMO_MAX_REM below a nonempty prefix is one
     # group: the prefix and that subtree's list in _B_TAILS, keyed by
     # (remaining weight, max part, floor), which every prefix reaching the
     # subtree shares.  It can be empty, since _b_parts bounds what a tail
     # can make up only from above.
     lo = _b_floor(i, j)
-    if n == 0:
-        if not fixed_length:
-            yield (), _WHOLE
+    if fixed_length is not None:
+        m = fixed_length
+        u = n - m * (lo + m - 1)
+        if u >= 0:
+            stair = range(lo + 2 * m - 2, lo - 1, -2)
+            for t in _p_offsets(u, m, u, u, 0, 0):
+                yield tuple(map(add, stair, t)), _WHOLE
         return
-    if fixed_length == 0:
+    if n == 0:
+        yield (), _WHOLE
         return
 
     def tails(rem, maxp):
@@ -258,26 +261,17 @@ def _b_groups(n, i, j, fixed_length):
             out = _B_TAILS[key] = tuple(out)
         return out
 
-    def gen(prefix, rem, maxp, left):
-        if left is None:
-            if rem <= _B_MEMO_MAX_REM and prefix:
-                yield prefix, tails(rem, maxp)
-                return
-            hi = min(maxp, rem)
-        elif left == 1:
-            if lo <= rem <= maxp:
-                yield prefix + (rem,), _WHOLE
+    def gen(prefix, rem, maxp):
+        if rem <= _B_MEMO_MAX_REM and prefix:
+            yield prefix, tails(rem, maxp)
             return
-        else:
-            hi = _b_fixed_hi(rem, maxp, left, lo)
-            left -= 1
-        for v in _b_parts(rem, hi, lo):
+        for v in _b_parts(rem, min(maxp, rem), lo):
             if v == rem:
                 yield prefix + (v,), _WHOLE
             else:
-                yield from gen(prefix + (v,), rem - v, v - 2, left)
+                yield from gen(prefix + (v,), rem - v, v - 2)
 
-    yield from gen((), n, n, fixed_length)
+    yield from gen((), n, n)
 
 
 def _b_hist(rem, maxp, lo):
@@ -307,25 +301,11 @@ def _b_lengths(n, i, j):
     return _b_hist(n, n, _b_floor(i, j))
 
 
-def _b_fixed(rem, maxp, left, lo):
-    # the number of members gen's fixed-length branch yields below a prefix
-    # that leaves `left` parts of weight rem, each at most maxp
-    if left == 1:
-        return int(lo <= rem <= maxp)
-    hi = _b_fixed_hi(rem, maxp, left, lo)
-    key = (rem, hi, left, lo)
-    c = _B_FIXED.get(key)
-    if c is None:
-        # hi < rem, so no part ends a member early
-        c = _B_FIXED[key] = sum([_b_fixed(rem - v, v - 2, left - 1, lo) for v in _b_parts(rem, hi, lo)])
-    return c
-
-
 def _b_count(n, i, j, m):
-    # the number of B members of weight n with m parts
-    if n == 0 or m == 0:
-        return int(n == m)
-    return _b_fixed(n, n, m, _b_floor(i, j))
+    # the number of B members of weight n with m parts: the size of the
+    # bound-class state of their staircase offsets (see _b_groups)
+    u = n - m * (_b_floor(i, j) + m - 1)
+    return _p_size(u, m, u, u, 0, 0) if u >= 0 else 0
 
 
 def _enumerate_B(n, i, j, fixed_length):
@@ -378,7 +358,8 @@ def _p_least_weights(i, j, m):
 
 
 def _p_size(u, left, a, b, g, d):
-    # len(_p_offsets(u, left, a, b, g, d)), by the same rule
+    # len(_p_offsets(u, left, a, b, g, d)), by the same rule, for P's
+    # classes and B's fixed lengths
     if left < 2:
         return int(u == 0 if left == 0 else -d <= u <= a)
     if a > u + d:
@@ -396,8 +377,11 @@ def _p_size(u, left, a, b, g, d):
 
 
 def _p_offsets(u, left, a, b, g, d):
-    # every non-increasing tuple of `left` offsets summing to u, as a tuple
-    # in lexicographically decreasing order: the first offset is at most a
+    # every non-increasing tuple of `left` offsets summing to u, in
+    # lexicographically decreasing order (a P class, or the B members of one
+    # fixed length, see _b_groups), as a tuple when it is light enough to
+    # keep and otherwise as a generator, read once, so that a heavy list
+    # streams as the B enumerator does: the first offset is at most a
     # and the second at most b, offsets two places apart differ by at least
     # g, and every offset is at least 0 except the last, which is at least
     # -d.  The first offset is the largest, so at least u/left, and leaves
@@ -411,12 +395,13 @@ def _p_offsets(u, left, a, b, g, d):
     key = (u, left, a, b, g, d)
     out = _P_OFFSETS.get(key)
     if out is None:
-        out = []
-        for x in range(a, max(0, -(-u // left)) - 1, -1):
-            out.extend([(x,) + t for t in _p_offsets(u - x, left - 1, min(x, b), x - g, g, d)])
-        out = tuple(out)
+        out = (
+            (x,) + t
+            for x in range(a, max(0, -(-u // left)) - 1, -1)
+            for t in _p_offsets(u - x, left - 1, min(x, b), x - g, g, d)
+        )
         if 2 * u <= _B_MEMO_MAX_REM:
-            _P_OFFSETS[key] = out
+            out = _P_OFFSETS[key] = tuple(out)
     return out
 
 
@@ -439,7 +424,8 @@ def _p_pairs(n, i, j, m):
     The classes differ in parity, so every pair of tuples merges into one
     member and every member splits into one pair: the states pair up once
     per r1 and bound-class weight.  A bound-class state depends on neither
-    m nor j, and a gap-class state not on j.
+    m nor j, and a gap-class state not on j.  B's fixed lengths are
+    bound-class states too, of offsets from a staircase (see _b_groups).
 
     Every part is at least j, so there is no pair when m*j > n; this is
     checked first, as a huge fixed length would otherwise build m+1 least
@@ -496,10 +482,12 @@ def enumerate_family(
     this form flattens them.  The P enumerator lists each length on its own
     as the product of its two parity classes, and the free-length form
     merges the lengths' lists; each class is listed as offsets from its
-    least part (see _p_pairs).  Sub-lists of weight at most 32 (B tails, P
-    class offset tuples) are built once per process and shared by later
-    calls, as tuples no consumer can change.  The counts recurse over the
-    same branching rules and build none of these lists.
+    least part (see _p_pairs), and a fixed-length B member as a P
+    bound-class tuple of offsets from a staircase (see _b_groups).
+    Sub-lists of weight at most 32 (B tails, offset tuples) are built once
+    per process and shared by later calls, as tuples no consumer can
+    change.  The counts recurse over the same branching rules and build
+    none of these lists.
     """
     _check_bounds(n, fixed_length)
     if f.kind == "A":
@@ -544,10 +532,12 @@ def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> i
     Kinds P and B are counted by memoized recursions over the enumerators'
     own branching rules, building no member and no sub-list: a pair of P
     class states (see _p_pairs) holds the product of their sizes in
-    members, the free-length B tree is counted as a length histogram and
-    the fixed-length one by remaining length.  The states reached are kept
-    across calls, as ints or tuples of ints, until a call leaves more than
-    _COUNT_MEMO_MAX of them, which clears them all.  Kind A is enumerated.
+    members, the free-length B tree is counted as a length histogram, and
+    a fixed B length as the size of its staircase offsets' bound-class
+    state, which _p_size counts as it counts P's classes.  The states
+    reached are kept across calls, as ints or tuples of ints, until a call
+    leaves more than _COUNT_MEMO_MAX of them, which clears them all.  Kind
+    A is enumerated.
     """
     _check_bounds(n, fixed_length)
     if fixed_length is None:
@@ -561,8 +551,8 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
     """Counter mapping length m to the number of members of f at weight n;
     lengths with no member are absent.
 
-    Kinds P and B read the recursions count_family reads (for B, one length
-    histogram of the free-length tree); cheaper than calling count_family
+    Kind P reads the recursion count_family reads, kind B one length
+    histogram of its free-length tree; cheaper than calling count_family
     per length when a whole column of refined counts is needed.
     """
     _check_bounds(n, None)

@@ -347,6 +347,13 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and target in err
 
 
+def test_empty_out_exits_2(capsys):
+    # an empty name is no file to write, not a request for stdout
+    code, out, err = run(capsys, "count", "--family", "B", "--n", "5", "--out", "")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def crash(cfg):
         raise RuntimeError("boom")
@@ -404,6 +411,16 @@ def test_p_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):
     assert run(capsys, "count", "--family", "P", "--n", "10", "--fixed-length", "1000000") == (0, "0\n", "")
     assert run(capsys, "list", "--family", "P", "--n", "10", "--fixed-length", "1000000") == (0, "", "")
     assert not [key for key in partitions._P_LEAST if key[2] > 10]
+
+
+def test_b_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):
+    # every part is at least 1, so no member of weight 10 has more than 10
+    # parts: neither command builds an offset state for a longer member
+    monkeypatch.setattr(partitions, "_P_SIZES", {})
+    monkeypatch.setattr(partitions, "_P_OFFSETS", {})
+    assert run(capsys, "count", "--family", "B", "--n", "10", "--fixed-length", "1000000") == (0, "0\n", "")
+    assert run(capsys, "list", "--family", "B", "--n", "10", "--fixed-length", "1000000") == (0, "", "")
+    assert not [key for memo in (partitions._P_SIZES, partitions._P_OFFSETS) for key in memo if key[1] > 10]
 
 
 def test_bijection_json_trace_keys(capsys):

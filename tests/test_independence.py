@@ -5,7 +5,8 @@ The P and B counts are the enumerator-structure source (evenodd.partitions),
 the System1/2/3 tables fill by their own recursion (CountTable._fill), and
 the kind-A product is a theta quotient (evenodd.qseries).  A source that
 called into another would check a count against something derived from
-itself.
+itself.  Within evenodd.partitions, the P and B columns that verify
+compares reach none of each other's recursions.
 """
 
 import sys
@@ -18,13 +19,13 @@ from evenodd.qseries import product_for_A
 from evenodd.recurrences import system1, system2, system3
 
 
-def _modules_reached(run):
-    # the module of every Python function that run() calls, at any depth
+def _calls(run):
+    # (module, name) of every Python function that run() calls, at any depth
     seen = set()
 
     def profile(frame, event, arg):
         if event == "call":
-            seen.add(frame.f_globals.get("__name__"))
+            seen.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -35,11 +36,15 @@ def _modules_reached(run):
     return seen
 
 
-def _count_p_and_b():
+def _clear_memos():
     # empty memos, so every recursion runs instead of answering from a memo
     for name, memo in vars(partitions).items():
         if type(memo) is dict and name[1] != "_":
             memo.clear()
+
+
+def _count_p_and_b():
+    _clear_memos()
     for kind in ("P", "B"):
         for i in (1, 2):
             for j in (1, 2, 3):
@@ -65,6 +70,30 @@ def _fill_tables():
     ids=["P-and-B-counts", "table-fill", "A-product"],
 )
 def test_each_source_reaches_only_its_own_module(run, own, foreign):
-    reached = _modules_reached(run)
+    reached = {module for module, _ in _calls(run)}
     assert own in reached
     assert not reached & foreign, reached & foreign
+
+
+# the recursions each side of verify's P = B comparison counts its columns
+# with; a fixed B length is counted by _p_size, a P recursion, so the B
+# column must not reach it
+_P_RECURSIONS = {"_p_size", "_p_offsets", "_p_pairs", "_p_count", "_p_lengths", "_p_least_weights"}
+_B_RECURSIONS = {"_b_hist", "_b_parts", "_b_lengths", "_b_count"}
+
+
+@pytest.mark.parametrize(
+    "kind, own, foreign",
+    [("B", _B_RECURSIONS, _P_RECURSIONS), ("P", _P_RECURSIONS, _B_RECURSIONS)],
+)
+def test_p_and_b_columns_share_no_recursion(kind, own, foreign):
+    def columns():
+        _clear_memos()
+        for i in (1, 2):
+            for j in (1, 2, 3):
+                for n in (0, 9, 24, 40):
+                    counts_by_length(n, FamilySpec(kind, i, j))
+
+    called = {name for module, name in _calls(columns) if module == "evenodd.partitions"}
+    assert own & called
+    assert not called & foreign, called & foreign

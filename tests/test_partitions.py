@@ -1,5 +1,6 @@
 import copy
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -294,7 +295,7 @@ def test_memos_hold_only_light_tuple_lists():
             assert type(members) is tuple, key
             assert all(type(t) is tuple and sum(t) == key[0] for t in members), key
     # the counts keep numbers only, whatever the weight
-    assert len(COUNT_MEMOS) == 4
+    assert len(COUNT_MEMOS) == 3
     for memo in COUNT_MEMOS:
         assert memo
         for key, value in memo.items():
@@ -383,6 +384,36 @@ def test_counts_by_length_matches_count_family():
             assert count_family(n, f) == listed.total(), (f, n)
             for m in range(0, n + 2):
                 assert count_family(n, f, fixed_length=m) == listed[m], (f, n, m)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_b_fixed_lengths_are_the_free_length_members_of_that_length(i):
+    # a fixed B length is listed and counted as offsets from the staircase
+    # lo+2(m-1), ..., lo, not by the free-length tree; past weight 40, where
+    # both are checked against the filtered oracle, the tree is the reference
+    for n in range(41, 61):
+        for j in range(1, 8):
+            f = FamilySpec("B", i, j)
+            by_length = {}
+            for p in enumerate_family(n, f):
+                by_length.setdefault(len(p), []).append(p)
+            for m in range(0, n + 2):
+                got = list(enumerate_family(n, f, fixed_length=m))
+                assert got == by_length.get(m, []), (n, f, m)
+                assert count_family(n, f, fixed_length=m) == len(got), (n, f, m)
+
+
+def test_b_fixed_length_list_streams():
+    # an offset list too heavy to keep is read as it is made: the first of
+    # the 344,534 six-part members of weight 150 comes before the rest are built
+    tracemalloc.start()
+    try:
+        first = next(member_groups(150, FamilySpec("B", 2), 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((125, 9, 7, 5, 3, 1), ((),))
+    assert peak < 1 << 20, peak
 
 
 def test_counts_build_no_member(monkeypatch):
