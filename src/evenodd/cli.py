@@ -13,9 +13,9 @@ when it first parses (_CommandParser).
 
 `count` and `series` read one source, which `_counter` picks: kind-A
 totals come from the product; any other count is enumerated up to
---oracle-limit; above that, kinds P and B read the recursion table of their
-minimum part (so `count --family P` is the table's value there), filled up
-to MAX_FILL_N.  `verify` runs one check of the library, which names the
+--oracle-limit (at most MAX_ORACLE_N); above that, kinds P and B read the
+recursion table of their minimum part (so `count --family P` is the
+table's value there), filled up to MAX_FILL_N.  `verify` runs one check of the library, which names the
 counts its identity compares: recurrences.verify_family for kinds P and B,
 verify_product for kind A (given qseries.product_for_A's series).  A
 bound that a run would pass is refused with one stderr line, "<what the
@@ -44,6 +44,9 @@ from itertools import chain, islice
 from .partitions import FamilySpec, count_family, member_groups
 
 DEFAULT_ORACLE_LIMIT = 60
+# the largest --oracle-limit: the P and B counts keep states that grow
+# faster than the weight squared, and a deep P verify to 300 takes seconds
+MAX_ORACLE_N = 300
 DEFAULT_DP_MAX_N = 200
 MAX_TABLE_DUMP_N = 1000
 # a table or product read at weight n is filled at every weight up to n:
@@ -589,6 +592,9 @@ def main(argv=None) -> int:
         return 2
     if args.oracle_limit is None:
         args.oracle_limit = DEFAULT_ORACLE_LIMIT
+    elif _exceeds(args.command + " enumerates up to the oracle limit", "--oracle-limit",
+                  args.oracle_limit, "oracle cap", MAX_ORACLE_N):
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except OSError as e:

@@ -183,15 +183,14 @@ _B_MEMO_MAX_REM = 32
 _B_TAILS = {}
 _P_OFFSETS = {}
 
-# the counts recurse over the same branching rules and keep the states they
-# reach, each value an int or a tuple of ints: the free-length B length
-# histograms, the class sizes (of P's classes and of B's fixed lengths,
-# which are bound-class states) and the P least weights.  A top-level count
-# that leaves more than _COUNT_MEMO_MAX states clears them.
-_B_HISTS = {}
+# the P counts recurse over the listing's branching rules and keep the
+# states they reach as ints or tuples of ints: the class sizes and least
+# weights.  The B counts read _B_ROWS alone (see _b_at_most).  A top-level
+# count that leaves more than _COUNT_MEMO_MAX states, each cell of
+# _B_ROWS one, clears them all.
 _P_SIZES = {}
 _P_LEAST = {}
-_COUNT_MEMOS = (_B_HISTS, _P_SIZES, _P_LEAST)
+_B_ROWS = []
 _COUNT_MEMO_MAX = 1 << 18
 
 # the tails of a group whose prefix is a whole member
@@ -274,38 +273,42 @@ def _b_groups(n, i, j, fixed_length):
     yield from gen((), n, n)
 
 
-def _b_hist(rem, maxp, lo):
-    # h with h[l] the number of tails(rem, maxp) of l parts (the empty tail
-    # when rem = 0), by the rule tails lists them with
-    if rem == 0:
-        return (1,)
-    if maxp > rem:
-        maxp = rem
-    key = (rem, maxp, lo)
-    h = _B_HISTS.get(key)
-    if h is None:
-        h = [0]
-        for v in _b_parts(rem, maxp, lo):
-            sub = _b_hist(rem - v, v - 2, lo)
-            if len(sub) >= len(h):
-                h += [0] * (len(sub) + 1 - len(h))
-            for l, c in enumerate(sub, 1):
-                h[l] += c
-        h = _B_HISTS[key] = tuple(h)
-    return h
+def _b_at_most(k, v):
+    # p_{<=k}(v), the partitions of v into at most k parts (0 when v < 0).
+    # Row t >= 2 of _B_ROWS holds p_{<=t}(w) at w = 0, 1, ..., widened in
+    # place as far as a count asks: row t-1 plus itself t places back (a
+    # partition into at most t parts has fewer parts, or is t ones added to
+    # another).  Row 1 is all ones and row 0 stays empty
+    k = min(k, v)
+    if k < 2:
+        return int(v == 0 or k == 1)
+    rows = _B_ROWS
+    if k < len(rows) and v < len(rows[k]):
+        return rows[k][v]
+    rows += [[] for _ in range(k + 1 - len(rows))]
+    rows[1] += [1] * (v + 1 - len(rows[1]))
+    for t in range(2, k + 1):
+        row = rows[t]
+        start = len(row)
+        row += rows[t - 1][start:v + 1]
+        for w in range(max(start, t), v + 1):
+            row[w] += row[w - t]
+    return rows[k][v]
 
 
 def _b_lengths(n, i, j):
-    # the length histogram of the B members of weight n: gen's free-length
-    # tree from the root is tails(n, n)
-    return _b_hist(n, n, _b_floor(i, j))
+    # h[m] = _b_count(n, i, j, m) at every m whose staircase fits in n, not
+    # read through _b_count: tests/mutants.py patches both, once each
+    lo, h = _b_floor(i, j), []
+    while (u := n - len(h) * (lo + len(h) - 1)) >= 0:
+        h.append(_b_at_most(len(h), u))
+    return h
 
 
 def _b_count(n, i, j, m):
-    # the number of B members of weight n with m parts: the size of the
-    # bound-class state of their staircase offsets (see _b_groups)
-    u = n - m * (_b_floor(i, j) + m - 1)
-    return _p_size(u, m, u, u, 0, 0) if u >= 0 else 0
+    # the number of B members of weight n with m parts: the partitions of
+    # n - m(lo+m-1) into at most m parts, as _b_groups lists them
+    return _b_at_most(m, n - m * (_b_floor(i, j) + m - 1))
 
 
 def _enumerate_B(n, i, j, fixed_length):
@@ -359,7 +362,7 @@ def _p_least_weights(i, j, m):
 
 def _p_size(u, left, a, b, g, d):
     # len(_p_offsets(u, left, a, b, g, d)), by the same rule, for P's
-    # classes and B's fixed lengths
+    # classes only (a fixed B length is listed by _p_offsets, not counted)
     if left < 2:
         return int(u == 0 if left == 0 else -d <= u <= a)
     if a > u + d:
@@ -424,8 +427,8 @@ def _p_pairs(n, i, j, m):
     The classes differ in parity, so every pair of tuples merges into one
     member and every member splits into one pair: the states pair up once
     per r1 and bound-class weight.  A bound-class state depends on neither
-    m nor j, and a gap-class state not on j.  B's fixed lengths are
-    bound-class states too, of offsets from a staircase (see _b_groups).
+    m nor j, and a gap-class state not on j.  B's fixed lengths are listed
+    as bound-class states too, of offsets from a staircase (see _b_groups).
 
     Every part is at least j, so there is no pair when m*j > n; this is
     checked first, as a huge fixed length would otherwise build m+1 least
@@ -486,8 +489,7 @@ def enumerate_family(
     bound-class tuple of offsets from a staircase (see _b_groups).
     Sub-lists of weight at most 32 (B tails, offset tuples) are built once
     per process and shared by later calls, as tuples no consumer can
-    change.  The counts recurse over the same branching rules and build
-    none of these lists.
+    change.  The counts build none of these lists.
     """
     _check_bounds(n, fixed_length)
     if f.kind == "A":
@@ -520,8 +522,8 @@ def member_groups(
 
 def _bounded(result):
     # result, after clearing the count memos if they hold too many states
-    if sum(map(len, _COUNT_MEMOS)) > _COUNT_MEMO_MAX:
-        for memo in _COUNT_MEMOS:
+    if len(_P_SIZES) + len(_P_LEAST) + sum(map(len, _B_ROWS)) > _COUNT_MEMO_MAX:
+        for memo in (_P_SIZES, _P_LEAST, _B_ROWS):
             memo.clear()
     return result
 
@@ -529,15 +531,14 @@ def _bounded(result):
 def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> int:
     """Number of members of family f at weight n (optionally of fixed length).
 
-    Kinds P and B are counted by memoized recursions over the enumerators'
-    own branching rules, building no member and no sub-list: a pair of P
+    Kinds P and B build no member and no sub-list.  P is counted by a
+    memoized recursion over the enumerator's branching rule: a pair of
     class states (see _p_pairs) holds the product of their sizes in
-    members, the free-length B tree is counted as a length histogram, and
-    a fixed B length as the size of its staircase offsets' bound-class
-    state, which _p_size counts as it counts P's classes.  The states
-    reached are kept across calls, as ints or tuples of ints, until a call
-    leaves more than _COUNT_MEMO_MAX of them, which clears them all.  Kind
-    A is enumerated.
+    members.  B of m parts is counted as the partitions of n - m(lo+m-1)
+    into at most m parts, lo its least allowed part (see _b_groups), read
+    from a table of them that nothing else reads.  The states and cells
+    are kept across calls until a call leaves more than _COUNT_MEMO_MAX,
+    which clears them all.  Kind A is enumerated.
     """
     _check_bounds(n, fixed_length)
     if fixed_length is None:
@@ -551,9 +552,8 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
     """Counter mapping length m to the number of members of f at weight n;
     lengths with no member are absent.
 
-    Kind P reads the recursion count_family reads, kind B one length
-    histogram of its free-length tree; cheaper than calling count_family
-    per length when a whole column of refined counts is needed.
+    Kinds P and B read what count_family reads at every length a member
+    of weight n can have, which is cheaper than one call per length.
     """
     _check_bounds(n, None)
     if f.kind == "A":

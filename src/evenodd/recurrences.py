@@ -158,8 +158,8 @@ def mismatches(cells, pairs):
 
 def column(f: FamilySpec, max_n: int, columns=None) -> list:
     """[counts_by_length(n, f) for n = 0 .. max_n], one count per weight
-    (for kinds P and B, by the memoized count recursions, building no
-    member); or the column for f that the caller has counted in columns."""
+    (for kinds P and B, counted without building a member); or the
+    column for f that the caller has counted in columns."""
     col = (columns or {}).get(f)
     return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
 
@@ -243,8 +243,8 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
     p(m, n - 2mk) as one fixed-length count (0 at a negative weight), and
     p[2k+1](m, n + m) from the odd-shift column when n + m <= max_n, else
     as one fixed-length count.  So nothing is counted at a cell that no
-    equation reads.  Each count is a memoized recursion over the
-    enumerator's branching rules (count_family) and builds no member.
+    equation reads.  Each count is count_family's, which builds no
+    member for kinds P and B.
 
     columns, when given, maps a FamilySpec to a column the caller has
     already counted, which is read rather than counted again.

@@ -10,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -122,6 +123,32 @@ def test_verify_oracle_limit_guard(capsys):
     code, _, err = run(capsys, "verify", "--family", "P", "--max-n", "80")
     assert code == 2
     assert "oracle limit" in err
+
+
+# counts that ran past 60 s, or crashed with RecursionError (exit 3), with
+# a raised --oracle-limit: the cap refuses each before anything is counted
+@pytest.mark.parametrize("argv", [
+    "count --family B --n 5000 --fixed-length 30 --oracle-limit 5000",
+    "count --family B --n 5000 --oracle-limit 5000",
+    "count --family P --n 2000 --fixed-length 20 --oracle-limit 5000",
+    "count --family P --n 400000 --fixed-length 600 --oracle-limit 2000000",
+    "count --family B --n 1001000 --fixed-length 1000 --oracle-limit 2000000",
+])
+def test_oracle_limit_past_the_cap_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (2, "")
+    assert err == "count enumerates up to the oracle limit; --oracle-limit %s exceeds the oracle cap %d\n" % (
+        argv.split()[-1], cli.MAX_ORACLE_N)
+
+
+@pytest.mark.parametrize("family", [["--i", "1"], ["--i", "2"], ["--k", "1", "--parity", "odd"]])
+def test_b_count_at_the_cap_equals_the_table(capsys, family):
+    # at the cap a B count is the staircase count; without it, the table's
+    at_cap = run(capsys, "count", "--family", "B", *family, "--n", "300", "--oracle-limit", "300")
+    assert at_cap == run(capsys, "count", "--family", "B", *family, "--n", "300")
+    assert at_cap[0] == 0 and int(at_cap[1]) > 0
 
 
 def test_bijection_trace_drop_one(capsys):

@@ -4,10 +4,11 @@ when run again, and leaves an --out target whole or as it was.
 
 Every command is drawn with its own flags, sometimes one it does not read,
 and values at the edges: negative, zero, weights up to 30, one past each
-bound the flag meets (the oracle limit, the dump limit, the fill limit) and
-values argparse cannot parse.  --out points into a fresh temporary
-directory (a new file, a file that exists, a missing directory, the
-directory itself), at the empty name, or at /dev/full.
+bound the flag meets (the oracle limit, the dump limit, the fill limit),
+oracle limits past their cap and values argparse cannot parse.  --out
+points into a fresh temporary directory (a new file, a file that exists,
+a missing directory, the directory itself), at the empty name, or at
+/dev/full.
 """
 
 import contextlib
@@ -47,7 +48,7 @@ _VALUES = {
     "--min-part": _pool(("1", "2", "3", "6"), ("-1", "0")),
     "--k": _pool(("1", "2", "3"), ("-1", "0")),
     "--parity": _pool(("odd", "even"), ("both",)),
-    "--oracle-limit": _pool(("0", "5", "30"), ("-1", "x")),
+    "--oracle-limit": _pool(("0", "5", "30"), ("-1", "x", str(cli.MAX_ORACLE_N + 1), "2000000")),
     "--fixed-length": _pool(_WEIGHTS + ("1000000",), ("-1", "1.5")),
     "--format": _pool(("text", "json", "csv"), ("xml",)),
 }

@@ -76,10 +76,10 @@ def test_each_source_reaches_only_its_own_module(run, own, foreign):
 
 
 # the recursions each side of verify's P = B comparison counts its columns
-# with; a fixed B length is counted by _p_size, a P recursion, so the B
-# column must not reach it
+# with; a fixed B length is listed as a P bound-class state (_p_offsets),
+# so the B counts must not reach the P recursions, nor P the B table
 _P_RECURSIONS = {"_p_size", "_p_offsets", "_p_pairs", "_p_count", "_p_lengths", "_p_least_weights"}
-_B_RECURSIONS = {"_b_hist", "_b_parts", "_b_lengths", "_b_count"}
+_B_RECURSIONS = {"_b_at_most", "_b_parts", "_b_lengths", "_b_count"}
 
 
 @pytest.mark.parametrize(
@@ -97,3 +97,20 @@ def test_p_and_b_columns_share_no_recursion(kind, own, foreign):
     called = {name for module, name in _calls(columns) if module == "evenodd.partitions"}
     assert own & called
     assert not called & foreign, called & foreign
+
+
+def test_fixed_b_lengths_reach_no_p_recursion():
+    # the shift check reads fixed-length B counts: they come from the
+    # staircase table, as the B columns do, and never from a P class state
+    def fixed_lengths():
+        _clear_memos()
+        partitions._B_ROWS.clear()
+        for i in (1, 2):
+            for j in (1, 2, 3):
+                for n in (0, 9, 24, 40):
+                    for m in range(n + 2):
+                        count_family(n, FamilySpec("B", i, j), m)
+
+    called = {name for module, name in _calls(fixed_lengths) if module == "evenodd.partitions"}
+    assert {"_b_count", "_b_at_most"} <= called
+    assert not called & _P_RECURSIONS, called & _P_RECURSIONS

@@ -295,7 +295,7 @@ def test_memos_hold_only_light_tuple_lists():
             assert type(members) is tuple, key
             assert all(type(t) is tuple and sum(t) == key[0] for t in members), key
     # the counts keep numbers only, whatever the weight
-    assert len(COUNT_MEMOS) == 3
+    assert len(COUNT_MEMOS) == 2
     for memo in COUNT_MEMOS:
         assert memo
         for key, value in memo.items():
@@ -304,6 +304,9 @@ def test_memos_hold_only_light_tuple_lists():
                 assert all(type(c) is int for c in value), key
             else:
                 assert type(value) is int, key
+    # and the B table, a list of rows, ints only
+    assert partitions._B_ROWS
+    assert all(type(row) is list and all(type(c) is int for c in row) for row in partitions._B_ROWS)
 
 
 @pytest.mark.parametrize("kind", ("P", "B"))
@@ -403,6 +406,43 @@ def test_b_fixed_lengths_are_the_free_length_members_of_that_length(i):
                 assert count_family(n, f, fixed_length=m) == len(got), (n, f, m)
 
 
+def _tally(groups, histograms):
+    # the length histogram of the members in groups, with the histogram of
+    # each distinct tails list kept in histograms (by id, beside the list)
+    lengths = Counter()
+    for prefix, tails in groups:
+        if id(tails) not in histograms:
+            histograms[id(tails)] = tails, Counter(map(len, tails))
+        for length, c in histograms[id(tails)][1].items():
+            lengths[len(prefix) + length] += c
+    return lengths
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_b_counts_are_the_tree_listing_tallied(i):
+    # the B counts read a table of partitions into at most m parts, and the
+    # free-length listing is the tree of _b_parts: two algorithms, compared
+    # past weight 60, where the filtered oracle stops
+    histograms = {}
+    for n in range(61, 81):
+        for j in range(1, 8):
+            f = FamilySpec("B", i, j)
+            listed = _tally(member_groups(n, f), histograms)
+            assert sorted(counts_by_length(n, f).items()) == sorted(listed.items()), (n, f)
+            assert count_family(n, f) == listed.total(), (n, f)
+            for m in range(max(listed) + 2):
+                assert count_family(n, f, fixed_length=m) == listed[m], (n, f, m)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_b_counts_equal_the_table_totals_at_300(i):
+    # the staircase counts against the System1/2/3 recursion, which reads
+    # neither the definition nor partitions into at most m parts
+    for j in (1, 2, 3):
+        t = variant_for_min_part(j)
+        assert count_family(300, FamilySpec("B", i, j)) == family_count_via_table(t, i, 300), j
+
+
 def test_b_fixed_length_list_streams():
     # an offset list too heavy to keep is read as it is made: the first of
     # the 344,534 six-part members of weight 150 comes before the rest are built
@@ -438,6 +478,11 @@ def test_counts_build_no_member(monkeypatch):
     assert not _B_TAILS and not _P_OFFSETS
 
 
+def _count_states():
+    # the states the count memos hold, each cell of the B table one state
+    return sum(map(len, COUNT_MEMOS)) + sum(map(len, partitions._B_ROWS))
+
+
 def test_count_memos_stay_within_their_bound(monkeypatch):
     # a top-level count that leaves more states than the bound clears every
     # count memo; the counts are the same with and without the clearing
@@ -447,14 +492,15 @@ def test_count_memos_stay_within_their_bound(monkeypatch):
     columns = [((n, f), counts_by_length(n, f)) for f in specs for n in (25, 75)]
     for memo in MEMOS:
         memo.clear()
+    partitions._B_ROWS.clear()
     monkeypatch.setattr(partitions, "_COUNT_MEMO_MAX", 300)
     sizes = []
     for call, count in zip(calls, want):
         assert count_family(*call) == count, call
-        sizes.append(sum(map(len, COUNT_MEMOS)))
+        sizes.append(_count_states())
     for call, column in columns:
         assert counts_by_length(*call) == column, call
-        sizes.append(sum(map(len, COUNT_MEMOS)))
+        sizes.append(_count_states())
     assert max(sizes) <= 300
     # the bound was passed, and cleared, more than once
     assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 1
