@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # imported on first read of evenodd.<name> (PEP 562), so `import evenodd`
 # compiles only partitions
-_SUBMODULES = ("bijections", "cli", "qseries", "recurrences")
+_SUBMODULES = ("bijections", "cli", "qseries", "recurrences", "sources")
 
 
 def __getattr__(name):

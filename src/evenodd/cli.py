@@ -6,18 +6,19 @@ Each subcommand has only the flags it reads, as _READS lists them, plus
 "<command> takes no <args>", and exit status 2.
 
 A run loads only what its command reads.  This module imports partitions,
-which every command reads; a command imports what it reads of recurrences,
-qseries, bijections or json when it runs, never into this module's
-globals, so a name patched on its module is the one run.  A subcommand's parser gets its flags
-when it first parses (_CommandParser).
+which every command reads; a command imports what it reads of sources,
+recurrences, qseries, bijections or json when it runs, never into this
+module's globals, so a name patched on its module is the one run.  A
+subcommand's parser gets its flags when it first parses (_CommandParser).
 
-`count` and `series` read one source, which `_counter` picks: kind-A
-totals come from the product; any other count is enumerated up to
---oracle-limit (at most MAX_ORACLE_N); above that, kinds P and B read the
-recursion table of their minimum part (so `count --family P` is the
-table's value there), filled up to MAX_FILL_N.  `verify` runs one check of the library, which names the
-counts its identity compares: recurrences.verify_family for kinds P and B,
-verify_product for kind A (given qseries.product_for_A's series).  A
+`count` and `series` read the first row of sources.SOURCES that counts
+the family and admits the weight (_counter): the product, for kind-A
+totals up to MAX_FILL_N; the enumeration, for any count up to
+--oracle-limit (at most MAX_ORACLE_N); the recursion table of the minimum
+part, for kinds P and B up to MAX_FILL_N, and at a structural zero at any
+weight (so above the oracle limit `count --family P` is the table's
+value).  `verify` runs one check of the library, which compares rows:
+recurrences.verify_family for kinds P and B, verify_product for kind A.  A
 bound that a run would pass is refused with one stderr line, "<what the
 command reads>; <flag> <value> exceeds the <bound> <limit>", and exit status 2.
 
@@ -41,7 +42,7 @@ import sys
 from contextlib import nullcontext
 from itertools import chain, islice
 
-from .partitions import FamilySpec, count_family, member_groups
+from .partitions import FamilySpec, member_groups
 
 DEFAULT_ORACLE_LIMIT = 60
 # the largest --oracle-limit: the P and B counts keep states that grow
@@ -251,35 +252,22 @@ def _exceeds(reads, flag, value, bound, limit) -> bool:
 
 
 def _counter(args, f, n, m=None):
-    """The count of f at each weight w <= n, of length m when m is given, as
-    a function of w, from the one source the module docstring's rule picks;
-    or None, after one line on stderr, when n exceeds that source's bound.
-    count_family is read from this module's globals and the product and the
-    tables from their modules when this runs, so a patched one is the one
-    read.
-    """
-    flag = "--n" if args.command == "count" else "--max-n"
-    if f.kind == "A" and m is None:
-        if _exceeds(args.command + " reads the kind-A product", flag, n, "fill limit", MAX_FILL_N):
-            return None
-        from .qseries import product_for_A
+    """The reader count(i, m, w) of the first row of sources.SOURCES that
+    counts f, by length when m is given, and admits weight n; or None, after
+    one line on stderr, when none admits n: the row that reaches farthest
+    names its bound.  A row loads its module when opened, so a function
+    patched there is the one read."""
+    from .sources import SOURCES
 
-        return product_for_A(f.i, n).__getitem__
-    if n <= args.oracle_limit or f.kind == "A":
-        reads = args.command + " enumerates fixed-length counts of kind A"
-        if _exceeds(reads, flag, n, "oracle limit", args.oracle_limit):
-            return None
-        return lambda w: count_family(w, f, m)
-    from .recurrences import family_count_via_table, variant_for_min_part
-
-    table = variant_for_min_part(f.min_part)
-    reads = "%s reads the %s table" % (args.command, table.variant)
-    # a structural zero needs no fill, at any weight
-    if (m is None or table.stores(m, n)) and _exceeds(reads, flag, n, "fill limit", MAX_FILL_N):
-        return None
-    if m is None:
-        return lambda w: family_count_via_table(table, f.i, w)
-    return lambda w: table.value(f.i, m, w)
+    limits = {"oracle limit": args.oracle_limit, "fill limit": MAX_FILL_N}
+    rows = [row for row in SOURCES if row.counts(f.kind, m)]
+    for row in rows:
+        if row.admits(f.min_part, m, n, limits[row.bound]):
+            return row.open(f.kind, f.min_part, n)
+    row = max(rows, key=lambda row: limits[row.bound])
+    reads = "%s %s" % (args.command, row.reads(f.kind, f.min_part))
+    _exceeds(reads, "--n" if args.command == "count" else "--max-n", n, row.bound, limits[row.bound])
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -295,9 +283,7 @@ def cmd_verify(args) -> int:
         if _exceeds(reads, "--max-n", max_n, "fill limit", MAX_FILL_N):
             return 2
         witness_max_n = min(max_n, args.oracle_limit) if args.refined else None
-        from .qseries import product_for_A
-
-        report = verify_product(f.i, max_n, product_for_A(f.i, max_n), witness_max_n)
+        report = verify_product(f.i, max_n, witness_max_n)
     else:
         max_n = args.max_n if args.max_n is not None else args.oracle_limit
         if _exceeds("verify enumerates P and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
@@ -308,11 +294,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    n = args.n
-    count = _counter(args, args.family, n, args.fixed_length)
+    n, m = args.n, args.fixed_length
+    count = _counter(args, args.family, n, m)
     if count is None:
         return 2
-    c = count(n)
+    c = count(args.family.i, m, n)
     if args.format == "json":
         chunks = [_json_text({"count": c, "n": n})]
     elif args.format == "csv":
@@ -430,7 +416,7 @@ def cmd_series(args) -> int:
     count = _counter(args, args.family, degree)
     if count is None:
         return 2
-    coeffs = [count(w) for w in range(degree + 1)]
+    coeffs = [count(args.family.i, None, w) for w in range(degree + 1)]
     if args.format == "json":
         chunks = [_json_text([str(c) for c in coeffs])]
     elif args.format == "csv":

@@ -395,6 +395,8 @@ def _p_offsets(u, left, a, b, g, d):
         return ((u,),) if -d <= u <= a else ()
     a = min(a, u + d)
     b = min(b, a)
+    if u == g == d == 0:  # all zeros, at once, not one nested generator per part
+        return ((0,) * left,) if b >= 0 else ()
     key = (u, left, a, b, g, d)
     out = _P_OFFSETS.get(key)
     if out is None:

@@ -15,7 +15,8 @@ increasing n with i=1 computed before i=2 at each cell.
 
 from math import isqrt
 
-from .partitions import FamilySpec, count_family, counts_by_length
+from .partitions import FamilySpec
+from .sources import ENUMERATION, PRODUCT, TABLE
 
 
 class CountTable:
@@ -135,11 +136,6 @@ class VerificationReport:
             "violations": self.violations,
         }
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def mismatches(cells, pairs):
     """Yield a violation record for every disagreeing source pair at a cell.
@@ -156,25 +152,22 @@ def mismatches(cells, pairs):
                 yield {"i": i, "m": m, "n": n, "expected": counts[want], "actual": counts[got]}
 
 
-def column(f: FamilySpec, max_n: int, columns=None) -> list:
-    """[counts_by_length(n, f) for n = 0 .. max_n], one count per weight
-    (for kinds P and B, counted without building a member); or the
-    column for f that the caller has counted in columns."""
-    col = (columns or {}).get(f)
-    return col if col is not None else [counts_by_length(n, f) for n in range(max_n + 1)]
-
-
-def sweep(system, family, max_n, sources, pairs, indices=(1, 2)) -> VerificationReport:
-    """The mismatches of pairs at every cell (i, m, n), 0 <= m <= n <= max_n
-    and i in indices, in n, m, i order; sources maps each source name to a
-    function (i, m, n) -> count, read once per cell."""
-    cells = (
+def _cells(max_n, sources, indices):
+    # every cell (i, m, n), 0 <= m <= n <= max_n and i in indices, in n, m,
+    # i order, with each source's count there, read as the cell is reached
+    return (
         (i, m, n, {name: count(i, m, n) for name, count in sources.items()})
         for n in range(max_n + 1)
         for m in range(n + 1)
         for i in indices
     )
-    return VerificationReport(system, family, max_n, list(mismatches(cells, pairs)))
+
+
+def sweep(system, family, max_n, sources, pairs, indices=(1, 2)) -> VerificationReport:
+    """The mismatches of pairs at the cells of _cells; sources maps each
+    source name to a reader (i, m, n) -> count (see sources.Source)."""
+    violations = list(mismatches(_cells(max_n, sources, indices), pairs))
+    return VerificationReport(system, family, max_n, violations)
 
 
 def variant_for_min_part(min_part: int) -> CountTable:
@@ -186,20 +179,15 @@ def variant_for_min_part(min_part: int) -> CountTable:
     return system3(min_part // 2)
 
 
-def _oracle(t, f, max_n):
-    # the variant check, then the enumerated count of f's kind at (i, m, n)
-    # for both index values, as a source
+def _governs(t, f):
+    # a table checked against f's counts must be the one of f's minimum part
     if variant_for_min_part(f.min_part).variant != t.variant:
-        raise ValueError(
-            "table %s does not govern min_part %d" % (t.variant, f.min_part)
-        )
-    columns = [column(FamilySpec(f.kind, i, f.min_part), max_n) for i in (1, 2)]
-    # out-of-range cells count nothing; in-range cells come from the oracle
-    return lambda i, m, n: columns[i - 1][n][m] if 0 <= m <= n else 0
+        raise ValueError("table %s does not govern min_part %d" % (t.variant, f.min_part))
 
 
 def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
-    """Check that f's refined oracle counts satisfy t's two equations.
+    """Check that f's refined oracle counts (the enumeration row's, a column
+    at a time) satisfy t's two equations.
 
     The equations couple the index values, so both i=1 and i=2 are swept
     regardless of f.i.  The table variant must match f.min_part (System1 for
@@ -207,7 +195,8 @@ def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationRepor
     usage error.  Violated cells carry the equation's right-hand side as
     "expected" and the oracle count as "actual".
     """
-    oracle = _oracle(t, f, max_n)
+    _governs(t, f)
+    oracle = ENUMERATION.open(f.kind, f.min_part, max_n, {})
     a = t.offset
 
     def equation(i, m, n):
@@ -224,9 +213,11 @@ def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationRepor
 def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
     """Cellwise table against oracle: t(i,m,n) vs refined count of f.
 
-    Same variant-matching rule as verify_system; both index values swept.
+    Same oracle and variant-matching rule as verify_system; both index
+    values swept.
     """
-    sources = {"table": t.value, "oracle": _oracle(t, f, max_n)}
+    _governs(t, f)
+    sources = {"table": t.value, "oracle": ENUMERATION.open(f.kind, f.min_part, max_n, {})}
     return sweep(t.variant + ":cells", f.label(), max_n, sources, [("table", "oracle")])
 
 
@@ -238,29 +229,23 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
         p[2k+1](m, n) = p(m, n - 2mk)        b[2k+1](m, n) = b(m, n - 2mk)
         p[2k](m, n)   = p[2k+1](m, n + m)    b[2k](m, n)   = b[2k+1](m, n + m)
 
-    Every left side is read from a whole column (counts_by_length at each
-    weight n <= max_n).  A right side is read per cell: the base count
-    p(m, n - 2mk) as one fixed-length count (0 at a negative weight), and
-    p[2k+1](m, n + m) from the odd-shift column when n + m <= max_n, else
-    as one fixed-length count.  So nothing is counted at a cell that no
-    equation reads.  Each count is count_family's, which builds no
-    member for kinds P and B.
-
-    columns, when given, maps a FamilySpec to a column the caller has
-    already counted, which is read rather than counted again.
+    Every count is the enumeration row's: each left side, and p[2k+1](m,
+    n + m) when n + m <= max_n, from a whole column, kept in columns (which
+    may hold the caller's); every other right side as one fixed-length
+    count.  So nothing is counted at a cell that no equation reads.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    columns = {} if columns is None else columns
 
     def equations(kind):
-        f_base, f_odd = FamilySpec(kind, i, 1), FamilySpec(kind, i, 2 * k + 1)
-        odd = column(f_odd, max_n, columns)
-        even = column(FamilySpec(kind, i, 2 * k), max_n, columns)
+        base = ENUMERATION.open(kind, 1, max_n)
+        odd = ENUMERATION.open(kind, 2 * k + 1, max_n, columns)
         sources = {
-            "odd": lambda i, m, n: odd[n][m],
-            "base": lambda i, m, n: count_family(n - 2 * m * k, f_base, m) if n >= 2 * m * k else 0,
-            "even": lambda i, m, n: even[n][m],
-            "odd-up": lambda i, m, n: odd[n + m][m] if n + m <= max_n else count_family(n + m, f_odd, m),
+            "odd": odd,
+            "base": lambda i, m, n: base(i, m, n - 2 * m * k),
+            "even": ENUMERATION.open(kind, 2 * k, max_n, columns),
+            "odd-up": lambda i, m, n: odd(i, m, n + m),
         }
         pairs = [("base", "odd"), ("odd-up", "even")]
         return sweep("shift-equations(k=%d)" % k, "P+B(i=%d)" % i, max_n, sources, pairs, (i,))
@@ -271,35 +256,31 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
 
 
 def verify_family(f: FamilySpec, max_n: int) -> VerificationReport:
-    """Enumerated P and B of f's index and minimum part against each other
-    and the table that governs them, at every cell up to max_n; then, at a
-    minimum part 2k+1 or 2k, the shift equations, read from the same two
-    columns.  The totals are P's and B's at each weight."""
-    table = variant_for_min_part(f.min_part)
-    fP, fB = FamilySpec("P", f.i, f.min_part), FamilySpec("B", f.i, f.min_part)
-    colP, colB = column(fP, max_n), column(fB, max_n)
-    sources = {
-        "P": lambda i, m, n: colP[n][m],
-        "B": lambda i, m, n: colB[n][m],
-        "table": table.value,
-    }
+    """The enumerated P and B of f's index and minimum part against each
+    other and the table row, at every cell up to max_n; then, at a minimum
+    part 2k+1 or 2k, the shift equations, read from the same two columns.
+    The totals are P's and B's at each weight."""
+    columns = {}
+    sources = {kind: ENUMERATION.open(kind, f.min_part, max_n, columns) for kind in "PB"}
+    sources["table"] = TABLE.open(f.kind, f.min_part, max_n)
     pairs = [("B", "P"), ("table", "P"), ("table", "B")]
     family = "P+B(i=%d,min_part=%d)" % (f.i, f.min_part)
-    report = sweep("P=B+%s" % table.variant, family, max_n, sources, pairs, (f.i,))
-    report.totals = [(n, {"P": colP[n].total(), "B": colB[n].total()}) for n in range(max_n + 1)]
+    report = sweep("P=B+" + variant_for_min_part(f.min_part).variant, family, max_n, sources, pairs, (f.i,))
+    report.totals = [(n, {kind: sources[kind](f.i, None, n) for kind in "PB"}) for n in range(max_n + 1)]
     if f.min_part > 1:
         k = f.min_part // 2  # the minimum part is 2k+1 or 2k
-        report.violations += shift_identity_check(k, f.i, max_n, {fP: colP, fB: colB}).violations
+        report.violations += shift_identity_check(k, f.i, max_n, columns).violations
         report.system += "+shift-equations"
     return report
 
 
-def verify_product(i: int, max_n: int, product, witness_max_n) -> VerificationReport:
-    """The kind-A product series against the System1 table's B totals at each
-    weight up to max_n; then, unless witness_max_n is None, refined_AB_witness
-    up to that weight, whose cell is a violation.  The totals are A's and B's."""
-    table = system1()
-    totals = [(n, {"A": product[n], "B": family_count_via_table(table, i, n)}) for n in range(max_n + 1)]
+def verify_product(i: int, max_n: int, witness_max_n) -> VerificationReport:
+    """The product row (kind-A totals) against the table row's System1 B
+    totals at each weight up to max_n; then, unless witness_max_n is None,
+    refined_AB_witness up to that weight, whose cell is a violation.  The
+    totals are A's and B's."""
+    sources = {"A": PRODUCT.open("A", 1, max_n), "B": TABLE.open("B", 1, max_n)}
+    totals = [(n, {kind: read(i, None, n) for kind, read in sources.items()}) for n in range(max_n + 1)]
     cells = [(i, None, n, counts) for n, counts in totals]
     w = None if witness_max_n is None else refined_AB_witness(i, witness_max_n)
     if w is not None:
@@ -314,18 +295,9 @@ def refined_AB_witness(i: int, max_n: int):
     """Smallest (n, m) in lexicographic order where the fixed-length counts
     of kinds A and B disagree, as (m, n, countA, countB); None if none occurs
     up to max_n.  The total counts at any weight still agree, so a witness
-    shows the identity does not refine by length.  Each weight is counted
-    only once the ones below it agree.
+    shows the identity does not refine by length.  Both are the enumeration
+    row's, and each weight is counted only once the ones below it agree.
     """
-    fa = FamilySpec("A", i)
-    fb = FamilySpec("B", i)
-
-    def cells():
-        for n in range(0, max_n + 1):
-            ca = counts_by_length(n, fa)
-            cb = counts_by_length(n, fb)
-            for m in range(0, n + 1):
-                yield i, m, n, {"A": ca[m], "B": cb[m]}
-
-    v = next(mismatches(cells(), [("B", "A")]), None)
+    sources = {kind: ENUMERATION.open(kind, 1, max_n, {}) for kind in "AB"}
+    v = next(mismatches(_cells(max_n, sources, (i,)), [("B", "A")]), None)
     return None if v is None else (v["m"], v["n"], v["actual"], v["expected"])

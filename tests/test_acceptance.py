@@ -43,6 +43,7 @@ from evenodd.recurrences import (
     system3,
     verify_system,
 )
+from reports import report_json
 
 BUDGET_SECONDS = {1: 1.0, 2: 120.0, 3: 120.0, 4: 60.0, 5: 300.0, 6: 120.0, 7: 1.0}
 
@@ -111,7 +112,7 @@ def _criterion_3() -> str:
         cells = compare_table_oracle(table, f, 40)
         assert equations.ok, equations.violations[:3]
         assert cells.ok, cells.violations[:3]
-        parts += [equations.to_json(), cells.to_json()]
+        parts += [report_json(equations), report_json(cells)]
     return "".join(p + "\n" for p in parts)
 
 
@@ -138,12 +139,12 @@ def _criterion_5() -> str:
                     assert cP == cB, (k, i, min_part, n)
             pointwise = shift_identity_check(k, i, 60)
             assert pointwise.ok, pointwise.violations[:3]
-            lines.append(pointwise.to_json())
+            lines.append(report_json(pointwise))
         for min_part, table in ((2 * k + 1, system2(k)), (2 * k, system3(k))):
             for kind in ("P", "B"):
                 r = verify_system(table, FamilySpec(kind, 2, min_part), 40)
                 assert r.ok, r.violations[:3]
-                lines.append(r.to_json())
+                lines.append(report_json(r))
     return "".join(line + "\n" for line in lines)
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from evenodd import bijections, cli, partitions, qseries, recurrences
+from evenodd import bijections, cli, partitions, qseries, recurrences, sources
 from evenodd.bijections import TraceRow, bijection_domain, trace_bijection
 from evenodd.cli import main
 from evenodd.partitions import FamilySpec, enumerate_family, member_groups, part_allowed_for_A
@@ -443,11 +443,27 @@ def test_p_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):
 def test_b_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):
     # every part is at least 1, so no member of weight 10 has more than 10
     # parts: neither command builds an offset state for a longer member
-    monkeypatch.setattr(partitions, "_P_SIZES", {})
+    # or a staircase table row for one: the count reads _B_ROWS, the
+    # listing _P_OFFSETS
+    monkeypatch.setattr(partitions, "_B_ROWS", [])
     monkeypatch.setattr(partitions, "_P_OFFSETS", {})
     assert run(capsys, "count", "--family", "B", "--n", "10", "--fixed-length", "1000000") == (0, "0\n", "")
+    assert len(partitions._B_ROWS) <= 11 and all(len(row) <= 11 for row in partitions._B_ROWS)
     assert run(capsys, "list", "--family", "B", "--n", "10", "--fixed-length", "1000000") == (0, "", "")
-    assert not [key for memo in (partitions._P_SIZES, partitions._P_OFFSETS) for key in memo if key[1] > 10]
+    assert not [key for key in partitions._P_OFFSETS if key[1] > 10]
+
+
+def test_b_fixed_length_lists_a_long_all_zero_tail(capsys):
+    # 500 parts: the staircase 999, 997, ..., 1 weighs 250000, so the
+    # members are the 7 partitions of 5 added to its largest parts
+    stair = list(range(999, 0, -2))
+    code, out, err = run(capsys, "list", "--family", "B", "--n", "250005", "--fixed-length", "500")
+    members = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+    expected = [
+        "(%s)\n" % ",".join(str(s + u) for s, u in zip(stair, offsets + (0,) * (500 - len(offsets))))
+        for offsets in members
+    ]
+    assert (code, err) == (0, "") and out == "".join(expected)
 
 
 def test_bijection_json_trace_keys(capsys):
@@ -729,21 +745,44 @@ def test_refusal_names_the_bound(capsys, argv, bound):
     assert len(err.splitlines()) == 1 and bound in err
 
 
-# the source count and series read for each kind at the weights 60 (the
+def _rows_read(monkeypatch):
+    """The names of the sources.SOURCES rows read from now on: each row's
+    readers note its name when they are read."""
+    read = set()
+
+    def recording(row, open_):
+        def opened(*args):
+            count = open_(*args)
+
+            def reading(*cell):
+                read.add(row.name)
+                return count(*cell)
+
+            return reading
+
+        return opened
+
+    for row in sources.SOURCES:
+        monkeypatch.setattr(row, "open", recording(row, row.open))
+    return read
+
+
+# the row count and series read for each kind at the weights 60 (the
 # oracle limit), 100 and MAX_FILL_N + 1, or the bound they refuse past:
 # totals, length 3, and length 100, which is a structural zero of System1
-# at every weight up to 10000
+# at every weight up to 10000, read from the table without a fill (see
+# test_structural_zero_counts_need_no_fill)
 SOURCE_WEIGHTS = (60, 100, cli.MAX_FILL_N + 1)
 SOURCES = {
     ("A", None): ("product", "product", "fill limit"),
-    ("A", 3): ("enumerate", "oracle limit", "oracle limit"),
-    ("A", 100): ("enumerate", "oracle limit", "oracle limit"),
-    ("B", None): ("enumerate", "table", "fill limit"),
-    ("B", 3): ("enumerate", "table", "fill limit"),
-    ("B", 100): ("enumerate", None, None),
-    ("P", None): ("enumerate", "table", "fill limit"),
-    ("P", 3): ("enumerate", "table", "fill limit"),
-    ("P", 100): ("enumerate", None, None),
+    ("A", 3): ("enumeration", "oracle limit", "oracle limit"),
+    ("A", 100): ("enumeration", "oracle limit", "oracle limit"),
+    ("B", None): ("enumeration", "table", "fill limit"),
+    ("B", 3): ("enumeration", "table", "fill limit"),
+    ("B", 100): ("enumeration", "table", "table"),
+    ("P", None): ("enumeration", "table", "fill limit"),
+    ("P", 3): ("enumeration", "table", "fill limit"),
+    ("P", 100): ("enumeration", "table", "table"),
 }
 
 
@@ -754,19 +793,7 @@ SOURCES = {
     + [("series", kind, None) for kind in "ABP"],
 )
 def test_source_each_command_reads(capsys, monkeypatch, command, kind, length, n):
-    read = set()
-
-    def recording(name, fn):
-        def wrapper(*args, **kwargs):
-            read.add(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(qseries, "product_for_A", recording("product", qseries.product_for_A))
-    monkeypatch.setattr(cli, "count_family", recording("enumerate", cli.count_family))
-    monkeypatch.setattr(recurrences.CountTable, "_fill",
-                        recording("table", recurrences.CountTable._fill))
+    read = _rows_read(monkeypatch)
     argv = [command, "--family", kind, "--n" if command == "count" else "--max-n", str(n)]
     if length is not None:
         argv += ["--fixed-length", str(length)]
@@ -777,7 +804,30 @@ def test_source_each_command_reads(capsys, monkeypatch, command, kind, length, n
         assert len(err.splitlines()) == 1 and expected in err
     else:
         assert (code, err) == (0, "") and out
-        assert read == ({expected} if expected else set())
+        assert read == {expected}
+
+
+# the rows each command reads, which between them read every row
+ROWS_READ = [
+    ("count --family A --n 5", {"product"}),
+    ("count --family B --n 5 --fixed-length 2", {"enumeration"}),
+    ("series --family P --max-n 100", {"table"}),
+    ("verify --family P --k 1 --parity even --max-n 8", {"enumeration", "table"}),
+    ("verify --family A --max-n 8", {"product", "table"}),
+    ("verify --family A --refined --max-n 8", {"product", "table", "enumeration"}),
+    ("witness --max-n 8", {"enumeration"}),
+]
+
+
+def test_every_row_is_read(capsys, monkeypatch):
+    every = set()
+    for argv, rows in ROWS_READ:
+        read = _rows_read(monkeypatch)
+        run(capsys, *argv.split())
+        assert read == rows, argv
+        every |= read
+    assert every == {row.name for row in sources.SOURCES}
+
 
 # references for the streamed renderers, built the way the output was built
 # before streaming: one json.dumps or one csv.writer over every row
@@ -1086,7 +1136,7 @@ def test_shifted_verify_counts_each_column_once(capsys, monkeypatch, parity):
         seen[n, f] += 1
         return partitions.counts_by_length(n, f)
 
-    monkeypatch.setattr(recurrences, "counts_by_length", counting)
+    monkeypatch.setattr(sources, "counts_by_length", counting)
     code, _, _ = run(capsys, "verify", "--family", "P", "--k", "1", "--parity", parity, "--max-n", "12")
     assert code == 0
     assert set(seen.values()) == {1}
@@ -1310,7 +1360,7 @@ def test_witness_enumerates_only_up_to_its_cell(capsys, monkeypatch):
         seen.append((n, f.kind))
         return partitions.counts_by_length(n, f)
 
-    monkeypatch.setattr(recurrences, "counts_by_length", counting)
+    monkeypatch.setattr(sources, "counts_by_length", counting)
     code, out, _ = run(capsys, "witness", "--i", "1", "--max-n", "60")
     assert (code, out) == (0, "m=1 n=4 countA=0 countB=1\n")
     assert seen == [(n, kind) for n in range(5) for kind in "AB"]

@@ -1,12 +1,13 @@
-"""The count sources stay independent: run at a small size, each source's
-call graph reaches no function of another source.
+"""The count sources stay independent: each row of evenodd.sources.SOURCES,
+read at a small size, reaches its own module and no module another row
+counts with.
 
-The P and B counts are the enumerator-structure source (evenodd.partitions),
-the System1/2/3 tables fill by their own recursion (CountTable._fill), and
-the kind-A product is a theta quotient (evenodd.qseries).  A source that
-called into another would check a count against something derived from
-itself.  Within evenodd.partitions, the P and B columns that verify
-compares reach none of each other's recursions.
+The enumeration counts with evenodd.partitions, the table row fills the
+System1/2/3 tables by their own recursion (evenodd.recurrences), and the
+product row is a theta quotient (evenodd.qseries).  A row that called into
+another would check a count against something derived from itself.
+Within evenodd.partitions, the P and B columns that verify compares reach
+none of each other's recursions.
 """
 
 import sys
@@ -15,8 +16,7 @@ import pytest
 
 from evenodd import partitions
 from evenodd.partitions import FamilySpec, count_family, counts_by_length
-from evenodd.qseries import product_for_A
-from evenodd.recurrences import system1, system2, system3
+from evenodd.sources import SOURCES
 
 
 def _calls(run):
@@ -43,34 +43,40 @@ def _clear_memos():
             memo.clear()
 
 
-def _count_p_and_b():
+# the module each row counts with, and the modules its readers must never
+# reach, by row name: a row added to SOURCES needs an entry here
+REACHES = {
+    "product": ("evenodd.qseries", {"evenodd.partitions", "evenodd.recurrences"}),
+    "enumeration": ("evenodd.partitions", {"evenodd.recurrences", "evenodd.qseries"}),
+    "table": ("evenodd.recurrences", {"evenodd.partitions", "evenodd.qseries"}),
+}
+
+
+def test_every_row_forbids_every_other_rows_module():
+    assert set(REACHES) == {row.name for row in SOURCES}
+    for name, (_, foreign) in REACHES.items():
+        assert {own for other, (own, _) in REACHES.items() if other != name} <= foreign, name
+
+
+def _read(row):
+    # every count the row has of each kind, index and minimum part 1 to 3
+    # at a few weights, one cell at a time and a column at a time
     _clear_memos()
-    for kind in ("P", "B"):
-        for i in (1, 2):
-            for j in (1, 2, 3):
-                f = FamilySpec(kind, i, j)
-                for n in (0, 9, 24):
-                    counts_by_length(n, f)
-                    count_family(n, f)
-                    count_family(n, f, 3)
+    for kind in row.kinds:
+        for j in (1,) if kind == "A" else (1, 2, 3):
+            for columns in (None, {}):
+                count = row.open(kind, j, 40, columns)
+                for i in (1, 2):
+                    for n in (0, 9, 24, 40):
+                        count(i, None, n)
+                        if row.refined:
+                            count(i, 3, n)
 
 
-def _fill_tables():
-    for t in (system1(), system2(1), system3(2)):
-        t._fill(80)
-
-
-@pytest.mark.parametrize(
-    "run, own, foreign",
-    [
-        (_count_p_and_b, "evenodd.partitions", {"evenodd.recurrences", "evenodd.qseries"}),
-        (_fill_tables, "evenodd.recurrences", {"evenodd.partitions"}),
-        (lambda: [product_for_A(i, 200) for i in (1, 2)], "evenodd.qseries", {"evenodd.partitions"}),
-    ],
-    ids=["P-and-B-counts", "table-fill", "A-product"],
-)
-def test_each_source_reaches_only_its_own_module(run, own, foreign):
-    reached = {module for module, _ in _calls(run)}
+@pytest.mark.parametrize("row", SOURCES, ids=lambda row: row.name)
+def test_each_source_reaches_only_its_own_module(row):
+    own, foreign = REACHES[row.name]
+    reached = {module for module, _ in _calls(lambda: _read(row))}
     assert own in reached
     assert not reached & foreign, reached & foreign
 
