@@ -9,9 +9,20 @@ the codomain of the case the arithmetic returns (an executable restatement of
 the corresponding proof step, never assumed).  A public inverse checks its
 input against that codomain, reconstructs exactly, and checks the preimage
 against the domain and the case rule; a trace makes each check once.
-bijection_domain lists a map's domain at one weight, and trace_bijection
-traces whatever members its caller passes, lazily and in order, so a caller
-can trace a domain one block at a time and hold one block of rows.
+bijection_groups lists a map's domain at one weight as the (prefix, tails)
+groups of member_groups, and bijection_domain flattens them.  trace_groups
+traces groups lazily and in order, and trace_bijection the members its
+caller passes, as groups of one, so a caller can trace a domain one block at
+a time and hold one block of rows.
+
+Kind-B membership splits: for an int tuple x and 1 <= c <= len(x), x is a
+member exactly when x[:c] and x[c-1:] are.  Any run of a member's parts is
+a member.  Conversely, each adjacent pair lies in one piece, and the gap
+clause (at least 2) reads only adjacent pairs; x[c-1:] holds the least
+part, which decides the other clauses (at least j, and j fewer than i
+times: with gaps of at least 2 only the least part can be j).  So a group
+trace checks a prefix once, and its last part joined to each tail once per
+trace.
 
 Weight and length bookkeeping, with m the input length and n its weight:
 
@@ -26,9 +37,10 @@ Weight and length bookkeeping, with m the input length and n its weight:
 """
 
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
-from .partitions import FamilySpec, Partition, as_partition, enumerate_family, is_member_unchecked
+from .partitions import FamilySpec, Partition, as_partition, is_member_unchecked, member_groups
 
 
 class BijectionDomainError(ValueError):
@@ -314,14 +326,32 @@ def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> 
     return _inverse("shift-add-one", None, q, k=k, kind=kind, i=i)
 
 
-def bijection_domain(name, n, k=None, kind="P", i=None):
-    """Iterate over the domain members of the named map at weight n.
+def domain_family(name, k=None, kind="P", i=None) -> FamilySpec:
+    """The family whose members the case rule of the named map picks from."""
+    return _resolve(name, k, kind, i).domain
+
+
+def bijection_groups(name, n, k=None, kind="P", i=None):
+    """The domain members of the named map at weight n, as the
+    (prefix, tails) groups of member_groups over its domain family, each
+    group's tails cut to the members the case rule takes (a new tuple); a
+    group left with no tail is dropped.
 
     The empty partition is never listed (weight 0 traces are empty).  Shift
     maps need k >= 1; their kind defaults to P and their index to 2.
     """
     rec = _resolve(name, k, kind, i)
-    return (p for p in enumerate_family(n, rec.domain) if p and rec.takes(p))
+    takes = rec.takes
+    groups = (
+        (prefix, tuple([t for t in tails if (prefix or t) and takes(prefix + t)]))
+        for prefix, tails in member_groups(n, rec.domain)
+    )
+    return ((prefix, tails) for prefix, tails in groups if tails)
+
+
+def bijection_domain(name, n, k=None, kind="P", i=None):
+    """Iterate over the members of bijection_groups(name, n, k, kind, i)."""
+    return (prefix + t for prefix, tails in bijection_groups(name, n, k, kind, i) for t in tails)
 
 
 class TraceRow:
@@ -351,12 +381,68 @@ class TraceRow:
         return d
 
 
+def trace_groups(name, groups, k=None, kind="P", i=None):
+    """For each (prefix, tails) group of tuples, read lazily and in order,
+    yield (prefix, tails, rows), rows[t] the TraceRow that trace_bijection
+    gives the member prefix + tails[t].  By the split rule, a kind-B domain
+    checks the prefix of an all-int group once and each distinct
+    (prefix[-1],) + t once per trace, and a kind-B codomain checks an image
+    longer than its c-part prefix as image[:c], once per run of equal heads,
+    and image[c-1:], once per trace.  Every other check is whole, and the
+    arithmetic runs on every member.
+    """
+    rec = _resolve(name, k, kind, i)
+    domain, want, codomain, forward, inverse = rec.domain, rec.case, rec.codomain, rec.forward, rec.inverse
+    split_in, split_out = domain.kind == "B", codomain.kind == "B"
+    pairs, pieces = {}, {}  # {(last part,): {tail: verdict}}, {image tail: verdict}
+    head = head_ok = None
+    for prefix, tails in groups:
+        c, seen, rows = len(prefix), None, []
+        if split_in and set(map(type, chain(prefix, *tails))) <= {int}:
+            prefix_ok = is_member_unchecked(prefix, domain)
+            seen = pairs.setdefault(prefix[-1:], {})
+        for t in tails:
+            p = prefix + t
+            case = image = None
+            if seen is None:
+                in_ok = set(map(type, p)) <= {int} and is_member_unchecked(p, domain)
+            elif (in_ok := prefix_ok and (not t or seen.get(t))) is None:
+                in_ok = seen[t] = is_member_unchecked(prefix[-1:] + t, domain)
+            if in_ok:
+                try:
+                    case, image = forward(p)
+                except BijectionDomainError:
+                    pass
+            if image is None or case != want:
+                rows.append(TraceRow(name, p, None, None, False, False, False))
+                continue
+            if split_out and type(image) is tuple and 0 < c < len(image):
+                if image[:c] != head:
+                    head = image[:c]
+                    head_ok = is_member_unchecked(head, codomain)
+                if (out_ok := head_ok and pieces.get(rest := image[c - 1 :])) is None:
+                    out_ok = pieces[rest] = is_member_unchecked(rest, codomain)
+            else:
+                out_ok = is_member_unchecked(image, codomain)
+            if not out_ok:
+                rows.append(TraceRow(name, p, None, image, True, False, False))
+                continue
+            try:
+                rt_ok = inverse(case, image, len(p)) == p
+            except BijectionDomainError:
+                rt_ok = False
+            rows.append(TraceRow(name, p, case, image, True, True, rt_ok))
+        yield prefix, tails, rows
+
+
 def trace_bijection(name, members, k=None, kind="P", i=None):
     """Apply the named map to each of members, read lazily and in order.
 
-    Returns a list with one TraceRow per member; the map is resolved once per
-    call, so a caller may trace a domain one block at a time (for instance
-    islice(bijection_domain(name, n), size), called until it returns []).
+    Returns a list with one TraceRow per member: trace_groups over groups
+    of one member each, so each row makes two membership checks.  The map
+    is resolved once per call, so a caller may trace a domain one block at
+    a time (for instance islice(bijection_domain(name, n), size), called
+    until it returns []).
     A row checks the input (the tuple of the member) against the domain: its
     parts are ints, it is in the domain family, and the forward arithmetic
     accepts it under the record's case (domain_ok; case and output None on a
@@ -367,26 +453,5 @@ def trace_bijection(name, members, k=None, kind="P", i=None):
     that is not canonical or not in the map's domain gives a failed row,
     never an exception.
     """
-    rec = _resolve(name, k, kind, i)
-    domain, want, codomain, forward, inverse = rec.domain, rec.case, rec.codomain, rec.forward, rec.inverse
-    rows = []
-    append = rows.append
-    for p in members:
-        p = tuple(p)
-        case = image = None
-        if set(map(type, p)) <= {int} and is_member_unchecked(p, domain):
-            try:
-                case, image = forward(p)
-            except BijectionDomainError:
-                pass
-        if image is None or case != want:
-            append(TraceRow(name, p, None, None, False, False, False))
-        elif not is_member_unchecked(image, codomain):
-            append(TraceRow(name, p, None, image, True, False, False))
-        else:
-            try:
-                rt_ok = inverse(case, image, len(p)) == p
-            except BijectionDomainError:
-                rt_ok = False
-            append(TraceRow(name, p, case, image, True, True, rt_ok))
-    return rows
+    groups = ((tuple(p), ((),)) for p in members)
+    return [row for _, _, rows in trace_groups(name, groups, k, kind, i) for row in rows]

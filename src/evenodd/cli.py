@@ -29,11 +29,12 @@ verdict).
 Identical invocations produce byte-identical output.  Output is rendered
 while it is written, so a run that exits 2 or 3 part way may leave partial
 output on stdout; only the exit status says that a run finished.  A
-bijection trace is also computed while it is written, _TRACE_BLOCK rows at
-a time, so it holds one block of rows and its verdict (exit 1 when any row
-failed) is known only once the last row is written.  --out names a file
-that is replaced only when the run exits 0 or 1, so a file there was
-written whole.
+bijection trace is also computed while it is written, a kind-B domain one
+member group at a time (bijections.trace_groups) and any other _TRACE_BLOCK
+rows at a time, so it holds one group or block of rows, and its verdict
+(exit 1 when any row failed) is known only once the last row is written.
+--out names a file that is replaced only when the run exits 0 or 1, so a
+file there was written whole.
 """
 
 import argparse
@@ -327,14 +328,31 @@ def cmd_list(args) -> int:
     return 0
 
 
-# rows per trace call: a json row is about 120 bytes, so the first block
-# fills the first _EMIT_BLOCK_CHARS write
+# rows per trace_bijection call on a domain of a kind other than B: a json
+# row is about 120 bytes, so the first block fills the first
+# _EMIT_BLOCK_CHARS write
 _TRACE_BLOCK = 1024
 
 
-def _json_trace_rows(rows):
-    """_json_encode(r.to_dict()) for each TraceRow (with bool flags) of rows,
-    formatted directly: the keys in sorted order, "case" only when not None.
+def _trace_inputs(groups, sep):
+    """(input, row) for each row of trace_groups' (prefix, tails, rows)
+    groups, input the member's parts joined by sep: each prefix is rendered
+    once per group and each distinct tail once per call."""
+    part = _Parts().__getitem__
+    rendered = {}
+    for prefix, tails, rows in groups:
+        head = sep.join(map(part, prefix))
+        for t, r in zip(tails, rows):
+            text = rendered.get(t)
+            if text is None:
+                text = rendered[t] = sep + sep.join(map(part, t)) if t else ""
+            yield head + text, r
+
+
+def _json_trace_rows(pairs):
+    """_json_encode(r.to_dict()) for each (input, TraceRow) pair of
+    _trace_inputs(..., ","), the row's flags bools, formatted directly: the
+    keys in sorted order, "case" only when not None.
 
     The head up to "input":[ is rendered once per (bijection, case,
     codomain_ok, domain_ok), and each distinct part once per call.
@@ -343,7 +361,7 @@ def _json_trace_rows(rows):
 
     part = _Parts().__getitem__
     heads = {}
-    for r in rows:
+    for text, r in pairs:
         key = (r.bijection, r.case, r.codomain_ok, r.domain_ok)
         head = heads.get(key)
         if head is None:
@@ -354,61 +372,66 @@ def _json_trace_rows(rows):
                 "true" if r.domain_ok else "false",
             )
         out = r.output
-        yield head + ",".join(map(part, r.input)) + (
+        yield head + text + (
             '],"output":null}' if out is None else '],"output":[' + ",".join(map(part, out)) + "]}"
         )
 
 
 def cmd_bijection(args) -> int:
-    from .bijections import bijection_domain, trace_bijection
+    from .bijections import bijection_domain, bijection_groups, domain_family, trace_bijection, trace_groups
 
     n = args.n
     if _exceeds("bijection enumerates the domain", "--n", n, "oracle limit", args.oracle_limit):
         return 2
     name, kw = args.bijection, dict(k=args.k, kind=args.family.kind, i=args.family.i)
-    domain = bijection_domain(name, n, **kw)
-    verdicts = []
+    if domain_family(name, **kw).kind == "B":
+        traced = trace_groups(name, bijection_groups(name, n, **kw), **kw)
+    else:
+        domain = bijection_domain(name, n, **kw)
+        blocks = iter(lambda: trace_bijection(name, islice(domain, _TRACE_BLOCK), **kw), [])
+        traced = ((r.input, ((),), [r]) for block in blocks for r in block)
+    failed = []
 
-    def traced():
-        # each block's verdict is noted before its rows are rendered
-        for block in iter(lambda: trace_bijection(name, islice(domain, _TRACE_BLOCK), **kw), []):
-            verdicts.append(all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in block))
-            yield from block
+    def groups():
+        # the first failing group is noted before its rows are rendered
+        for group in traced:
+            if not (failed or all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in group[2])):
+                failed.append(group)
+            yield group
 
-    rows = traced()
     part = _Parts().__getitem__
     if args.format == "json":
-        chunks = _json_array(_json_trace_rows(rows))
+        chunks = _json_array(_json_trace_rows(_trace_inputs(groups(), ",")))
     elif args.format == "csv":
         chunks = _csv_lines(
             ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
             (
                 [
                     r.bijection,
-                    " ".join(map(part, r.input)),
+                    text,
                     "" if r.case is None else r.case,
                     "" if r.output is None else " ".join(map(part, r.output)),
                     r.domain_ok,
                     r.codomain_ok,
                 ]
-                for r in rows
+                for text, r in _trace_inputs(groups(), " ")
             ),
         )
     else:
         chunks = (
             "(%s)%s (%s) %s\n"
             % (
-                ",".join(map(part, r.input)),
+                text,
                 " -> case %d ->" % r.case if r.case is not None else " ->",
                 ",".join(map(part, r.output)),
                 "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED",
             )
             if r.domain_ok
-            else "(%s) not in the domain FAILED\n" % ",".join(map(part, r.input))
-            for r in rows
+            else "(%s) not in the domain FAILED\n" % text
+            for text, r in _trace_inputs(groups(), ",")
         )
     _emit(args, chunks)
-    return 0 if all(verdicts) else 1
+    return 1 if failed else 0
 
 
 def cmd_series(args) -> int:

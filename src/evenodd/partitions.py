@@ -275,22 +275,26 @@ def _b_groups(n, i, j, fixed_length):
 
 def _b_at_most(k, v):
     # p_{<=k}(v), the partitions of v into at most k parts (0 when v < 0).
-    # Row t >= 2 of _B_ROWS holds p_{<=t}(w) at w = 0, 1, ..., widened in
-    # place as far as a count asks: row t-1 plus itself t places back (a
-    # partition into at most t parts has fewer parts, or is t ones added to
-    # another).  Row 1 is all ones and row 0 stays empty
+    # Up to two parts it is 1, or v//2 + 1 for two (a count of twos).  Row t >= 3
+    # of _B_ROWS holds p_{<=t}(w) at w = 0, 1, ..., widened in place as far
+    # as a count asks: row t-1 plus itself t places back (a partition into
+    # at most t parts has fewer parts, or is t ones added to another).  Rows
+    # 0 to 2 stay empty, and a count that would add more than
+    # _COUNT_MEMO_MAX cells raises ValueError
     k = min(k, v)
-    if k < 2:
-        return int(v == 0 or k == 1)
+    if k < 3:
+        return v // 2 + 1 if k == 2 else int(v == 0 or k == 1)
     rows = _B_ROWS
     if k < len(rows) and v < len(rows[k]):
         return rows[k][v]
     rows += [[] for _ in range(k + 1 - len(rows))]
-    rows[1] += [1] * (v + 1 - len(rows[1]))
-    for t in range(2, k + 1):
+    if sum(max(0, v + 1 - len(rows[t])) for t in range(3, k + 1)) > _COUNT_MEMO_MAX:
+        raise ValueError("a B count of at most %d parts at weight %d would add more than"
+                         " _COUNT_MEMO_MAX = %d cells to its table" % (k, v, _COUNT_MEMO_MAX))
+    for t in range(3, k + 1):
         row = rows[t]
         start = len(row)
-        row += rows[t - 1][start:v + 1]
+        row += rows[t - 1][start:v + 1] if t > 3 else [w // 2 + 1 for w in range(start, v + 1)]
         for w in range(max(start, t), v + 1):
             row[w] += row[w - t]
     return rows[k][v]

@@ -1,6 +1,11 @@
+import itertools
+import json
+import operator
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenodd import bijections, cli
 from evenodd.bijections import (
@@ -486,3 +491,243 @@ def test_p_case_trace_finds_each_case_once(name):
     # the three cases split the 1,756 nonempty members of weight 60
     assert len(rows) == {"P-case-even-eq": 468, "P-case-two-threes": 155, "P-case-generic": 1133}[name]
     assert sum(1 for p in enumerate_family(60, P1) if p) == 1756
+
+
+# the traced maps whose domain is kind B, with the shift maps' k, kind and
+# index: the maps that bijection traces group by group
+B_TRACES = [t for t in TRACES if bijections.domain_family(*t).kind == "B"]
+
+
+def test_b_traces_are_the_b_maps_and_the_b_shifts():
+    assert len(B_TRACES) == 11
+    assert {name for name, _, kind, _ in B_TRACES if kind == "P"} == {"B-drop-one", "B-case-min2", "B-case-min3"}
+
+
+@st.composite
+def _int_runs(draw):
+    """An int tuple read off a start and adjacent gaps of -1 to 4, so that
+    it is often a B member and sometimes increases, repeats a part or has
+    parts 0 or below."""
+    gaps = draw(st.lists(st.integers(-1, 4), max_size=6))
+    return tuple(itertools.accumulate([draw(st.integers(-2, 16))] + gaps, operator.sub))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), _int_runs(), st.data())
+def test_b_membership_splits_at_any_cut(i, min_part, x, data):
+    # every kind-B clause reads two adjacent parts or the least part, so a
+    # cut that keeps one part on both sides splits membership exactly
+    k = data.draw(st.integers(1, len(x)))
+    f = FamilySpec("B", i, min_part)
+    assert is_member_unchecked(x, f) == (is_member_unchecked(x[:k], f) and is_member_unchecked(x[k - 1 :], f))
+
+
+def _typed(draw, x):
+    """x, or x with one part its float, or True for a part 1: equal values
+    that are not canonical parts."""
+    if not x or draw(st.integers(0, 3)):
+        return x
+    at = draw(st.integers(0, len(x) - 1))
+    return x[:at] + (draw(st.sampled_from([float(x[at]), x[at] == 1 or float(x[at])])),) + x[at + 1 :]
+
+
+def _break(mp, name, which):
+    """Patch the arithmetic of name with _mutant(name, which), or for
+    "repeated" its forward arithmetic with each image's second part set to
+    its first: a piece of the image that holds both parts fails a kind-B
+    codomain, and one that holds either passes.  None patches nothing."""
+    rec = bijections._MAPS[name]
+    if which == "repeated":
+        real = getattr(bijections, rec.forward)
+
+        def repeated(*args, **kwargs):
+            case, image = real(*args, **kwargs)
+            return case, image[:1] + image[:1] + image[2:] if len(image) > 1 else image
+
+        mp.setattr(bijections, rec.forward, repeated)
+    elif which is not None:
+        mp.setattr(bijections, getattr(rec, which), _mutant(name, which))
+
+
+@st.composite
+def _groups(draw, name, k, kind, i):
+    """Up to four (prefix, tails) groups, each a prefix of the map's domain
+    members at one weight up to 30 with the tails of the members under it,
+    or an _int_runs prefix; either with _int_runs or () tails mixed in, and
+    any part sometimes replaced by an equal float or bool."""
+    members = list(bijection_domain(name, draw(st.integers(1, 30)), k, kind, i))
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        if members and draw(st.integers(0, 3)):
+            member = draw(st.sampled_from(members))
+            cut = draw(st.integers(1, len(member)))
+            prefix = member[:cut]
+            tails = [p[cut:] for p in members if p[:cut] == prefix]
+        else:
+            prefix, tails = draw(_int_runs()), []
+        tails += draw(st.lists(st.one_of(_int_runs(), st.just(())), max_size=3))
+        tails = [_typed(draw, t) for t in draw(st.permutations(tails))]
+        groups.append((_typed(draw, prefix), tuple(tails)))
+    return groups
+
+
+def _fields(r):
+    return (r.bijection, r.input, r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok)
+
+
+def _member_fields(name, members, k, kind, i):
+    """The _fields of each member's row by the definition, one member at a
+    time with every check made whole: the reference for the traces."""
+    rec = bijections._resolve(name, k, kind, i)
+    out = []
+    for p in members:
+        case = image = None
+        if all(type(x) is int for x in p) and is_member_unchecked(p, rec.domain):
+            try:
+                case, image = rec.forward(p)
+            except BijectionDomainError:
+                pass
+        if image is None or case != rec.case:
+            out.append((name, p, None, None, False, False, False))
+        elif not is_member_unchecked(image, rec.codomain):
+            out.append((name, p, None, image, True, False, False))
+        else:
+            try:
+                back = rec.inverse(case, image, len(p))
+            except BijectionDomainError:
+                back = None
+            out.append((name, p, case, image, True, True, back == p))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(B_TRACES), st.sampled_from([None, "forward", "inverse", "repeated"]), st.data())
+def test_group_trace_rows_equal_the_member_rows(trace, which, data):
+    # any members, grouped under any prefixes, and any arithmetic: the rows
+    # and verdicts a group trace gives are those of the members one by one
+    name, k, kind, i = trace
+    groups = data.draw(_groups(*trace))
+
+    def outcome(trace):
+        # the rows' fields, or the type of what the arithmetic raised (the
+        # mutants index into an empty preimage)
+        try:
+            return [r if type(r) is tuple else _fields(r) for r in trace()]
+        except Exception as e:
+            return type(e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _break(mp, name, which)
+        members = [p + t for p, ts in groups for t in ts]
+        got = outcome(lambda: [r for _, _, rows in bijections.trace_groups(name, groups, k, kind, i) for r in rows])
+        one_by_one = outcome(lambda: trace_bijection(name, members, k, kind, i))
+        want = outcome(lambda: _member_fields(name, members, k, kind, i))
+    assert got == one_by_one == want
+
+
+@pytest.mark.parametrize("which", [None, "forward", "inverse", "repeated"])
+@pytest.mark.parametrize("name,k,kind,i", B_TRACES)
+def test_domain_group_trace_equals_the_member_rows(monkeypatch, name, k, kind, i, which):
+    # at weight 60 the prefixes have one to three parts, so image heads of
+    # different lengths, passing and failing, follow each other
+    _break(monkeypatch, name, which)
+    groups = list(bijections.bijection_groups(name, 60, k, kind, i))
+    assert len({len(prefix) for prefix, _ in groups}) > 1
+    got = [_fields(r) for _, _, rows in bijections.trace_groups(name, groups, k, kind, i) for r in rows]
+    assert got == _member_fields(name, [p + t for p, ts in groups for t in ts], k, kind, i)
+
+
+def _printed(fmt, rows):
+    """What bijection prints in fmt for rows, rendered from their fields."""
+    if fmt == "json":
+        return json.dumps([r.to_dict() for r in rows], sort_keys=True, separators=(",", ":")) + "\n"
+
+    def parts(p, sep):
+        return sep.join(map(str, p))
+
+    if fmt == "csv":
+        return "bijection,input,case,output,domain_ok,codomain_ok\n" + "".join(
+            "%s,%s,%s,%s,%s,%s\n"
+            % (r.bijection, parts(r.input, " "), "" if r.case is None else r.case,
+               "" if r.output is None else parts(r.output, " "), r.domain_ok, r.codomain_ok)
+            for r in rows
+        )
+    return "".join(
+        "(%s)%s (%s) %s\n"
+        % (parts(r.input, ","), " ->" if r.case is None else " -> case %d ->" % r.case,
+           parts(r.output, ","), "round-trip ok" if r.codomain_ok and r.roundtrip_ok else "FAILED")
+        if r.domain_ok
+        else "(%s) not in the domain FAILED\n" % parts(r.input, ",")
+        for r in rows
+    )
+
+
+def _assert_cli_prints_the_trace(capsys, trace, weights):
+    name, k, kind, i = trace
+    flags = [] if k is None else ["--k", str(k), "--family", kind, "--i", str(i)]
+    for n in weights:
+        rows = trace_bijection(name, bijection_domain(name, n, k, kind, i), k, kind, i)
+        code = 0 if all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows) else 1
+        for fmt in ("text", "json", "csv"):
+            got = cli.main(["bijection", name, "--n", str(n), "--format", fmt] + flags)
+            assert (got, capsys.readouterr().out) == (code, _printed(fmt, rows)), (n, fmt)
+
+
+@pytest.mark.parametrize("name,k,kind,i", B_TRACES)
+def test_group_stream_prints_the_member_trace(capsys, name, k, kind, i):
+    _assert_cli_prints_the_trace(capsys, (name, k, kind, i), range(41))
+
+
+@pytest.mark.parametrize("which", ["forward", "inverse", "repeated"])
+@pytest.mark.parametrize("name,k,kind,i", B_TRACES)
+def test_group_stream_prints_the_member_trace_of_broken_arithmetic(capsys, monkeypatch, name, k, kind, i, which):
+    _break(monkeypatch, name, which)
+    _assert_cli_prints_the_trace(capsys, (name, k, kind, i), range(0, 41, 4))
+
+
+def _dropping(real):
+    # member_groups without the second member of each group that has one
+    return lambda n, f: ((prefix, tails[:1] + tails[2:]) for prefix, tails in real(n, f))
+
+
+def _injecting(real):
+    # member_groups with a non-member after each group's first member
+    # whose tail is not empty: that member with the prefix's last part
+    # repeated, which keeps its least part (and so its case)
+    def groups(n, f):
+        for prefix, tails in real(n, f):
+            bad = [prefix[-1:] + t for t in tails[:1] if t]
+            yield prefix, tails[:1] + tuple(bad) + tails[1:]
+
+    return groups
+
+
+@pytest.mark.parametrize("patch", [_dropping, _injecting])
+@pytest.mark.parametrize("name,k,kind,i", B_TRACES)
+def test_group_stream_prints_the_member_trace_of_changed_groups(capsys, monkeypatch, name, k, kind, i, patch):
+    monkeypatch.setattr(bijections, "member_groups", patch(bijections.member_groups))
+    _assert_cli_prints_the_trace(capsys, (name, k, kind, i), range(0, 41, 4))
+    # the injected members show as failed rows: the repeated part is a gap
+    # of 0 where a prefix meets its tail
+    rows = trace_bijection(name, bijection_domain(name, 40, k, kind, i), k, kind, i)
+    failed = sum(1 for r in rows if not r.domain_ok)
+    assert (failed > 0) == (patch is _injecting)
+
+
+def test_group_stream_checks_each_piece_once(capsys, monkeypatch):
+    # each prefix, (last prefix part, tail) pair and image piece is checked
+    # once per trace; at weight 40 no two members share a tail, so that is
+    # more checks than rows, and by weight 100 it is fewer
+    calls = Counter()
+
+    def counting(p, f):
+        calls[p, f] += 1
+        return is_member_unchecked(p, f)
+
+    monkeypatch.setattr(bijections, "is_member_unchecked", counting)
+    for n, rows in ((40, 154), (100, 29714)):
+        calls.clear()
+        assert cli.main(["bijection", "B-case-min3", "--n", str(n), "--oracle-limit", "100", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == rows
+        assert max(calls.values()) == 1
+    assert sum(calls.values()) < rows

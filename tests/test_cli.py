@@ -259,48 +259,68 @@ INJECTED_NON_MEMBER = {
 @pytest.mark.parametrize("fmt", sorted(INJECTED_NON_MEMBER))
 def test_trace_reports_a_domain_disagreement(capsys, monkeypatch, fmt):
     # the enumerator and is_member are two sources: a disagreement is exit 1
-    real = bijections.enumerate_family
-    monkeypatch.setattr(bijections, "enumerate_family", lambda n, f: itertools.chain([(4, 2)], real(n, f)))
+    real = bijections.member_groups
+    monkeypatch.setattr(bijections, "member_groups", lambda n, f: itertools.chain([((4, 2), ((),))], real(n, f)))
     code, out, err = run(capsys, "bijection", "P-case-generic", "--n", "6", "--format", fmt)
     assert (code, out, err) == (1, INJECTED_NON_MEMBER[fmt], "")
 
 
 def _streamed(monkeypatch, argv):
     """Run argv with trace blocks of 20 rows and writes of 1 KiB: the exit
-    status, stdout, the row count of each trace call, and how many calls
-    had been made when stdout first received bytes."""
-    sizes, first_write = [], []
-    real = bijections.trace_bijection
+    status, stdout, the row count of each trace_bijection call, and how many
+    rows trace_groups had traced, and how many trace_bijection calls had
+    been made, when stdout first received bytes.  trace_bijection traces
+    through trace_groups, so a blocked trace counts its rows there too."""
+    blocks, traced, first_write = [], [0], []
+    real_block, real_groups = bijections.trace_bijection, bijections.trace_groups
 
-    def counting(*args, **kwargs):
-        rows = real(*args, **kwargs)
-        sizes.append(len(rows))
+    def counting_blocks(*args, **kwargs):
+        rows = real_block(*args, **kwargs)
+        blocks.append(len(rows))
         return rows
+
+    def counting_groups(*args, **kwargs):
+        for group in real_groups(*args, **kwargs):
+            traced[0] += len(group[2])
+            yield group
 
     class Recorder(io.StringIO):
         def write(self, s):
             if s and not first_write:
-                first_write.append(len(sizes))
+                first_write.append((traced[0], len(blocks)))
             return super().write(s)
 
     monkeypatch.setattr(cli, "_TRACE_BLOCK", 20)
     monkeypatch.setattr(cli, "_EMIT_BLOCK_CHARS", 1 << 10)
-    monkeypatch.setattr(bijections, "trace_bijection", counting)
+    monkeypatch.setattr(bijections, "trace_bijection", counting_blocks)
+    monkeypatch.setattr(bijections, "trace_groups", counting_groups)
     out = Recorder()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, out.getvalue(), sizes, first_write[0]
+    return code, out.getvalue(), blocks, traced[0], first_write[0]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_bijection_traces_and_writes_one_block_at_a_time(capsys, monkeypatch, fmt):
+    # a kind-B domain is traced group by group, as one stream: no block
+    # call, and output begins before the last row is traced
     argv = ["bijection", "B-case-min3", "--n", "40", "--format", fmt]
     ref = run(capsys, *argv)
-    code, out, sizes, first_write = _streamed(monkeypatch, argv)
+    code, out, blocks, traced, (rows_at_write, _) = _streamed(monkeypatch, argv)
     assert (code, out, "") == ref and code == 0
-    # 154 rows: eight blocks and the empty call that ends them
-    assert sizes == [20] * 7 + [14, 0]
-    assert first_write < len(sizes)
+    assert blocks == [] and traced == 154
+    assert rows_at_write < traced
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_p_domain_bijection_traces_one_block_at_a_time(capsys, monkeypatch, fmt):
+    argv = ["bijection", "P-case-generic", "--n", "36", "--format", fmt]
+    ref = run(capsys, *argv)
+    code, out, blocks, traced, (_, blocks_at_write) = _streamed(monkeypatch, argv)
+    assert (code, out, "") == ref and code == 0
+    # 99 rows: five blocks and the empty call that ends them
+    assert blocks == [20] * 4 + [19, 0] and traced == 99
+    assert blocks_at_write < len(blocks)
 
 
 # B-case-min3 --n 40's last member, its image, and that row failing its
@@ -320,9 +340,9 @@ def test_failure_in_the_last_block_exits_1(capsys, monkeypatch, broken, fmt):
     _, ref, _ = run(capsys, *argv)
     attr, patch = LATE_FAILURES[broken]
     monkeypatch.setattr(bijections, attr, patch(getattr(bijections, attr)))
-    code, out, sizes, first_write = _streamed(monkeypatch, argv)
-    # output began before the last block, the one with the failing row
-    assert code == 1 and first_write < len(sizes) - 2
+    code, out, _, traced, (rows_at_write, _) = _streamed(monkeypatch, argv)
+    # output began before the last row, the failing one, was traced
+    assert code == 1 and rows_at_write < traced == 154
     # every row but the last as before; the json and csv rows carry no
     # round-trip flag, so there a round-trip failure shows in the exit only
     image = (10, 9) if broken == "codomain" else _LATE_IMAGE
@@ -356,7 +376,7 @@ def test_json_trace_row_matches_the_encoder():
             names, inputs, (None, 1, 2, 3), outputs, flags, flags
         )
     ]
-    got = list(cli._json_trace_rows(rows))
+    got = list(cli._json_trace_rows(cli._trace_inputs(((r.input, ((),), [r]) for r in rows), ",")))
     assert len(got) == len(rows)
     for r, line in zip(rows, got):
         assert line == cli._json_encode(r.to_dict()), (r.bijection, r.input, r.case, r.output)

@@ -1,11 +1,15 @@
 import copy
 import itertools
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from evenodd import partitions
+from evenodd import cli, partitions
 from evenodd.partitions import (
     _B_MEMO_MAX_REM,
     _B_TAILS,
@@ -610,3 +614,41 @@ def test_b_enumerator_streams_large_n():
     assert head[0] == (300,)
     assert head[1] == (299, 1)
     assert all(is_member(p, FamilySpec("B", 2)) for p in head)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_members_below_the_oracle_cap_have_few_parts(i):
+    # listings and traces nest about one generator per part, so below the
+    # cap no recursion nears Python's limit: a member of weight n has at
+    # most isqrt(2n) parts (the lengths are read without counting)
+    n = cli.MAX_ORACLE_N
+    longest_p = max(partitions._p_lengths(n, i, 1))
+    longest_b = len(partitions._b_lengths(n, i, 1)) - 1
+    assert max(longest_p, longest_b) <= math.isqrt(2 * n) < sys.getrecursionlimit() // 10
+
+
+def test_b_counts_of_two_parts_build_no_table_and_wide_ones_are_refused():
+    # in a fresh process: at most two parts is a closed form, and a count
+    # that would add more than _COUNT_MEMO_MAX cells to the table is refused
+    # before it builds any
+    script = "\n".join([
+        "import time",
+        "from evenodd import partitions",
+        "from evenodd.partitions import FamilySpec, count_family",
+        "f = FamilySpec('B', 2)",
+        "assert [count_family(10**6, f, m) for m in (0, 1, 2)] == [0, 1, 499999]",
+        "assert partitions._B_ROWS == []",
+        "start = time.perf_counter()",
+        "try:",
+        "    count_family(10**6, f, 5)",
+        "except ValueError as e:",
+        "    assert '_COUNT_MEMO_MAX' in str(e), e",
+        "else:",
+        "    raise AssertionError('no ValueError')",
+        "assert time.perf_counter() - start < 0.2",
+        "assert sum(map(len, partitions._B_ROWS)) == 0",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    subprocess.run([sys.executable, "-c", script], env=env, timeout=60, check=True)
