@@ -472,6 +472,28 @@ def _p_count(n, i, j, m):
     return sum([_p_size(*tops) * _p_size(*gaps) for tops, gaps in _p_pairs(n, i, j, m)])
 
 
+def _a_lengths(n, i, longest):
+    # h[m] = the number of A members of weight n with m parts, for m up to
+    # longest and n // lo, lo the least allowed part.  rows[m][w] counts
+    # the partitions of w into exactly m allowed parts.  The part sizes s
+    # are folded in one at a time; for each m, ascending, those with a part
+    # s are s plus one of w - s into m - 1 parts, which row m - 1 already
+    # counts with s allowed.  A table of more than _COUNT_MEMO_MAX cells
+    # raises ValueError
+    lo = 1 if i == 2 else 2
+    top = min(longest, n // lo)
+    if (top + 1) * (n + 1) > _COUNT_MEMO_MAX:
+        raise ValueError("an A count of at most %d parts at weight %d would build more than"
+                         " _COUNT_MEMO_MAX = %d cells" % (top, n, _COUNT_MEMO_MAX))
+    rows = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(top)]
+    for s in range(lo, n + 1):
+        if part_allowed_for_A(s, i):
+            # m parts, one of them s and the rest >= lo, weigh <= n
+            for m in range(1, min(top, (n - s) // lo + 1) + 1):
+                rows[m][s:] = map(add, rows[m][s:], rows[m - 1][:n + 1 - s])
+    return [row[n] for row in rows]
+
+
 def _check_bounds(n, fixed_length):
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -544,13 +566,16 @@ def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> i
     into at most m parts, lo its least allowed part (see _b_groups), read
     from a table of them that nothing else reads.  The states and cells
     are kept across calls until a call leaves more than _COUNT_MEMO_MAX,
-    which clears them all.  Kind A is enumerated.
+    which clears them all.  A is counted by length from a table of the
+    partitions into exactly m allowed parts, built for the call (see
+    _a_lengths).  No count lists a member.
     """
     _check_bounds(n, fixed_length)
     if fixed_length is None:
         return counts_by_length(n, f).total()
     if f.kind == "A":
-        return sum(1 for _ in enumerate_family(n, f, fixed_length))
+        h = _a_lengths(n, f.i, fixed_length)
+        return h[fixed_length] if fixed_length < len(h) else 0
     return _bounded((_b_count if f.kind == "B" else _p_count)(n, f.i, f.min_part, fixed_length))
 
 
@@ -558,13 +583,13 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
     """Counter mapping length m to the number of members of f at weight n;
     lengths with no member are absent.
 
-    Kinds P and B read what count_family reads at every length a member
-    of weight n can have, which is cheaper than one call per length.
+    Each kind reads what count_family reads at every length a member of
+    weight n can have, which is cheaper than one call per length.
     """
     _check_bounds(n, None)
     if f.kind == "A":
-        return Counter(map(len, enumerate_family(n, f)))
-    if f.kind == "B":
+        counts = enumerate(_a_lengths(n, f.i, n))
+    elif f.kind == "B":
         counts = enumerate(_b_lengths(n, f.i, f.min_part))
     else:
         counts = ((m, _p_count(n, f.i, f.min_part, m)) for m in _p_lengths(n, f.i, f.min_part))

@@ -7,10 +7,11 @@ one shape, parametrized by an offset a:
     t(2, m, n) = t(1, m, n) + t(2, m-1, n-2m-a+1)
 
 with base value 1 at (m, n) = (0, 0) and 0 whenever m <= 0 or n <= 0
-otherwise.  System1 has a = 0 and governs the base families (minimum part 1);
-System2(k) has a = 2k for minimum part 2k+1; System3(k) has a = 2k-1 for
-minimum part 2k.  Every recursive reference lowers n, so tables fill in
-increasing n with i=1 computed before i=2 at each cell.
+otherwise.  A family of minimum part j has the offset a = j - 1
+(variant_for_min_part): System1 (a = 0) for the base families, j = 1;
+System2(k) (a = 2k) for j = 2k+1; System3(k) (a = 2k-1) for j = 2k.  Every
+recursive reference lowers n, so tables fill in increasing n with i=1
+computed before i=2 at each cell.
 """
 
 from math import isqrt
@@ -90,20 +91,14 @@ class CountTable:
         return self.row(i, n)[m]
 
 
-def system1() -> CountTable:
-    return CountTable("System1", 0)
-
-
-def system2(k: int) -> CountTable:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return CountTable("System2(k=%d)" % k, 2 * k)
-
-
-def system3(k: int) -> CountTable:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return CountTable("System3(k=%d)" % k, 2 * k - 1)
+def variant_for_min_part(min_part: int) -> CountTable:
+    """The recursion table of a family with minimum part j = min_part, of
+    offset j - 1: System1 for j = 1, System2(k) for j = 2k+1, System3(k)
+    for j = 2k."""
+    if type(min_part) is not int or min_part < 1:
+        raise ValueError("min_part must be a positive integer, got %r" % (min_part,))
+    name = "System1" if min_part == 1 else "System%d(k=%d)" % (2 if min_part % 2 else 3, min_part // 2)
+    return CountTable(name, min_part - 1)
 
 
 def family_count_via_table(t: CountTable, i: int, n: int) -> int:
@@ -170,32 +165,15 @@ def sweep(system, family, max_n, sources, pairs, indices=(1, 2)) -> Verification
     return VerificationReport(system, family, max_n, violations)
 
 
-def variant_for_min_part(min_part: int) -> CountTable:
-    """The recursion system governing a family with the given minimum part."""
-    if min_part == 1:
-        return system1()
-    if min_part % 2 == 1:
-        return system2((min_part - 1) // 2)
-    return system3(min_part // 2)
-
-
-def _governs(t, f):
-    # a table checked against f's counts must be the one of f's minimum part
-    if variant_for_min_part(f.min_part).variant != t.variant:
-        raise ValueError("table %s does not govern min_part %d" % (t.variant, f.min_part))
-
-
-def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
+def verify_system(f: FamilySpec, max_n: int) -> VerificationReport:
     """Check that f's refined oracle counts (the enumeration row's, a column
-    at a time) satisfy t's two equations.
+    at a time) satisfy the two equations of the table of f's minimum part.
 
     The equations couple the index values, so both i=1 and i=2 are swept
-    regardless of f.i.  The table variant must match f.min_part (System1 for
-    minimum part 1, System2(k) for 2k+1, System3(k) for 2k); a mismatch is a
-    usage error.  Violated cells carry the equation's right-hand side as
-    "expected" and the oracle count as "actual".
+    regardless of f.i.  Violated cells carry the equation's right-hand side
+    as "expected" and the oracle count as "actual".
     """
-    _governs(t, f)
+    t = variant_for_min_part(f.min_part)
     oracle = ENUMERATION.open(f.kind, f.min_part, max_n, {})
     a = t.offset
 
@@ -210,15 +188,12 @@ def verify_system(t: CountTable, f: FamilySpec, max_n: int) -> VerificationRepor
     return sweep(t.variant, f.label(), max_n, sources, [("equation", "oracle")])
 
 
-def compare_table_oracle(t: CountTable, f: FamilySpec, max_n: int) -> VerificationReport:
-    """Cellwise table against oracle: t(i,m,n) vs refined count of f.
-
-    Same oracle and variant-matching rule as verify_system; both index
-    values swept.
-    """
-    _governs(t, f)
-    sources = {"table": t.value, "oracle": ENUMERATION.open(f.kind, f.min_part, max_n, {})}
-    return sweep(t.variant + ":cells", f.label(), max_n, sources, [("table", "oracle")])
+def compare_table_oracle(f: FamilySpec, max_n: int) -> VerificationReport:
+    """Cellwise table row against oracle: t(i,m,n), t the table of f's
+    minimum part, vs the refined count of f; both index values swept."""
+    sources = {row.name: row.open(f.kind, f.min_part, max_n, {}) for row in (TABLE, ENUMERATION)}
+    name = variant_for_min_part(f.min_part).variant + ":cells"
+    return sweep(name, f.label(), max_n, sources, [("table", "enumeration")])
 
 
 def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> VerificationReport:
@@ -233,6 +208,11 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
     n + m) when n + m <= max_n, from a whole column, kept in columns (which
     may hold the caller's); every other right side as one fixed-length
     count.  So nothing is counted at a cell that no equation reads.
+
+    Both sides read the same count states (B's staircase cells and P's
+    class sizes serve every minimum part), so this sees a member dropped at
+    one minimum part, but a corrupted state gives both sides the same wrong
+    count: only a check of P against B or the table (verify_family) sees it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

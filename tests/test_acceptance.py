@@ -38,9 +38,7 @@ from evenodd.recurrences import (
     family_count_via_table,
     refined_AB_witness,
     shift_identity_check,
-    system1,
-    system2,
-    system3,
+    variant_for_min_part,
     verify_system,
 )
 from reports import report_json
@@ -104,12 +102,11 @@ def _criterion_2() -> str:
 
 
 def _criterion_3() -> str:
-    table = system1()
     parts = []
     for kind in ("P", "B"):
         f = FamilySpec(kind, 2)
-        equations = verify_system(table, f, 40)
-        cells = compare_table_oracle(table, f, 40)
+        equations = verify_system(f, 40)
+        cells = compare_table_oracle(f, 40)
         assert equations.ok, equations.violations[:3]
         assert cells.ok, cells.violations[:3]
         parts += [report_json(equations), report_json(cells)]
@@ -117,7 +114,7 @@ def _criterion_3() -> str:
 
 
 def _criterion_4() -> str:
-    table = system1()
+    table = variant_for_min_part(1)
     lines = []
     for i in (1, 2):
         prod = product_for_A(i, 200)
@@ -140,9 +137,9 @@ def _criterion_5() -> str:
             pointwise = shift_identity_check(k, i, 60)
             assert pointwise.ok, pointwise.violations[:3]
             lines.append(report_json(pointwise))
-        for min_part, table in ((2 * k + 1, system2(k)), (2 * k, system3(k))):
+        for min_part in (2 * k + 1, 2 * k):
             for kind in ("P", "B"):
-                r = verify_system(table, FamilySpec(kind, 2, min_part), 40)
+                r = verify_system(FamilySpec(kind, 2, min_part), 40)
                 assert r.ok, r.violations[:3]
                 lines.append(report_json(r))
     return "".join(line + "\n" for line in lines)

@@ -25,6 +25,7 @@ from evenodd.partitions import (
     is_member_unchecked,
     member_groups,
 )
+from evenodd.qseries import product_for_A
 from evenodd.recurrences import family_count_via_table, variant_for_min_part
 from mutants import drop_b_members, drop_p_members
 
@@ -391,6 +392,25 @@ def test_counts_by_length_matches_count_family():
             assert count_family(n, f) == listed.total(), (f, n)
             for m in range(0, n + 2):
                 assert count_family(n, f, fixed_length=m) == listed[m], (f, n, m)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_a_counts_by_length_sum_to_the_product_at_the_oracle_cap(i):
+    # the A length table against the kind-A product, a source it never
+    # reads, at the largest weight the enumeration row counts
+    n = cli.MAX_ORACLE_N
+    by_length = counts_by_length(n, FamilySpec("A", i))
+    assert by_length.total() == product_for_A(i, n)[n]
+    assert [count_family(n, FamilySpec("A", i), m) for m in (10, n + 1)] == [by_length[10], 0]
+
+
+def test_a_counts_refuse_a_table_past_the_memo_bound():
+    f = FamilySpec("A", 2)
+    assert count_family(2001, f, 3) == 40200  # a few rows: far past the cap
+    with pytest.raises(ValueError, match="_COUNT_MEMO_MAX"):
+        count_family(10**6, f, 5)
+    with pytest.raises(ValueError, match="_COUNT_MEMO_MAX"):
+        counts_by_length(600, f)
 
 
 @pytest.mark.parametrize("i", (1, 2))

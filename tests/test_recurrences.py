@@ -13,9 +13,6 @@ from evenodd.recurrences import (
     family_count_via_table,
     refined_AB_witness,
     shift_identity_check,
-    system1,
-    system2,
-    system3,
     variant_for_min_part,
     verify_family,
     verify_product,
@@ -26,7 +23,7 @@ from reports import report_json
 
 
 def test_base_cells():
-    t = system1()
+    t = variant_for_min_part(1)
     assert t.value(2, 0, 0) == 1
     assert t.value(1, 0, 0) == 1
     assert t.value(1, -1, 5) == 0
@@ -36,7 +33,7 @@ def test_base_cells():
 
 
 def test_known_cells():
-    t = system1()
+    t = variant_for_min_part(1)
     assert t.value(2, 2, 6) == 2  # (5,1) and (3,3)
     assert t.value(1, 1, 2) == 1  # (2)
     assert t.value(1, 2, 6) == 1  # (3,3)
@@ -78,7 +75,7 @@ def test_bounded_rows_match_dense_fill(min_part):
 
 
 def test_structural_zeros_do_not_fill(monkeypatch):
-    t = system1()
+    t = variant_for_min_part(1)
 
     def no_fill(upto):
         raise AssertionError("filled to %d" % upto)
@@ -101,11 +98,11 @@ def test_family_count_sums_the_row(min_part):
 
 def test_invalid_index():
     with pytest.raises(ValueError):
-        system1().value(3, 1, 1)
+        variant_for_min_part(1).value(3, 1, 1)
 
 
 def test_family_count_via_table():
-    t = system1()
+    t = variant_for_min_part(1)
     assert family_count_via_table(t, 2, 6) == 3
     assert family_count_via_table(t, 1, 6) == 2
     assert family_count_via_table(t, 1, 0) == 1
@@ -115,7 +112,7 @@ def test_family_count_via_table():
 
 
 def test_table_matches_oracle_counts():
-    t = system1()
+    t = variant_for_min_part(1)
     for n in range(0, 21):
         for m in range(0, n + 1):
             for i in (1, 2):
@@ -124,14 +121,14 @@ def test_table_matches_oracle_counts():
 
 
 def test_i_monotonicity_cellwise():
-    for t in (system1(), system2(1), system3(2)):
+    for t in map(variant_for_min_part, (1, 3, 4)):
         for n in range(0, 25):
             for m in range(0, n + 1):
                 assert t.value(2, m, n) >= t.value(1, m, n)
 
 
 def test_determinism_of_fill():
-    a, b = system1(), system1()
+    a, b = variant_for_min_part(1), variant_for_min_part(1)
     cells = [(i, m, n) for n in range(0, 20) for m in range(0, n + 1) for i in (1, 2)]
     assert [a.value(*c) for c in cells] == [b.value(*c) for c in cells]
 
@@ -139,51 +136,61 @@ def test_determinism_of_fill():
 @pytest.mark.parametrize("kind", ["P", "B"])
 @pytest.mark.parametrize("i", [1, 2])
 def test_verify_system1_clean(kind, i):
-    report = verify_system(system1(), FamilySpec(kind, i), 25)
+    report = verify_system(FamilySpec(kind, i), 25)
     assert report.ok
     assert report.violations == []
 
 
 def test_verify_system1_rejects_A():
-    report = verify_system(system1(), FamilySpec("A", 2), 10)
+    report = verify_system(FamilySpec("A", 2), 10)
     assert not report.ok
     first = report.violations[0]
     assert set(first) == {"i", "m", "n", "expected", "actual"}
     assert (first["m"], first["n"]) == (1, 2)
 
 
-def test_verify_system_variant_mismatch():
-    with pytest.raises(ValueError):
-        verify_system(system2(1), FamilySpec("P", 2, 1), 5)
-    with pytest.raises(ValueError):
-        verify_system(system1(), FamilySpec("B", 2, 3), 5)
+# minimum part j: the table's name and its offset a = j - 1
+VARIANTS = [
+    (1, "System1", 0),
+    (2, "System3(k=1)", 1),
+    (3, "System2(k=1)", 2),
+    (4, "System3(k=2)", 3),
+    (5, "System2(k=2)", 4),
+    (6, "System3(k=3)", 5),
+    (7, "System2(k=3)", 6),
+    (8, "System3(k=4)", 7),
+]
 
 
-def test_variant_for_min_part():
-    assert variant_for_min_part(1).variant == "System1"
-    assert variant_for_min_part(3).variant == "System2(k=1)"
-    assert variant_for_min_part(7).variant == "System2(k=3)"
-    assert variant_for_min_part(2).variant == "System3(k=1)"
-    assert variant_for_min_part(6).variant == "System3(k=3)"
+@pytest.mark.parametrize("min_part,variant,offset", VARIANTS)
+def test_variant_for_min_part(min_part, variant, offset):
+    t = variant_for_min_part(min_part)
+    assert (t.variant, t.offset) == (variant, offset)
+
+
+@pytest.mark.parametrize("min_part", [0, -1, True, 2.0])
+def test_variant_for_min_part_refuses_a_non_positive_or_non_int(min_part):
+    with pytest.raises(ValueError):
+        variant_for_min_part(min_part)
 
 
 @pytest.mark.parametrize("kind", ["P", "B"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_shifted_systems_clean(kind, k):
-    r = verify_system(system2(k), FamilySpec(kind, 2, 2 * k + 1), 20)
+    r = verify_system(FamilySpec(kind, 2, 2 * k + 1), 20)
     assert r.ok, r.violations[:3]
-    r = verify_system(system3(k), FamilySpec(kind, 2, 2 * k), 20)
+    r = verify_system(FamilySpec(kind, 2, 2 * k), 20)
     assert r.ok, r.violations[:3]
 
 
 def test_compare_table_oracle_clean():
-    assert compare_table_oracle(system1(), FamilySpec("P", 2), 20).ok
-    assert compare_table_oracle(system1(), FamilySpec("B", 1), 20).ok
-    assert compare_table_oracle(system3(1), FamilySpec("P", 2, 2), 16).ok
+    assert compare_table_oracle(FamilySpec("P", 2), 20).ok
+    assert compare_table_oracle(FamilySpec("B", 1), 20).ok
+    assert compare_table_oracle(FamilySpec("P", 2, 2), 16).ok
 
 
 def test_table_consistency_across_variants():
-    base, odd, even = system1(), system2(1), system3(1)
+    base, odd, even = map(variant_for_min_part, (1, 3, 2))
     for n in range(0, 22):
         for m in range(0, n + 1):
             for i in (1, 2):
@@ -265,7 +272,7 @@ def test_verify_product_witness():
     totals = verify_product(2, 20, None)
     assert totals.ok and totals.system == "A-product=B-counts"
     assert totals.totals == [
-        (n, {"A": product[n], "B": family_count_via_table(system1(), 2, n)}) for n in range(21)
+        (n, {"A": product[n], "B": family_count_via_table(variant_for_min_part(1), 2, n)}) for n in range(21)
     ]
     refined = verify_product(2, 20, 20)
     assert refined.system == "A-product=B-counts+refined"
@@ -304,7 +311,7 @@ def test_report_serialization():
         "max_n": 6,
         "violations": [],
     }
-    r2 = verify_system(system1(), FamilySpec("A", 2), 8)
+    r2 = verify_system(FamilySpec("A", 2), 8)
     d2 = json.loads(report_json(r2))
     assert d2["violations"] and set(d2["violations"][0]) == {
         "i", "m", "n", "expected", "actual",
@@ -325,6 +332,6 @@ def test_report_serialization():
 )
 def test_failing_report_digests(monkeypatch, sweep, members, sha256):
     drop_p_members(monkeypatch, members)
-    report = sweep(system1(), FamilySpec("P", 2), 20)
+    report = sweep(FamilySpec("P", 2), 20)
     assert not report.ok
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == sha256
