@@ -11,16 +11,11 @@ recurrences, qseries, bijections or json when it runs, never into this
 module's globals, so a name patched on its module is the one run.  A
 subcommand's parser gets its flags when it first parses (_CommandParser).
 
-`count` and `series` read the first row of sources.SOURCES that counts
-the family and admits the weight (_counter): the product, for kind-A
-totals up to MAX_FILL_N; the enumeration, for any count up to
---oracle-limit (at most MAX_ORACLE_N); the recursion table of the minimum
-part, for kinds P and B up to MAX_FILL_N, and at a structural zero at any
-weight (so above the oracle limit `count --family P` is the table's
-value).  `verify` runs one check of the library, which compares rows:
-recurrences.verify_family for kinds P and B, verify_product for kind A.  A
-bound that a run would pass is refused with one stderr line, "<what the
-command reads>; <flag> <value> exceeds the <bound> <limit>", and exit status 2.
+`count` and `series` read the row sources.pick takes for the family, length
+and weight; `verify` runs one check of the library, which compares rows.  A
+weight past the bound of the row a run reads is refused with one stderr
+line, "<command> <what the row reads>; <flag> <value> exceeds the <bound>
+<limit>" (_refuses), and exit status 2.
 
 Exit status is 0 exactly when the executed checks report zero violations,
 1 when violations were found, 2 on usage errors, infeasible bounds or a
@@ -104,11 +99,16 @@ def _family_from_args(args):
 
 
 def _oracle_limit_unread(args):
-    """Why the command would not read --oracle-limit with these flags, or None."""
-    kind = args.family or "P"
-    totals = getattr(args, "fixed_length", None) is None
-    if args.command in ("count", "series") and kind == "A" and totals:
-        return "on kind-A totals, which come from the product"
+    """Why the command would not read --oracle-limit with these flags, or
+    None; count and series read it only from the row it bounds."""
+    kind, m = args.family or "P", getattr(args, "fixed_length", None)
+    if args.command in ("count", "series"):
+        from .sources import pick
+
+        row = pick(kind, 1, m, MAX_ORACLE_N, _limits(MAX_ORACLE_N))
+        if row.bound != "oracle limit":
+            counts = "totals" if m is None else "fixed lengths"
+            return "on kind-%s %s, which come from the %s" % (kind, counts, row.name)
     if args.command == "list" and kind == "B":
         return "on kind B, which it lists at any --n"
     if args.command == "verify" and kind == "A" and not args.refined:
@@ -252,42 +252,49 @@ def _exceeds(reads, flag, value, bound, limit) -> bool:
     return True
 
 
-def _counter(args, f, n, m=None):
-    """The reader count(i, m, w) of the first row of sources.SOURCES that
-    counts f, by length when m is given, and admits weight n; or None, after
-    one line on stderr, when none admits n: the row that reaches farthest
-    names its bound.  A row loads its module when opened, so a function
-    patched there is the one read."""
-    from .sources import SOURCES
+def _limits(oracle_limit):
+    # the value of each bound a sources row names
+    return {"oracle limit": oracle_limit, "fill limit": MAX_FILL_N}
 
-    limits = {"oracle limit": args.oracle_limit, "fill limit": MAX_FILL_N}
-    rows = [row for row in SOURCES if row.counts(f.kind, m)]
-    for row in rows:
-        if row.admits(f.min_part, m, n, limits[row.bound]):
-            return row.open(f.kind, f.min_part, n)
-    row = max(rows, key=lambda row: limits[row.bound])
-    reads = "%s %s" % (args.command, row.reads(f.kind, f.min_part))
-    _exceeds(reads, "--n" if args.command == "count" else "--max-n", n, row.bound, limits[row.bound])
-    return None
+
+def _refuses(args, row, n, kinds, min_part=1, m=None) -> bool:
+    """True, after _exceeds' line "<command> <what row reads of kinds>; <flag>
+    <n> exceeds the <bound> <limit>", when the sources row does not admit n."""
+    limit = _limits(args.oracle_limit)[row.bound]
+    return not row.admits(min_part, m, n, limit) and _exceeds(
+        "%s %s" % (args.command, row.reads(kinds, min_part)),
+        "--n" if args.command == "count" else "--max-n", n, row.bound, limit)
+
+
+def _counter(args, f, n, m=None):
+    """The reader count(i, m, w) of the row sources.pick takes for f at n, or
+    None after _refuses' line; a row loads its module only when opened."""
+    from .sources import pick
+
+    row = pick(f.kind, f.min_part, m, n, _limits(args.oracle_limit))
+    if _refuses(args, row, n, f.kind, f.min_part, m):
+        return None
+    return row.open(f.kind, f.min_part, n)
 
 
 def cmd_verify(args) -> int:
     from .recurrences import verify_family, verify_product
+    from .sources import ENUMERATION, PRODUCT
 
     f = args.family
     if args.refined and f.kind != "A":
         print("--refined applies to kind A only", file=sys.stderr)
         return 2
     if f.kind == "A":
+        # the System1 table it also reads has the product's fill limit
         max_n = args.max_n if args.max_n is not None else DEFAULT_DP_MAX_N
-        reads = "verify reads the kind-A product and the System1 table"
-        if _exceeds(reads, "--max-n", max_n, "fill limit", MAX_FILL_N):
+        if _refuses(args, PRODUCT, max_n, "A"):
             return 2
-        witness_max_n = min(max_n, args.oracle_limit) if args.refined else None
-        report = verify_product(f.i, max_n, witness_max_n)
+        clamp = min(max_n, _limits(args.oracle_limit)[ENUMERATION.bound])
+        report = verify_product(f.i, max_n, clamp if args.refined else None)
     else:
         max_n = args.max_n if args.max_n is not None else args.oracle_limit
-        if _exceeds("verify enumerates P and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
+        if _refuses(args, ENUMERATION, max_n, "PB", f.min_part):
             return 2
         report = verify_family(f, max_n)
     _emit(args, _render_report(args, report))
@@ -492,11 +499,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    max_n = args.max_n if args.max_n is not None else 20
-    if _exceeds("witness enumerates A and B", "--max-n", max_n, "oracle limit", args.oracle_limit):
-        return 2
     from .recurrences import refined_AB_witness
+    from .sources import ENUMERATION
 
+    max_n = args.max_n if args.max_n is not None else 20
+    if _refuses(args, ENUMERATION, max_n, "AB"):
+        return 2
     w = refined_AB_witness(args.family.i, max_n)
     if args.format == "json":
         if w is None:

@@ -14,6 +14,7 @@ families, 2k or 2k+1 for the shifted variants).
 """
 
 from collections import Counter
+from math import isqrt
 from operator import add, sub
 from typing import Iterator, Optional, Sequence
 
@@ -83,9 +84,6 @@ class FamilySpec:
 
     def __hash__(self) -> int:
         return hash((self.kind, self.i, self.min_part))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "i": self.i, "min_part": self.min_part}
 
     def label(self) -> str:
         return "%s(i=%d,min_part=%d)" % (self.kind, self.i, self.min_part)
@@ -300,18 +298,9 @@ def _b_at_most(k, v):
     return rows[k][v]
 
 
-def _b_lengths(n, i, j):
-    # h[m] = _b_count(n, i, j, m) at every m whose staircase fits in n, not
-    # read through _b_count: tests/mutants.py patches both, once each
-    lo, h = _b_floor(i, j), []
-    while (u := n - len(h) * (lo + len(h) - 1)) >= 0:
-        h.append(_b_at_most(len(h), u))
-    return h
-
-
 def _b_count(n, i, j, m):
     # the number of B members of weight n with m parts: the partitions of
-    # n - m(lo+m-1) into at most m parts, as _b_groups lists them
+    # n - m(lo+m-1) into at most m parts, as _b_groups lists them (0 when m*m > n)
     return _b_at_most(m, n - m * (_b_floor(i, j) + m - 1))
 
 
@@ -590,7 +579,7 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
     if f.kind == "A":
         counts = enumerate(_a_lengths(n, f.i, n))
     elif f.kind == "B":
-        counts = enumerate(_b_lengths(n, f.i, f.min_part))
+        counts = ((m, _b_count(n, f.i, f.min_part, m)) for m in range(isqrt(n) + 1))
     else:
         counts = ((m, _p_count(n, f.i, f.min_part, m)) for m in _p_lengths(n, f.i, f.min_part))
     return _bounded(Counter({m: c for m, c in counts if c}))

@@ -1,5 +1,5 @@
 """The count sources: one row per independent way to count a family, in
-the order `count` and `series` try them (SOURCES).
+the order pick tries them (SOURCES).
 
 A row holds the kinds it counts, whether it counts each length (refined),
 the name of its bound ("oracle limit" or "fill limit", whose values the
@@ -24,10 +24,6 @@ class Source:
     def __init__(self, name, kinds, refined, bound, reads, open_, unfilled=None):
         self.name, self.kinds, self.refined, self.bound = name, kinds, refined, bound
         self.reads, self.open, self.unfilled = reads, open_, unfilled
-
-    def counts(self, kind, m) -> bool:
-        """True when the row counts kind, by length when m is not None."""
-        return kind in self.kinds and (m is None or self.refined)
 
     def admits(self, min_part, m, n, limit) -> bool:
         """True when the row reads weight n within limit, its bound's value."""
@@ -79,12 +75,19 @@ def _table(kind, min_part, upto, columns=None):
 
 PRODUCT = Source("product", "A", False, "fill limit",
                  lambda kind, min_part: "reads the kind-A product", _product)
-# it names its bound only for a fixed length of kind A, which no other row counts
 ENUMERATION = Source("enumeration", "ABP", True, "oracle limit",
-                     lambda kind, min_part: "enumerates fixed-length counts of kind %s" % kind,
+                     lambda kinds, _: "reads the length counts of kind " + " and ".join(kinds),
                      _enumeration)
 # a structural zero needs no fill
 TABLE = Source("table", "BP", True, "fill limit",
                lambda kind, min_part: "reads the %s table" % _table_for(min_part).variant, _table,
                lambda min_part, m, n: m is not None and not _table_for(min_part).stores(m, n))
 SOURCES = (PRODUCT, ENUMERATION, TABLE)
+
+
+def pick(kind, min_part, m, n, limits):
+    """The first row that counts kind (by length when m is not None) and admits
+    weight n within limits[row.bound]; else the one whose bound reaches farthest."""
+    rows = [row for row in SOURCES if kind in row.kinds and (m is None or row.refined)]
+    return next((row for row in rows if row.admits(min_part, m, n, limits[row.bound])),
+                max(rows, key=lambda row: limits[row.bound]))

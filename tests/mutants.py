@@ -1,11 +1,10 @@
 """Mutants of the P and B enumerators that drop given members.
 
 Each patches the seams that listing and counting read: the fixed-length P
-listing and the P count per (weight, length) cell; the B groups, the B
-length histogram per weight and the fixed-length B count.  A dropped
-member is then missing from enumerate_family, member_groups, count_family
-and counts_by_length alike, and each count loses exactly one per dropped
-member of its cell.  A member is dropped at whatever index and minimum
+listing and the P count per (weight, length) cell; the B groups and the B
+count per (weight, length) cell.  A dropped member is then missing from
+enumerate_family, member_groups, count_family and counts_by_length alike,
+and each count loses exactly one per dropped member of its cell.  A member is dropped at whatever index and minimum
 part it belongs to, or only at min_part when that is given.
 """
 
@@ -39,22 +38,15 @@ def drop_p_members(monkeypatch, members, min_part=None):
 def drop_b_members(monkeypatch, members, min_part=None):
     """Patch the B groups and counts so that no B member in members is listed
     or counted."""
-    groups, lengths, counted = partitions._b_groups, partitions._b_lengths, partitions._b_count
+    groups, counted = partitions._b_groups, partitions._b_count
 
     def grouping(n, i, j, fixed_length):
         drop = _dropped(members, min_part, "B", n, i, j)
         for prefix, tails in groups(n, i, j, fixed_length):
             yield prefix, tuple(t for t in tails if prefix + t not in drop)
 
-    def histogram(n, i, j):
-        h = list(lengths(n, i, j))
-        for p in _dropped(members, min_part, "B", n, i, j):
-            h[len(p)] -= 1
-        return tuple(h)
-
     def counting(n, i, j, m):
         return counted(n, i, j, m) - sum(len(p) == m for p in _dropped(members, min_part, "B", n, i, j))
 
     monkeypatch.setattr(partitions, "_b_groups", grouping)
-    monkeypatch.setattr(partitions, "_b_lengths", histogram)
     monkeypatch.setattr(partitions, "_b_count", counting)

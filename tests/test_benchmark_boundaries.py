@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,3 +63,10 @@ print(tracer.install(tracer.Tracer(), evenodd))
 def test_package_attributes_load_their_submodules():
     script = "import evenodd; print(evenodd.recurrences.variant_for_min_part(1).value(1, 0, 0))"
     assert _fresh(script) == "1\n"
+
+
+def test_an_unknown_package_attribute_is_an_attribute_error():
+    import evenodd
+
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        evenodd.nope

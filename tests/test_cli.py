@@ -48,6 +48,12 @@ def test_list_zero(capsys):
     assert out == "()\n"
 
 
+@pytest.mark.parametrize("fmt,out", [("text", ""), ("json", "[]\n"), ("csv", "parts\n")])
+def test_list_of_no_parts_above_weight_zero_is_empty(capsys, fmt, out):
+    argv = ["list", "--family", "A", "--n", "5", "--fixed-length", "0", "--format", fmt]
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_list_json_round_trips(capsys):
     code, out, _ = run(capsys, "list", "--family", "P", "--n", "6", "--format", "json")
     assert code == 0
@@ -858,6 +864,59 @@ def test_every_row_is_read(capsys, monkeypatch):
         assert read == rows, argv
         every |= read
     assert every == {row.name for row in sources.SOURCES}
+
+
+def test_count_reads_the_row_pick_takes_in_the_registry_order(capsys, monkeypatch):
+    # cli holds no source rule: with the table tried before the enumeration,
+    # P totals come from the table, which no --oracle-limit bounds
+    monkeypatch.setattr(sources, "SOURCES", (sources.PRODUCT, sources.TABLE, sources.ENUMERATION))
+    assert run(capsys, "count", "--family", "P", "--n", "5", "--oracle-limit", "5") == (
+        2, "", "count takes no --oracle-limit on kind-P totals, which come from the table\n")
+    assert run(capsys, "count", "--family", "B", "--n", "5", "--fixed-length", "2", "--oracle-limit", "5") == (
+        2, "", "count takes no --oracle-limit on kind-B fixed lengths, which come from the table\n")
+    read = _rows_read(monkeypatch)
+    assert run(capsys, "count", "--family", "P", "--n", "5") == (
+        0, "%d\n" % partitions.count_family(5, FamilySpec("P", 2)), "")
+    assert read == {"table"}
+
+
+# every refusal of a count-source bound, whole: the command, what the row
+# it reads says it reads, then the flag, the weight and the row's bound
+SOURCE_REFUSALS = [
+    ("count --family A --n 301 --fixed-length 10 --oracle-limit 300",
+     "count reads the length counts of kind A; --n 301 exceeds the oracle limit 300"),
+    ("count --family P --n 5001", "count reads the System1 table; --n 5001 exceeds the fill limit 5000"),
+    ("series --family A --max-n 5001",
+     "series reads the kind-A product; --max-n 5001 exceeds the fill limit 5000"),
+    ("series --family B --k 1 --parity odd --max-n 5001",
+     "series reads the System2(k=1) table; --max-n 5001 exceeds the fill limit 5000"),
+    ("verify --family A --max-n 5001",
+     "verify reads the kind-A product; --max-n 5001 exceeds the fill limit 5000"),
+    ("verify --family B --max-n 61",
+     "verify reads the length counts of kind P and B; --max-n 61 exceeds the oracle limit 60"),
+    ("verify --family P --k 1 --parity even --max-n 61",
+     "verify reads the length counts of kind P and B; --max-n 61 exceeds the oracle limit 60"),
+    ("witness --max-n 61",
+     "witness reads the length counts of kind A and B; --max-n 61 exceeds the oracle limit 60"),
+]
+
+
+@pytest.mark.parametrize("argv,line", SOURCE_REFUSALS)
+def test_source_refusals_are_pinned(capsys, argv, line):
+    assert run(capsys, *argv.split()) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv,row", [
+    ("verify --family B --max-n 61", "ENUMERATION"),
+    ("witness --max-n 61", "ENUMERATION"),
+    ("verify --family A --max-n 5001", "PRODUCT"),
+    ("count --family P --n 5001", "TABLE"),
+])
+def test_refusals_take_their_text_from_the_row_read(capsys, monkeypatch, argv, row):
+    monkeypatch.setattr(getattr(sources, row), "reads", lambda kinds, min_part: "reads <%s>" % kinds)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(argv.split()[0] + " reads <") and err.count("\n") == 1
 
 
 # references for the streamed renderers, built the way the output was built

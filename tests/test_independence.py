@@ -85,7 +85,7 @@ def test_each_source_reaches_only_its_own_module(row):
 # with; a fixed B length is listed as a P bound-class state (_p_offsets),
 # so the B counts must not reach the P recursions, nor P the B table
 _P_RECURSIONS = {"_p_size", "_p_offsets", "_p_pairs", "_p_count", "_p_lengths", "_p_least_weights"}
-_B_RECURSIONS = {"_b_at_most", "_b_parts", "_b_lengths", "_b_count"}
+_B_RECURSIONS = {"_b_at_most", "_b_parts", "_b_count"}
 
 
 @pytest.mark.parametrize(

@@ -68,13 +68,6 @@ def test_family_spec_validation():
             FamilySpec(*args)
 
 
-def test_family_spec_round_trip():
-    f = FamilySpec("P", 1, 5)
-    assert f.to_dict() == {"kind": "P", "i": 1, "min_part": 5}
-    assert FamilySpec(**f.to_dict()) == f
-    assert FamilySpec("B", 2).to_dict() == {"kind": "B", "i": 2, "min_part": 1}
-
-
 def test_family_spec_value_semantics():
     f = FamilySpec("P", 2)
     assert repr(f) == "FamilySpec(kind='P', i=2, min_part=1)"
@@ -204,6 +197,12 @@ def test_enumerate_partitions_edges():
     assert list(enumerate_partitions(5, min_part=2)) == [(5,), (3, 2)]
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
+
+
+def test_enumerate_partitions_with_no_room():
+    # no parts left for a positive weight, or no part size allowed
+    assert list(enumerate_partitions(5, fixed_length=0)) == []
+    assert list(enumerate_partitions(3, min_part=5)) == []
 
 
 GOLDEN_SIX = {
@@ -640,10 +639,10 @@ def test_b_enumerator_streams_large_n():
 def test_members_below_the_oracle_cap_have_few_parts(i):
     # listings and traces nest about one generator per part, so below the
     # cap no recursion nears Python's limit: a member of weight n has at
-    # most isqrt(2n) parts (the lengths are read without counting)
+    # most isqrt(2n) parts (the P lengths are read without counting)
     n = cli.MAX_ORACLE_N
     longest_p = max(partitions._p_lengths(n, i, 1))
-    longest_b = len(partitions._b_lengths(n, i, 1)) - 1
+    longest_b = max(counts_by_length(n, FamilySpec("B", i)))
     assert max(longest_p, longest_b) <= math.isqrt(2 * n) < sys.getrecursionlimit() // 10
 
 

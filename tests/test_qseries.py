@@ -75,6 +75,17 @@ def test_series_from_counts():
     assert series_from_counts(FamilySpec("P", 1), 0).coeffs == (1,)
 
 
+def test_series_from_counts_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="^degree must be >= 0$"):
+        series_from_counts(FamilySpec("P", 2), -1)
+
+
+def test_repr_shows_at_most_eight_coefficients():
+    assert repr(TruncatedSeries([1, 0, 2])) == "TruncatedSeries([1, 0, 2])"
+    assert repr(TruncatedSeries(list(range(8)))) == "TruncatedSeries([0, 1, 2, 3, 4, 5, 6, 7])"
+    assert repr(TruncatedSeries(list(range(9)))) == "TruncatedSeries([0, 1, 2, 3, 4, 5, 6, 7, ...])"
+
+
 def test_product_matches_family_counts_small():
     for i in (1, 2):
         prod = product_for_A(i, 30)

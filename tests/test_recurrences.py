@@ -101,6 +101,12 @@ def test_invalid_index():
         variant_for_min_part(1).value(3, 1, 1)
 
 
+def test_invalid_index_at_a_structural_zero():
+    # checked before the structural zeros, which answer without a fill
+    with pytest.raises(ValueError):
+        variant_for_min_part(1).value(3, 0, 0)
+
+
 def test_family_count_via_table():
     t = variant_for_min_part(1)
     assert family_count_via_table(t, 2, 6) == 3
