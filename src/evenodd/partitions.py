@@ -182,12 +182,11 @@ _B_TAILS = {}
 _P_OFFSETS = {}
 
 # the P counts recurse over the listing's branching rules and keep the
-# states they reach as ints or tuples of ints: the class sizes and least
-# weights.  The B counts read _B_ROWS alone (see _b_at_most).  A top-level
-# count that leaves more than _COUNT_MEMO_MAX states, each cell of
-# _B_ROWS one, clears them all.
+# class sizes they reach as ints; a length's least weight is a closed form
+# (see _p_longest).  The B counts read _B_ROWS alone (see _b_at_most).  A
+# top-level count that leaves more than _COUNT_MEMO_MAX states, each cell
+# of _B_ROWS one, clears them all.
 _P_SIZES = {}
-_P_LEAST = {}
 _B_ROWS = []
 _COUNT_MEMO_MAX = 1 << 18
 
@@ -311,46 +310,44 @@ def _enumerate_B(n, i, j, fixed_length):
             yield prefix + t
 
 
-def _p_lengths(n, i, j):
-    # the least weight of an m-part member grows with m, so the first
-    # length that cannot reach n ends the lengths a member of weight n has
-    m = 0
-    while _p_least_weights(i, j, m)[m] <= n:
-        yield m
-        m += 1
-
-
 def _enumerate_P(n, i, j, fixed_length):
-    lengths = _p_lengths(n, i, j) if fixed_length is None else (fixed_length,)
+    lengths = range(_p_longest(n, i, j) + 1) if fixed_length is None else (fixed_length,)
     return sorted([p for m in lengths for p in _p_members_fixed(n, i, j, m)], reverse=True)
 
 
-def _p_least_weights(i, j, m):
-    """lw[l] for l = 0 .. m, as a tuple: a lower bound on the weight of any
-    l parts of an m-part member of P with index i and minimum part j.
+def _p_gap_least(i, j, l):
+    """The least weight of l gap-class parts of a P member with index i and
+    minimum part j: l(j+l-1) for i = 2, l(j+2) + 4*(l//2)*((l-1)//2) for i = 1.
 
-    lw[l] is the sum of min(c_t, bound) over t < l, where bound = 2m+j-1 and
-    c_0, c_1, ... is j, j+2, j+4, ... when i = 2, else j+2, j+2, j+6, j+6, ...
-    Proof: take the l smallest parts.  Each in the bound class (the parity
-    of j-1) is at least bound.  Those in the gap class (the parity of j),
-    ascending y_0 <= y_1 <= ..., have y_0 >= j (j+2 when i = 1, as no part
-    equals j), y_1 >= j+2 (at most one part equals j) and y_{t+2} >= y_t + 4
-    (they are the smallest of their class), so y_t >= c_t.  Term by term,
-    g gap-class and l-g bound-class parts thus weigh at least lw[l].
-
-    For t <= m-2, c_t <= j+2+2t < bound, so for l <= m-1 lw[l] is the least
-    weight of l gap-class parts.  lw[m] grows with m: each term is
-    nondecreasing in m, and a longer member adds a term.
+    Proof: the gap class (the parity of j), ascending y_0 <= y_1 <= ...,
+    has y_0 >= j (j+2 when i = 1, as no part equals j), y_1 >= j+2 (at most
+    one part equals j) and y_{t+2} >= y_t + 4, so y_t >= c_t, where c_0,
+    c_1, ... is j, j+2, j+4, ... when i = 2, else j+2, j+2, j+6, j+6, ...
+    The c_t obey these clauses themselves, so the least weight is the sum
+    of c_t over t < l: lj + l(l-1), or l(j+2) plus 4 times the sum of t//2.
     """
-    lw = _P_LEAST.get((i, j, m))
-    if lw is None:
-        bound = 2 * m + j - 1
-        lw = [0]
-        for t in range(m):
-            c = j + 2 * t if i == 2 else j + 2 + 4 * (t // 2)
-            lw.append(lw[-1] + min(c, bound))
-        lw = _P_LEAST[i, j, m] = tuple(lw)
-    return lw
+    if i == 2:
+        return l * (j + l - 1)
+    return l * (j + 2) + 4 * (l // 2) * ((l - 1) // 2)
+
+
+def _p_longest(n, i, j):
+    """The most parts a P member of weight n, index i and minimum part j
+    can have: the largest m with m(m+lo-1) <= n, lo = j for i = 2 and j+1
+    for i = 1.
+
+    Proof that m(m+lo-1), which grows with m, is the least weight of an
+    m-part member: each bound-class part (the parity of j-1) is at least
+    bound = 2m+j-1 and the t-th smallest gap-class part at least c_t (see
+    _p_gap_least), so term by term the parts weigh at least the sum of
+    min(c_t, bound) over t < m, and those m terms form a member.  As
+    c_t <= j+2t+2 < bound for t <= m-2, the sum is _p_gap_least(i, j, m-1)
+    + min(c_{m-1}, bound): m(j+m-1) for i = 2, where c_{m-1} = j+2m-2; for
+    i = 1, m(j+m) from (m-1)(j+2) + (m-2)^2 + j+2m-2 with m even, and from
+    (m-1)(j+2) + (m-1)(m-3) + bound with m odd, where c_{m-1} = j+2m.
+    """
+    lo = j if i == 2 else j + 1
+    return (isqrt((lo - 1) ** 2 + 4 * n) - lo + 1) // 2
 
 
 def _p_size(u, left, a, b, g, d):
@@ -425,20 +422,18 @@ def _p_pairs(n, i, j, m):
     m nor j, and a gap-class state not on j.  B's fixed lengths are listed
     as bound-class states too, of offsets from a staircase (see _b_groups).
 
-    Every part is at least j, so there is no pair when m*j > n; this is
-    checked first, as a huge fixed length would otherwise build m+1 least
-    weights and try m+1 values of r1.
+    There is no pair when m exceeds _p_longest(n, i, j); this is checked
+    first, so a huge fixed length tries no value of r1.
     """
-    if m * j > n:
+    if m > _p_longest(n, i, j):
         return
     bound = 2 * m + j - 1
     d = i - 1
-    # the m - r1 gap-class parts weigh at least lw[m - r1], and the parts'
-    # parities make n = m*j - r1 (mod 2)
-    lw = _p_least_weights(i, j, m)
+    # the m - r1 gap-class parts weigh at least _p_gap_least(i, j, m - r1),
+    # and the parts' parities make n = m*j - r1 (mod 2)
     for r1 in range((m * j - n) % 2, m + 1, 2):
         u = (n - r1 * bound - (m - r1) * (j + 2)) // 2
-        for u1 in range((n - lw[m - r1] - r1 * bound) // 2 + 1 if r1 else 1):
+        for u1 in range((n - _p_gap_least(i, j, m - r1) - r1 * bound) // 2 + 1 if r1 else 1):
             yield (u1, r1, u1, u1, 0, 0), (u - u1, m - r1, u - u1 + d, u - u1 + d, 2, d)
 
 
@@ -539,8 +534,8 @@ def member_groups(
 
 def _bounded(result):
     # result, after clearing the count memos if they hold too many states
-    if len(_P_SIZES) + len(_P_LEAST) + sum(map(len, _B_ROWS)) > _COUNT_MEMO_MAX:
-        for memo in (_P_SIZES, _P_LEAST, _B_ROWS):
+    if len(_P_SIZES) + sum(map(len, _B_ROWS)) > _COUNT_MEMO_MAX:
+        for memo in (_P_SIZES, _B_ROWS):
             memo.clear()
     return result
 
@@ -551,9 +546,10 @@ def count_family(n: int, f: FamilySpec, fixed_length: Optional[int] = None) -> i
     Kinds P and B build no member and no sub-list.  P is counted by a
     memoized recursion over the enumerator's branching rule: a pair of
     class states (see _p_pairs) holds the product of their sizes in
-    members.  B of m parts is counted as the partitions of n - m(lo+m-1)
-    into at most m parts, lo its least allowed part (see _b_groups), read
-    from a table of them that nothing else reads.  The states and cells
+    members, at each length up to the closed form _p_longest.  B of m
+    parts is counted as the partitions of n - m(lo+m-1) into at most m
+    parts, lo its least allowed part (see _b_groups), read from a table of
+    them that nothing else reads.  The states and cells
     are kept across calls until a call leaves more than _COUNT_MEMO_MAX,
     which clears them all.  A is counted by length from a table of the
     partitions into exactly m allowed parts, built for the call (see
@@ -581,5 +577,6 @@ def counts_by_length(n: int, f: FamilySpec) -> Counter:
     elif f.kind == "B":
         counts = ((m, _b_count(n, f.i, f.min_part, m)) for m in range(isqrt(n) + 1))
     else:
-        counts = ((m, _p_count(n, f.i, f.min_part, m)) for m in _p_lengths(n, f.i, f.min_part))
+        longest = _p_longest(n, f.i, f.min_part)
+        counts = ((m, _p_count(n, f.i, f.min_part, m)) for m in range(longest + 1))
     return _bounded(Counter({m: c for m, c in counts if c}))

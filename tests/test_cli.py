@@ -469,12 +469,30 @@ def test_structural_zero_counts_need_no_fill(capsys, monkeypatch, m):
 
 
 def test_p_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):
-    # every part is at least 1, so no member of weight 10 has more than 10
-    # parts: neither command builds least weights for a longer member
-    monkeypatch.setattr(partitions, "_P_LEAST", {})
+    # no member of weight 10 has more than _p_longest(10, 2, 1) = 3 parts:
+    # neither command builds a class state for a longer member
+    monkeypatch.setattr(partitions, "_P_SIZES", {})
+    monkeypatch.setattr(partitions, "_P_OFFSETS", {})
     assert run(capsys, "count", "--family", "P", "--n", "10", "--fixed-length", "1000000") == (0, "0\n", "")
     assert run(capsys, "list", "--family", "P", "--n", "10", "--fixed-length", "1000000") == (0, "", "")
-    assert not [key for key in partitions._P_LEAST if key[2] > 10]
+    assert not partitions._P_SIZES and not partitions._P_OFFSETS
+
+
+_P_LONGEST = partitions._p_longest
+_P_GAP_LEAST = partitions._p_gap_least
+# P's length and gap-class bounds, each tightened: either drops members, so
+# verify sees P fall below B (a looser bound only prunes less)
+_TIGHT_P_BOUNDS = {
+    "_p_longest": lambda n, i, j: _P_LONGEST(n, i, j) - 1,
+    "_p_gap_least": lambda i, j, l: _P_GAP_LEAST(i, j, l) + 2 * (l > 0),
+}
+
+
+@pytest.mark.parametrize("i", ("1", "2"))
+@pytest.mark.parametrize("name", _TIGHT_P_BOUNDS)
+def test_verify_sees_a_tightened_p_bound(capsys, monkeypatch, i, name):
+    monkeypatch.setattr(partitions, name, _TIGHT_P_BOUNDS[name])
+    assert run(capsys, "verify", "--family", "P", "--i", i, "--max-n", "30")[0] == 1
 
 
 def test_b_fixed_length_past_the_weight_builds_nothing(capsys, monkeypatch):

@@ -15,7 +15,8 @@ from evenodd.partitions import (
     _B_TAILS,
     _P_OFFSETS,
     FamilySpec,
-    _p_least_weights,
+    _p_gap_least,
+    _p_longest,
     as_partition,
     count_family,
     counts_by_length,
@@ -298,16 +299,14 @@ def test_memos_hold_only_light_tuple_lists():
             assert key[0] <= _B_MEMO_MAX_REM, key
             assert type(members) is tuple, key
             assert all(type(t) is tuple and sum(t) == key[0] for t in members), key
-    # the counts keep numbers only, whatever the weight
-    assert len(COUNT_MEMOS) == 2
+    # the counts keep numbers only, whatever the weight: _P_SIZES is the
+    # one dict count memo
+    assert len(COUNT_MEMOS) == 1
     for memo in COUNT_MEMOS:
         assert memo
         for key, value in memo.items():
             assert type(key) is tuple and all(type(x) is int for x in key), key
-            if type(value) is tuple:
-                assert all(type(c) is int for c in value), key
-            else:
-                assert type(value) is int, key
+            assert type(value) is int, key
     # and the B table, a list of rows, ints only
     assert partitions._B_ROWS
     assert all(type(row) is list and all(type(c) is int for c in row) for row in partitions._B_ROWS)
@@ -357,8 +356,34 @@ def test_p_least_weights_are_the_gap_class_minimum(i):
     for g in range(0, 9):
         s = _least_gap_class_offset(i, g)
         for j in range(1, 8):
-            # lengths l <= m-1 of an m-part member use the plain gap-class chain
-            assert _p_least_weights(i, j, 9)[g] == g * j + 2 * s, (i, j, g)
+            assert _p_gap_least(i, j, g) == g * j + 2 * s, (i, j, g)
+
+
+def _listed_p(n, i, j, fixed_length=None):
+    # the P members of weight n from the listing oracle, which reads no P
+    # recursion and no least weight
+    f = FamilySpec("P", i, j)
+    return [p for p in enumerate_partitions(n, fixed_length, j) if is_member(p, f)]
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_p_longest_is_the_longest_listed_member(i):
+    for j in range(1, 8):
+        for n in range(31):
+            longest = max(map(len, _listed_p(n, i, j)), default=0)
+            assert _p_longest(n, i, j) == longest, (i, j, n)
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_p_least_weight_of_a_length_is_exact(i):
+    # an m-part member weighs at least m(m+lo-1), and some member weighs
+    # exactly that
+    for j in range(1, 8):
+        lo = j if i == 2 else j + 1
+        for m in range(6):
+            least = m * (m + lo - 1)
+            assert _listed_p(least, i, j, m), (i, j, m)
+            assert not [n for n in range(least) if _listed_p(n, i, j, m)], (i, j, m)
 
 
 def test_enumerate_family_fixed_length_consistent():
@@ -641,7 +666,7 @@ def test_members_below_the_oracle_cap_have_few_parts(i):
     # cap no recursion nears Python's limit: a member of weight n has at
     # most isqrt(2n) parts (the P lengths are read without counting)
     n = cli.MAX_ORACLE_N
-    longest_p = max(partitions._p_lengths(n, i, 1))
+    longest_p = partitions._p_longest(n, i, 1)
     longest_b = max(counts_by_length(n, FamilySpec("B", i)))
     assert max(longest_p, longest_b) <= math.isqrt(2 * n) < sys.getrecursionlimit() // 10
 

@@ -235,6 +235,35 @@ def test_shift_check_sees_a_dropped_member(monkeypatch, listing, member, min_par
     assert shift_identity_check(1, 2, 20).violations == [violation]
 
 
+# (count memo, row, key, the records verify_family(P(i=2, min_part=3), 20)
+# gives once that state reads one more): _B_ROWS[3][4] = p_{<=3}(4) is the B
+# count of three parts at weight 15 + 4, and the gap-class state of three
+# offsets adding to 0 is the one P member (7, 5, 3) of weight 15
+_CORRUPTED = [
+    ("_B_ROWS", 3, 4, [
+        {"i": 2, "m": 3, "n": 19, "expected": 5, "actual": 4},
+        {"i": 2, "m": 3, "n": 19, "expected": 4, "actual": 5},
+    ]),
+    ("_P_SIZES", None, (0, 3, 1, 1, 2, 1), [
+        {"i": 2, "m": 3, "n": 15, "expected": 1, "actual": 2},
+        {"i": 2, "m": 3, "n": 15, "expected": 1, "actual": 2},
+    ]),
+]
+
+
+@pytest.mark.parametrize("memo,row,key,violations", _CORRUPTED, ids=["_B_ROWS", "_P_SIZES"])
+def test_verify_family_sees_a_corrupted_count_state(monkeypatch, memo, row, key, violations):
+    # P and B share no count state, so one that reads wrong sets them apart
+    monkeypatch.setattr(partitions, memo, type(getattr(partitions, memo))())
+    f = FamilySpec("P", 2, 3)
+    assert verify_family(f, 20).ok
+    cells = getattr(partitions, memo)
+    if row is not None:
+        cells = cells[row]
+    cells[key] += 1
+    assert verify_family(f, 20).violations == violations
+
+
 @pytest.mark.parametrize("i", (1, 2))
 @pytest.mark.parametrize("min_part", (1, 2, 3, 4))
 def test_verify_family_clean(i, min_part):
