@@ -1,9 +1,9 @@
 """Verification engine for even-odd partition identities.
 
-Counts constrained partition families three independent ways (exhaustive
-enumeration, recurrence tables, q-series products), implements the underlying
-bijections as invertible maps and certifies the identities up to configurable
-bounds.
+Counts constrained partition families three independent ways (length counts
+from recursions over the families' own rules, recurrence tables, q-series
+products), implements the underlying bijections as invertible maps and
+certifies the identities up to configurable bounds.
 """
 
 from .partitions import (

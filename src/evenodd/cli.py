@@ -26,8 +26,9 @@ while it is written, so a run that exits 2 or 3 part way may leave partial
 output on stdout; only the exit status says that a run finished.  A
 bijection trace is also computed while it is written, a kind-B domain one
 member group at a time (bijections.trace_groups) and any other _TRACE_BLOCK
-rows at a time, so it holds one group or block of rows, and its verdict
-(exit 1 when any row failed) is known only once the last row is written.
+rows at a time, so it holds one group or block of rows; it is written one
+chunk per traced group (each row of any other domain its own group), and
+its verdict (exit 1 when any row failed) is known once the last is written.
 --out names a file that is replaced only when the run exits 0 or 1, so a
 file there was written whole.
 """
@@ -160,11 +161,14 @@ def _emit(args, chunks) -> None:
         raise
 
 
-class _Parts(dict):
-    """The str of each part, rendered once per run: parts[p] == str(p)."""
+class _Rendered(dict):
+    """render(key), computed once per key: rendered[key] == render(key)."""
 
-    def __missing__(self, part):
-        text = self[part] = str(part)
+    def __init__(self, render=str):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
         return text
 
 
@@ -178,7 +182,7 @@ def _member_lines(groups, sep, open_, close, between=""):
     per call, cached under its id().  A nonempty tail starts with sep, since
     its prefix is never empty.
     """
-    part = _Parts().__getitem__
+    part = _Rendered().__getitem__
     rendered, held = {}, []
     for prefix, tails in groups:
         strings = rendered.get(id(tails))
@@ -341,47 +345,48 @@ def cmd_list(args) -> int:
 _TRACE_BLOCK = 1024
 
 
-def _trace_inputs(groups, sep):
-    """(input, row) for each row of trace_groups' (prefix, tails, rows)
-    groups, input the member's parts joined by sep: each prefix is rendered
-    once per group and each distinct tail once per call."""
-    part = _Parts().__getitem__
-    rendered = {}
-    for prefix, tails, rows in groups:
-        head = sep.join(map(part, prefix))
-        for t, r in zip(tails, rows):
-            text = rendered.get(t)
-            if text is None:
-                text = rendered[t] = sep + sep.join(map(part, t)) if t else ""
-            yield head + text, r
+def _trace_format(fmt):
+    """(sep, between, line) for a bijection trace in fmt: sep joins a
+    member's parts, between comes before every row of a group but its first,
+    and line(input, row) renders a TraceRow, input its member's parts joined
+    by sep.  A json line is _json_encode(row.to_dict()), formatted directly
+    from the row's bool flags, its head up to "input":[ rendered once per
+    (bijection, case, codomain_ok, domain_ok)."""
+    part = _Rendered().__getitem__
+    if fmt == "json":
+        from json.encoder import encode_basestring_ascii
 
+        heads = _Rendered(lambda key: '{"bijection":%s,%s"codomain_ok":%s,"domain_ok":%s,"input":[' % (
+            encode_basestring_ascii(key[0]),
+            "" if key[1] is None else '"case":%d,' % key[1],
+            "true" if key[2] else "false",
+            "true" if key[3] else "false",
+        ))
 
-def _json_trace_rows(pairs):
-    """_json_encode(r.to_dict()) for each (input, TraceRow) pair of
-    _trace_inputs(..., ","), the row's flags bools, formatted directly: the
-    keys in sorted order, "case" only when not None.
-
-    The head up to "input":[ is rendered once per (bijection, case,
-    codomain_ok, domain_ok), and each distinct part once per call.
-    """
-    from json.encoder import encode_basestring_ascii
-
-    part = _Parts().__getitem__
-    heads = {}
-    for text, r in pairs:
-        key = (r.bijection, r.case, r.codomain_ok, r.domain_ok)
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = '{"bijection":%s,%s"codomain_ok":%s,"domain_ok":%s,"input":[' % (
-                encode_basestring_ascii(r.bijection),
-                "" if r.case is None else '"case":%d,' % r.case,
-                "true" if r.codomain_ok else "false",
-                "true" if r.domain_ok else "false",
+        def line(text, r):
+            out = r.output
+            return heads[r.bijection, r.case, r.codomain_ok, r.domain_ok] + text + (
+                '],"output":null}' if out is None else '],"output":[' + ",".join(map(part, out)) + "]}"
             )
-        out = r.output
-        yield head + text + (
-            '],"output":null}' if out is None else '],"output":[' + ",".join(map(part, out)) + "]}"
-        )
+
+        return ",", ",", line
+    if fmt == "csv":
+
+        def line(text, r):
+            # as _csv_lines renders it: no field needs quoting
+            case, out = "" if r.case is None else r.case, "" if r.output is None else " ".join(map(part, r.output))
+            return "%s,%s,%s,%s,%s,%s\n" % (r.bijection, text, case, out, r.domain_ok, r.codomain_ok)
+
+        return " ", "", line
+
+    def line(text, r):
+        if not r.domain_ok:
+            return "(%s) not in the domain FAILED\n" % text
+        arrow = " ->" if r.case is None else " -> case %d ->" % r.case
+        verdict = "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED"
+        return "(%s)%s (%s) %s\n" % (text, arrow, ",".join(map(part, r.output)), verdict)
+
+    return ",", "", line
 
 
 def cmd_bijection(args) -> int:
@@ -397,47 +402,24 @@ def cmd_bijection(args) -> int:
         domain = bijection_domain(name, n, **kw)
         blocks = iter(lambda: trace_bijection(name, islice(domain, _TRACE_BLOCK), **kw), [])
         traced = ((r.input, ((),), [r]) for block in blocks for r in block)
-    failed = []
+    sep, between, line = _trace_format(args.format)
+    part, failed = _Rendered().__getitem__, []
+    tail = _Rendered(lambda t: sep + sep.join(map(part, t)) if t else "").__getitem__
 
-    def groups():
-        # the first failing group is noted before its rows are rendered
-        for group in traced:
-            if not (failed or all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in group[2])):
-                failed.append(group)
-            yield group
+    def chunks():
+        # one chunk per group: its prefix rendered once, each distinct tail
+        # once per trace, and the first failing group noted before its rows
+        for prefix, tails, rows in traced:
+            if not (failed or all(r.domain_ok and r.codomain_ok and r.roundtrip_ok for r in rows)):
+                failed.append(prefix)
+            head = sep.join(map(part, prefix))
+            yield between.join([line(head + tail(t), r) for t, r in zip(tails, rows)])
 
-    part = _Parts().__getitem__
     if args.format == "json":
-        chunks = _json_array(_json_trace_rows(_trace_inputs(groups(), ",")))
-    elif args.format == "csv":
-        chunks = _csv_lines(
-            ["bijection", "input", "case", "output", "domain_ok", "codomain_ok"],
-            (
-                [
-                    r.bijection,
-                    text,
-                    "" if r.case is None else r.case,
-                    "" if r.output is None else " ".join(map(part, r.output)),
-                    r.domain_ok,
-                    r.codomain_ok,
-                ]
-                for text, r in _trace_inputs(groups(), " ")
-            ),
-        )
+        _emit(args, _json_array(chunks()))
     else:
-        chunks = (
-            "(%s)%s (%s) %s\n"
-            % (
-                text,
-                " -> case %d ->" % r.case if r.case is not None else " ->",
-                ",".join(map(part, r.output)),
-                "round-trip ok" if r.roundtrip_ok and r.codomain_ok else "FAILED",
-            )
-            if r.domain_ok
-            else "(%s) not in the domain FAILED\n" % text
-            for text, r in _trace_inputs(groups(), ",")
-        )
-    _emit(args, chunks)
+        header = ["bijection,input,case,output,domain_ok,codomain_ok\n"] if args.format == "csv" else []
+        _emit(args, chain(header, chunks()))
     return 1 if failed else 0
 
 
@@ -609,8 +591,9 @@ def main(argv=None) -> int:
         return 2
     if args.oracle_limit is None:
         args.oracle_limit = DEFAULT_ORACLE_LIMIT
-    elif _exceeds(args.command + " enumerates up to the oracle limit", "--oracle-limit",
-                  args.oracle_limit, "oracle cap", MAX_ORACLE_N):
+    elif _exceeds("%s %s up to the oracle limit" % (
+            args.command, "enumerates" if args.command in ("list", "bijection") else "reads the length counts"),
+            "--oracle-limit", args.oracle_limit, "oracle cap", MAX_ORACLE_N):
         return 2
     try:
         return _COMMANDS[args.command](args)

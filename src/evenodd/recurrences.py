@@ -236,7 +236,7 @@ def shift_identity_check(k: int, i: int, max_n: int, columns=None) -> Verificati
 
 
 def verify_family(f: FamilySpec, max_n: int) -> VerificationReport:
-    """The enumerated P and B of f's index and minimum part against each
+    """The P and B length counts of f's index and minimum part against each
     other and the table row, at every cell up to max_n; then, at a minimum
     part 2k+1 or 2k, the shift equations, read from the same two columns.
     The totals are P's and B's at each weight."""

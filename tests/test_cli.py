@@ -131,22 +131,31 @@ def test_verify_oracle_limit_guard(capsys):
     assert "oracle limit" in err
 
 
+# what each refusal says its command does up to the oracle limit: a count
+# reads length counts, and list and bijection list the members
+_CAP_READS = {"count": "reads the length counts", "list": "enumerates", "bijection": "enumerates"}
+
+
 # counts that ran past 60 s, or crashed with RecursionError (exit 3), with
-# a raised --oracle-limit: the cap refuses each before anything is counted
+# a raised --oracle-limit, and a list and a trace as large: the cap refuses
+# each before anything is counted or listed
 @pytest.mark.parametrize("argv", [
     "count --family B --n 5000 --fixed-length 30 --oracle-limit 5000",
     "count --family B --n 5000 --oracle-limit 5000",
     "count --family P --n 2000 --fixed-length 20 --oracle-limit 5000",
     "count --family P --n 400000 --fixed-length 600 --oracle-limit 2000000",
     "count --family B --n 1001000 --fixed-length 1000 --oracle-limit 2000000",
+    "list --family P --n 5000 --oracle-limit 5000",
+    "bijection B-case-min3 --n 5000 --oracle-limit 5000",
 ])
 def test_oracle_limit_past_the_cap_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 0.2
     assert (code, out) == (2, "")
-    assert err == "count enumerates up to the oracle limit; --oracle-limit %s exceeds the oracle cap %d\n" % (
-        argv.split()[-1], cli.MAX_ORACLE_N)
+    command, limit = argv.split()[0], argv.split()[-1]
+    assert err == "%s %s up to the oracle limit; --oracle-limit %s exceeds the oracle cap %d\n" % (
+        command, _CAP_READS[command], limit, cli.MAX_ORACLE_N)
 
 
 @pytest.mark.parametrize("family", [["--i", "1"], ["--i", "2"], ["--k", "1", "--parity", "odd"]])
@@ -393,10 +402,31 @@ def test_json_trace_row_matches_the_encoder():
             names, inputs, (None, 1, 2, 3), outputs, flags, flags
         )
     ]
-    got = list(cli._json_trace_rows(cli._trace_inputs(((r.input, ((),), [r]) for r in rows), ",")))
-    assert len(got) == len(rows)
-    for r, line in zip(rows, got):
-        assert line == cli._json_encode(r.to_dict()), (r.bijection, r.input, r.case, r.output)
+    sep, _, line = cli._trace_format("json")
+    for r in rows:
+        got = line(sep.join(map(str, r.input)), r)
+        assert got == cli._json_encode(r.to_dict()), (r.bijection, r.input, r.case, r.output)
+
+
+@pytest.mark.parametrize("argv,groups,rows", [
+    ("bijection B-case-min3 --n 40", 27, 154),
+    ("bijection P-case-generic --n 36", 99, 99),
+])
+def test_bijection_emits_one_chunk_per_traced_group(capsys, monkeypatch, argv, groups, rows):
+    # a kind-B domain is traced by member group, any other one row a group;
+    # json adds the "[" and "]\n" chunks, csv the header
+    emitted, emit = [], cli._emit
+
+    def recorded(args, chunks):
+        emitted.append(list(chunks))
+        emit(args, emitted[-1])
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    for fmt, extra in (("json", 2), ("csv", 1), ("text", 0)):
+        code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+        chunks = emitted.pop()
+        assert (code, len(chunks), "".join(chunks)) == (0, groups + extra, out)
+    assert out.count("\n") == rows
 
 
 def test_negative_fixed_length_is_a_usage_error(capsys):
