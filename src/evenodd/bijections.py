@@ -2,13 +2,15 @@
 
 Each traced map is one _MAPS record, the only statement of its domain and
 codomain families and of the case rule that picks its domain out of the
-domain family; the public maps, their inverses and the trace all read it.  A
-public map validates its input (as_partition, then the domain), runs private
-arithmetic that checks the remaining clauses, and checks the image against
-the codomain of the case the arithmetic returns (an executable restatement of
-the corresponding proof step, never assumed).  A public inverse checks its
-input against that codomain, reconstructs exactly, and checks the preimage
-against the domain and the case rule; a trace makes each check once.
+domain family; forward, inverse and the trace all read it.  forward(name, p)
+validates p (as_partition, then the domain and the record's case), runs
+private arithmetic that checks the remaining clauses, and checks the image
+against the codomain of the case the arithmetic returns (an executable
+restatement of the corresponding proof step, never assumed).
+inverse(name, case, q, m) checks q against that codomain, reconstructs
+exactly, and checks the preimage against the domain and the case rule; a
+trace makes each check once.  A name is a BIJECTION_NAMES entry or a whole
+case split, "P-case" or "B-case".
 bijection_groups lists a map's domain at one weight as the (prefix, tails)
 groups of member_groups, and bijection_domain flattens them.  trace_groups
 traces groups lazily and in order, and trace_bijection the members its
@@ -26,14 +28,28 @@ trace.
 
 Weight and length bookkeeping, with m the input length and n its weight:
 
-* p_drop_one / b_drop_one: one part equal to 1 is deleted, 2 is removed from
-  the rest; the image lives at (m-1, n-2m+1).
-* p_case_map splits the even-odd members with no part 1 three ways, landing
-  at (m-1, n-2m) for cases 1 and 2 and at (m, n-2m) for case 3.
-* b_case_map splits the gap members with no part 1 two ways, landing at
-  (m-1, n-2m) for case 1 and (m, n-2m) for case 2.
-* shift_sub_2k drops every part by 2k, weight n-2mk; shift_add_one raises
-  every part by 1, weight n+m, swapping part parities.
+* P-drop-one / B-drop-one: the one part equal to 1 is deleted and 2 is
+  removed from every other part; the image lives at (m-1, n-2m+1).  The
+  inverse adds 2 to every part and appends a part 1.
+* P-case splits the even-odd members with no part 1 three ways.  Case 1
+  (P-case-even-eq: the smallest even part is 2m) deletes that part.  Case 2
+  (P-case-two-threes: two parts equal to 3) deletes both, removes 4 from
+  the rest and inserts a part 2m-2.  Case 3 (P-case-generic: otherwise)
+  removes 2 from every part.  Cases 1 and 2 land back in the i=1 family at
+  (m-1, n-2m), case 3 in the i=2 family at (m, n-2m).  So a case 1 image
+  has every even part at least 2m (an image with no even part, as (3, 3)
+  from (6, 3, 3), is one), and a case 2 image has smallest even part 2m-2;
+  the inverse reads m for both, and case 2's inverse deletes that part,
+  adds 4 to the rest and appends two parts 3.
+* B-case splits the gap members with no part 1 two ways.  Case 1
+  (B-case-min2: the smallest part is 2) deletes it and removes 2 from the
+  rest, landing at (m-1, n-2m) in the same family.  Case 2 (B-case-min3:
+  the smallest part is at least 3) removes 2 from every part, landing at
+  (m, n-2m) in the i=2 family.  The inverse adds 2 to every part, and
+  appends a part 2 for case 1.
+* shift-sub-2k removes 2k from every part (minimum part 2k+1 down to the
+  base family), weight n-2mk; shift-add-one adds 1 to every part (minimum
+  part 2k up to 2k+1), weight n+m, swapping part parities.
 """
 
 from functools import lru_cache, partial
@@ -97,21 +113,21 @@ def _p_case_map(p: Partition) -> tuple[int, Partition]:
     return 3, tuple([x - 2 for x in p])
 
 
-def _p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
-    _require(target_m >= 1, "target length must be at least 1")
+def _p_case_inverse(case: int, q: Partition, m: Optional[int]) -> Partition:
+    _require(m is not None and m >= 1, "the preimage length m must be given, at least 1")
     if case == 3:
-        _require(len(q) == target_m, "case 3 needs len(q) == target_m")
+        _require(len(q) == m, "case 3 needs len(q) == m")
         return tuple([x + 2 for x in q])
-    _require(len(q) == target_m - 1, "cases 1 and 2 need len(q) == target_m - 1")
+    _require(len(q) == m - 1, "cases 1 and 2 need len(q) == m - 1")
     evens = [x for x in q if x % 2 == 0]
     if case == 1:
-        clause = "case 1 needs every even part of q to be at least 2*target_m"
-        _require(not evens or evens[-1] >= 2 * target_m, clause)
-        return tuple(sorted(q + (2 * target_m,), reverse=True))
-    clause = "case 2 needs smallest even part of q equal to 2*(target_m - 1)"
-    _require(bool(evens) and evens[-1] == 2 * (target_m - 1), clause)
+        clause = "case 1 needs every even part of q to be at least 2*m"
+        _require(not evens or evens[-1] >= 2 * m, clause)
+        return tuple(sorted(q + (2 * m,), reverse=True))
+    clause = "case 2 needs smallest even part of q equal to 2*(m - 1)"
+    _require(bool(evens) and evens[-1] == 2 * (m - 1), clause)
     rest = list(q)
-    rest.remove(2 * (target_m - 1))
+    rest.remove(2 * (m - 1))
     return tuple(sorted(tuple([x + 4 for x in rest]) + (3, 3), reverse=True))
 
 
@@ -169,6 +185,7 @@ _MAPS = {
 }
 
 BIJECTION_NAMES = tuple(_MAPS)
+_SPLITS = {split: tuple(n for n in _MAPS if n.startswith(split + "-")) for split in ("P-case", "B-case")}
 
 
 def _record(name) -> _Map:
@@ -204,11 +221,10 @@ def _resolve(name, k, kind, i) -> _Map:
     return _Map(domain, rec.takes, rec.case, codomain, forward, inverse)
 
 
-def _cases(prefix, k=None, kind="P", i=None) -> dict:
-    """{case: resolved record} of the maps named prefix...: the cases of one
-    public case map, or one map under case None."""
-    recs = [_resolve(name, k, kind, i) for name in _MAPS if name.startswith(prefix)]
-    return {rec.case: rec for rec in recs}
+def _cases(name, k, kind, i) -> dict:
+    """{case: resolved record} of the named map: one record under its case,
+    or for "P-case" and "B-case" each record of that case split."""
+    return {rec.case: rec for rec in (_resolve(n, k, kind, i) for n in _SPLITS.get(name, (name,)))}
 
 
 def _input(p, f: FamilySpec) -> Partition:
@@ -221,109 +237,35 @@ def _input(p, f: FamilySpec) -> Partition:
     return p
 
 
-def _forward(prefix, p, k=None, kind="P", i=None) -> tuple[Optional[int], Partition]:
-    """(case, image) of p under the public map over the maps named prefix...,
-    which share a domain; the image is checked against the codomain of the
-    case the arithmetic returns."""
-    cases = _cases(prefix, k, kind, i)
+def forward(name, p, k=None, kind="P", i=None) -> tuple[Optional[int], Partition]:
+    """(case, image) of p under the named map, a BIJECTION_NAMES entry or a
+    case split ("P-case", "B-case").  p must be in the domain and, for a
+    case record, under its case; the image is checked against the codomain
+    of the case the arithmetic returns.  Shift maps need k >= 1; their kind
+    defaults to P and their index to 2."""
+    cases = _cases(name, k, kind, i)
     rec = next(iter(cases.values()))
     case, image = rec.forward(_input(p, rec.domain))
+    if case not in cases:
+        raise BijectionDomainError("%s takes case %s only, not case %s" % (name, rec.case, case))
     codomain = cases[case].codomain
     if not is_member_unchecked(image, codomain):
-        raise CodomainError("%s image %r is not in %s" % (prefix, image, codomain.label()), image)
+        raise CodomainError("%s image %r is not in %s" % (name, image, codomain.label()), image)
     return case, image
 
 
-def _inverse(prefix, case, q, m=None, k=None, kind="P", i=None) -> Partition:
-    """The preimage of q of length m under the given case of the maps named
-    prefix..., checked against the domain and that case's rule."""
-    cases = _cases(prefix, k, kind, i)
+def inverse(name, case, q, m=None, k=None, kind="P", i=None) -> Partition:
+    """The preimage of q under the given case of the named map (None for a
+    map with no cases), checked against the domain and that case's rule.
+    Only the P case maps read m, the preimage's length."""
+    cases = _cases(name, k, kind, i)
     rec = cases.get(case)
     if rec is None:
         raise ValueError("case must be one of %s" % sorted(cases))
     image = rec.inverse(case, _input(q, rec.codomain), m)
     if not (is_member_unchecked(image, rec.domain) and rec.takes(image)):
-        raise CodomainError("%s inverse image %r invalid" % (prefix, image), image)
+        raise CodomainError("%s inverse image %r invalid" % (name, image), image)
     return image
-
-
-def p_drop_one(p: Partition) -> Partition:
-    """Delete the single part 1 and remove 2 from every other part."""
-    return _forward("P-drop-one", p)[1]
-
-
-def p_drop_one_inverse(q: Partition) -> Partition:
-    """Add 2 to every part, then append a part 1."""
-    return _inverse("P-drop-one", None, q)
-
-
-def b_drop_one(p: Partition) -> Partition:
-    """Delete the single part 1 and remove 2 from every other part."""
-    return _forward("B-drop-one", p)[1]
-
-
-def b_drop_one_inverse(q: Partition) -> Partition:
-    """Add 2 to every part, then append a part 1."""
-    return _inverse("B-drop-one", None, q)
-
-
-def p_case_map(p: Partition) -> tuple[int, Partition]:
-    """Three-way split of the even-odd members without a part 1.
-
-    Case 1 (smallest even part equals twice the length): delete that part.
-    Case 2 (two parts equal to 3): delete both, remove 4 from the remaining
-    parts, insert a new part 2m-2.  Case 3 (otherwise): remove 2 from every
-    part.  Cases 1 and 2 land back in the i=1 family one part shorter; case 3
-    lands in the i=2 family at the same length.
-    """
-    return _forward("P-case", p)
-
-
-def p_case_inverse(case: int, q: Partition, target_m: int) -> Partition:
-    """Rebuild the preimage of q under the given case, of length target_m.
-
-    Case 1 inserts a part equal to 2*target_m, so q's even parts, if any,
-    must already be at least that big (partitions with no even part do occur
-    as case 1 images and are accepted).  Case 2 requires the smallest even
-    part of q to equal 2*(target_m - 1); it is deleted, 4 is added to the
-    rest and two parts 3 are appended.  Case 3 adds 2 to every part.
-    """
-    return _inverse("P-case", case, q, target_m)
-
-
-def b_case_map(p: Partition) -> tuple[int, Partition]:
-    """Two-way split of the gap members with smallest part at least 2.
-
-    Case 1 (smallest part is 2): delete it and remove 2 from the rest,
-    landing one part shorter in the same family.  Case 2 (smallest part at
-    least 3): remove 2 from every part, landing in the i=2 family.
-    """
-    return _forward("B-case", p)
-
-
-def b_case_inverse(case: int, q: Partition) -> Partition:
-    """Add 2 to every part, appending a part 2 for case 1."""
-    return _inverse("B-case", case, q)
-
-
-def shift_sub_2k(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Remove 2k from every part: minimum part 2k+1 down to the base family."""
-    return _forward("shift-sub-2k", p, k, kind, i)[1]
-
-
-def shift_sub_2k_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Add 2k to every part: base family up to minimum part 2k+1."""
-    return _inverse("shift-sub-2k", None, q, k=k, kind=kind, i=i)
-
-
-def shift_add_one(p: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Add 1 to every part: minimum part 2k up to 2k+1, swapping parities."""
-    return _forward("shift-add-one", p, k, kind, i)[1]
-
-
-def shift_add_one_inverse(q: Partition, k: int, kind: str = "P", i: int = 2) -> Partition:
-    """Remove 1 from every part: minimum part 2k+1 down to 2k."""
-    return _inverse("shift-add-one", None, q, k=k, kind=kind, i=i)
 
 
 def domain_family(name, k=None, kind="P", i=None) -> FamilySpec:
@@ -449,7 +391,7 @@ def trace_bijection(name, members, k=None, kind="P", i=None):
     failure, which fails the other flags too).  It then checks the image's
     codomain (codomain_ok; case None on a failure) and inverts it
     (roundtrip_ok: the preimage equals the input), making each distinct
-    check once: the public inverse's own checks repeat these.  A member
+    check once: inverse's own checks repeat these.  A member
     that is not canonical or not in the map's domain gives a failed row,
     never an exception.
     """

@@ -10,21 +10,7 @@ a second full run byte for byte.
 import time
 from collections import Counter
 
-from evenodd.bijections import (
-    b_case_map,
-    b_case_inverse,
-    b_drop_one,
-    b_drop_one_inverse,
-    bijection_domain,
-    p_case_map,
-    p_case_inverse,
-    p_drop_one,
-    p_drop_one_inverse,
-    shift_add_one,
-    shift_add_one_inverse,
-    shift_sub_2k,
-    shift_sub_2k_inverse,
-)
+from evenodd.bijections import bijection_domain, forward, inverse
 from evenodd.partitions import (
     FamilySpec,
     count_family,
@@ -145,15 +131,15 @@ def _criterion_5() -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _sweep_drop_one(fam, forward, inverse, nmax) -> int:
+def _sweep_drop_one(name, fam, nmax) -> int:
     seen = 0
     for n in range(0, nmax + 1):
         cells = Counter()
         for p in enumerate_family(n, fam):
             if p.count(1) != 1:
                 continue
-            q = forward(p)
-            assert inverse(q) == p
+            _, q = forward(name, p)
+            assert inverse(name, None, q) == p
             assert is_member(q, fam)
             cells[(len(p) - 1, sum(q))] += 1
             seen += 1
@@ -172,9 +158,9 @@ def _sweep_p_cases(nmax) -> int:
         assert sorted(split) == sorted(members)  # the three cases partition
         low, high = Counter(), Counter()
         for p in members:
-            case, q = p_case_map(p)
+            case, q = forward("P-case", p)
             m = len(p)
-            assert p_case_inverse(case, q, m) == p
+            assert inverse("P-case", case, q, m) == p
             if case in (1, 2):
                 assert is_member(q, P1) and (len(q), sum(q)) == (m - 1, n - 2 * m)
                 low[(m - 1, n - 2 * m)] += 1
@@ -202,9 +188,9 @@ def _sweep_b_cases(nmax) -> int:
         assert sorted(split) == sorted(members)
         one, two = Counter(), Counter()
         for p in members:
-            case, q = b_case_map(p)
+            case, q = forward("B-case", p)
             m = len(p)
-            assert b_case_inverse(case, q) == p
+            assert inverse("B-case", case, q) == p
             if case == 1:
                 assert is_member(q, B1) and (len(q), sum(q)) == (m - 1, n - 2 * m)
                 one[(m - 1, n - 2 * m)] += 1
@@ -232,16 +218,16 @@ def _sweep_shifts(nmax) -> int:
                     for p in enumerate_family(n, odd):
                         if not p:
                             continue
-                        q = shift_sub_2k(p, k, kind, i)
-                        assert shift_sub_2k_inverse(q, k, kind, i) == p
+                        _, q = forward("shift-sub-2k", p, k, kind, i)
+                        assert inverse("shift-sub-2k", None, q, None, k, kind, i) == p
                         assert is_member(q, base)
                         sub_cells[(len(p), sum(q))] += 1
                         seen += 1
                     for p in enumerate_family(n, even):
                         if not p:
                             continue
-                        q = shift_add_one(p, k, kind, i)
-                        assert shift_add_one_inverse(q, k, kind, i) == p
+                        _, q = forward("shift-add-one", p, k, kind, i)
+                        assert inverse("shift-add-one", None, q, None, k, kind, i) == p
                         assert is_member(q, odd)
                         add_cells[(len(p), sum(q))] += 1
                         seen += 1
@@ -255,8 +241,8 @@ def _sweep_shifts(nmax) -> int:
 def _criterion_6() -> str:
     P2, B2 = FamilySpec("P", 2), FamilySpec("B", 2)
     totals = [
-        ("P-drop-one", _sweep_drop_one(P2, p_drop_one, p_drop_one_inverse, 40)),
-        ("B-drop-one", _sweep_drop_one(B2, b_drop_one, b_drop_one_inverse, 40)),
+        ("P-drop-one", _sweep_drop_one("P-drop-one", P2, 40)),
+        ("B-drop-one", _sweep_drop_one("B-drop-one", B2, 40)),
         ("P-cases", _sweep_p_cases(40)),
         ("B-cases", _sweep_b_cases(40)),
         ("shifts", _sweep_shifts(40)),

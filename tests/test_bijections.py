@@ -12,19 +12,9 @@ from evenodd.bijections import (
     BIJECTION_NAMES,
     BijectionDomainError,
     CodomainError,
-    b_case_inverse,
-    b_case_map,
-    b_drop_one,
-    b_drop_one_inverse,
     bijection_domain,
-    p_case_inverse,
-    p_case_map,
-    p_drop_one,
-    p_drop_one_inverse,
-    shift_add_one,
-    shift_add_one_inverse,
-    shift_sub_2k,
-    shift_sub_2k_inverse,
+    forward,
+    inverse,
     trace_bijection,
 )
 from evenodd.partitions import FamilySpec, count_family, enumerate_family, is_member_unchecked
@@ -34,55 +24,65 @@ B1, B2 = FamilySpec("B", 1), FamilySpec("B", 2)
 
 
 def test_p_drop_one_examples():
-    assert p_drop_one((5, 1)) == (3,)
-    assert p_drop_one((1,)) == ()
-    assert p_drop_one_inverse((3,)) == (5, 1)
-    assert p_drop_one_inverse(()) == (1,)
+    assert forward("P-drop-one", (5, 1)) == (None, (3,))
+    assert forward("P-drop-one", (1,)) == (None, ())
+    assert inverse("P-drop-one", None, (3,)) == (5, 1)
+    assert inverse("P-drop-one", None, ()) == (1,)
 
 
 @pytest.mark.parametrize("bad", [(), (6,), (4, 2), (1, 1)])
 def test_p_drop_one_domain_errors(bad):
     with pytest.raises(BijectionDomainError):
-        p_drop_one(bad)
+        forward("P-drop-one", bad)
+
+
+# every map name in each direction with an input it maps without error,
+# and the case, length and k that the call passes with it
+PUBLIC_MAPS = {
+    ("P-drop-one", "forward"): ((5, 1), None, None, None),
+    ("P-drop-one", "inverse"): ((3,), None, None, None),
+    ("B-drop-one", "forward"): ((5, 1), None, None, None),
+    ("B-drop-one", "inverse"): ((3,), None, None, None),
+    ("P-case", "forward"): ((6, 3, 3), None, None, None),
+    ("P-case", "inverse"): ((3, 3), 1, 3, None),
+    ("B-case", "forward"): ((6, 3), None, None, None),
+    ("B-case", "inverse"): ((4, 1), 2, None, None),
+    ("shift-sub-2k", "forward"): ((5, 3), None, None, 1),
+    ("shift-sub-2k", "inverse"): ((3, 1), None, None, 1),
+    ("shift-add-one", "forward"): ((4, 2), None, None, 1),
+    ("shift-add-one", "inverse"): ((5, 3), None, None, 1),
+}
+
+
+def _apply(key, x):
+    """The map of key, a PUBLIC_MAPS key, applied to x with its case,
+    length and k."""
+    (name, direction), (_, case, m, k) = key, PUBLIC_MAPS[key]
+    return forward(name, x, k) if direction == "forward" else inverse(name, case, x, m, k)
+
+
+def _ids(key):
+    return "%s-%s" % key
 
 
 # each input reorders parts so that every clause of is_member but the
 # non-increasing one holds; (3, 6) would map to (5, 8, 1)
 NON_CANONICAL = {
-    "p_drop_one": (p_drop_one, (1, 3)),
-    "p_drop_one_inverse": (p_drop_one_inverse, (3, 6)),
-    "p_case_map": (p_case_map, (2, 4)),
-    "p_case_inverse": (lambda q: p_case_inverse(1, q, 3), (2, 6)),
-    "shift_sub_2k": (lambda q: shift_sub_2k(q, 1), (1, 3)),
-    "shift_sub_2k_inverse": (lambda q: shift_sub_2k_inverse(q, 1), (1, 3)),
-    "shift_add_one": (lambda q: shift_add_one(q, 1), (1, 5)),
-    "shift_add_one_inverse": (lambda q: shift_add_one_inverse(q, 1), (1, 3)),
+    ("P-drop-one", "forward"): (1, 3),
+    ("P-drop-one", "inverse"): (3, 6),
+    ("P-case", "forward"): (2, 4),
+    ("P-case", "inverse"): (2, 6),
+    ("shift-sub-2k", "forward"): (1, 3),
+    ("shift-sub-2k", "inverse"): (1, 3),
+    ("shift-add-one", "forward"): (1, 5),
+    ("shift-add-one", "inverse"): (1, 3),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
-def test_maps_reject_non_canonical_input(name):
-    fn, bad = NON_CANONICAL[name]
+@pytest.mark.parametrize("key", sorted(NON_CANONICAL), ids=_ids)
+def test_maps_reject_non_canonical_input(key):
     with pytest.raises(BijectionDomainError):
-        fn(bad)
-
-
-# every public map and inverse with an input of its domain (each maps it
-# without error) and that input with one part a bool, a float, 0 or negative
-PUBLIC_MAPS = {
-    "p_drop_one": (p_drop_one, (5, 1)),
-    "p_drop_one_inverse": (p_drop_one_inverse, (3,)),
-    "b_drop_one": (b_drop_one, (5, 1)),
-    "b_drop_one_inverse": (b_drop_one_inverse, (3,)),
-    "p_case_map": (p_case_map, (6, 3, 3)),
-    "p_case_inverse": (lambda q: p_case_inverse(1, q, 3), (3, 3)),
-    "b_case_map": (b_case_map, (6, 3)),
-    "b_case_inverse": (lambda q: b_case_inverse(2, q), (4, 1)),
-    "shift_sub_2k": (lambda p: shift_sub_2k(p, 1), (5, 3)),
-    "shift_sub_2k_inverse": (lambda q: shift_sub_2k_inverse(q, 1), (3, 1)),
-    "shift_add_one": (lambda p: shift_add_one(p, 1), (4, 2)),
-    "shift_add_one_inverse": (lambda q: shift_add_one_inverse(q, 1), (5, 3)),
-}
+        _apply(key, NON_CANONICAL[key])
 
 
 def _bad_parts(p):
@@ -93,30 +93,31 @@ def _bad_parts(p):
     yield p[:-1] + (-last,)
 
 
-@pytest.mark.parametrize("name", sorted(PUBLIC_MAPS))
-def test_maps_reject_non_integer_or_non_positive_parts(name):
-    fn, good = PUBLIC_MAPS[name]
-    fn(good)
+@pytest.mark.parametrize("key", sorted(PUBLIC_MAPS), ids=_ids)
+def test_maps_reject_non_integer_or_non_positive_parts(key):
+    good = PUBLIC_MAPS[key][0]
+    _apply(key, good)
     for bad in _bad_parts(good):
         with pytest.raises(BijectionDomainError):
-            fn(bad)
+            _apply(key, bad)
 
 
-# the traced map whose private arithmetic each public map runs, and for an
-# inverse with a case rule, a member of its domain family under another case
+# the traced map whose private arithmetic each map name runs in each
+# direction, and for an inverse with a case rule, a member of its domain
+# family under another case
 ARITHMETIC = {
-    "p_drop_one": ("P-drop-one", None),
-    "p_drop_one_inverse": ("P-drop-one", (5,)),
-    "b_drop_one": ("B-drop-one", None),
-    "b_drop_one_inverse": ("B-drop-one", (5,)),
-    "p_case_map": ("P-case-generic", None),
-    "p_case_inverse": ("P-case-even-eq", (10, 3, 3)),
-    "b_case_map": ("B-case-min3", None),
-    "b_case_inverse": ("B-case-min3", (4, 2)),
-    "shift_sub_2k": ("shift-sub-2k", None),
-    "shift_sub_2k_inverse": ("shift-sub-2k", None),
-    "shift_add_one": ("shift-add-one", None),
-    "shift_add_one_inverse": ("shift-add-one", None),
+    ("P-drop-one", "forward"): ("P-drop-one", None),
+    ("P-drop-one", "inverse"): ("P-drop-one", (5,)),
+    ("B-drop-one", "forward"): ("B-drop-one", None),
+    ("B-drop-one", "inverse"): ("B-drop-one", (5,)),
+    ("P-case", "forward"): ("P-case-generic", None),
+    ("P-case", "inverse"): ("P-case-even-eq", (10, 3, 3)),
+    ("B-case", "forward"): ("B-case-min3", None),
+    ("B-case", "inverse"): ("B-case-min3", (4, 2)),
+    ("shift-sub-2k", "forward"): ("shift-sub-2k", None),
+    ("shift-sub-2k", "inverse"): ("shift-sub-2k", None),
+    ("shift-add-one", "forward"): ("shift-add-one", None),
+    ("shift-add-one", "inverse"): ("shift-add-one", None),
 }
 
 
@@ -127,92 +128,132 @@ def _with_part_zero(out):
     return out + (0,)
 
 
-@pytest.mark.parametrize("name", sorted(PUBLIC_MAPS))
-def test_public_maps_check_what_their_arithmetic_returns(monkeypatch, name):
+@pytest.mark.parametrize("key", sorted(PUBLIC_MAPS), ids=_ids)
+def test_public_maps_check_what_their_arithmetic_returns(monkeypatch, key):
     # a forward image outside the codomain, or an inverse's preimage outside
     # the domain or under another case, raises CodomainError
-    fn, good = PUBLIC_MAPS[name]
-    traced, other_case = ARITHMETIC[name]
-    attr = getattr(bijections._MAPS[traced], "inverse" if name.endswith("_inverse") else "forward")
+    good = PUBLIC_MAPS[key][0]
+    traced, other_case = ARITHMETIC[key]
+    attr = getattr(bijections._MAPS[traced], key[1])
     real = getattr(bijections, attr)
     monkeypatch.setattr(bijections, attr, lambda *args, **kwargs: _with_part_zero(real(*args, **kwargs)))
     with pytest.raises(CodomainError) as raised:
-        fn(good)
+        _apply(key, good)
     assert raised.value.image[-1] == 0
     if other_case is not None:
         monkeypatch.setattr(bijections, attr, lambda *args, **kwargs: other_case)
         with pytest.raises(CodomainError) as raised:
-            fn(good)
+            _apply(key, good)
         assert raised.value.image == other_case
 
 
+@pytest.mark.parametrize("name", ["", "P", "shift", "B-case-min", "nope"])
+def test_maps_refuse_a_name_outside_the_table(name):
+    # a name is a record or a whole case split, never a prefix of one
+    with pytest.raises(ValueError, match="unknown bijection") as raised:
+        forward(name, (2,), k=1)
+    assert type(raised.value) is ValueError
+    with pytest.raises(ValueError, match="unknown bijection") as raised:
+        inverse(name, 1, (2,), 2, k=1)
+    assert type(raised.value) is ValueError
+
+
+# each case record with a member of its domain family under another case
+OTHER_CASE = {
+    "P-case-even-eq": (6,),
+    "P-case-two-threes": (2,),
+    "P-case-generic": (10, 3, 3),
+    "B-case-min2": (6, 3),
+    "B-case-min3": (4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_CASE))
+def test_case_records_refuse_another_case(name):
+    p = OTHER_CASE[name]
+    case, image = forward(name[0] + "-case", p)  # the whole case split
+    assert case != bijections._MAPS[name].case
+    with pytest.raises(BijectionDomainError):
+        forward(name, p)
+    with pytest.raises(ValueError, match="case must be one of"):
+        inverse(name, case, image, len(p))
+    [row] = trace_bijection(name, [p])
+    assert (row.case, row.output, row.domain_ok, row.codomain_ok, row.roundtrip_ok) == (None, None, False, False, False)
+
+
+def test_p_case_inverse_needs_the_length():
+    for name in ("P-case", "P-case-generic"):
+        with pytest.raises(BijectionDomainError):
+            inverse(name, 3, (4,))
+
+
 def test_p_case_map_examples():
-    assert p_case_map((2,)) == (1, ())
-    assert p_case_map((10, 3, 3)) == (2, (6, 4))
-    assert p_case_map((6,)) == (3, (4,))
+    assert forward("P-case", (2,)) == (1, ())
+    assert forward("P-case", (10, 3, 3)) == (2, (6, 4))
+    assert forward("P-case", (6,)) == (3, (4,))
     # a case-1 image with no even part: the inverse domain must accept it
-    assert p_case_map((6, 3, 3)) == (1, (3, 3))
+    assert forward("P-case", (6, 3, 3)) == (1, (3, 3))
 
 
 def test_p_case_inverse_examples():
-    assert p_case_inverse(1, (), 1) == (2,)
-    assert p_case_inverse(2, (6, 4), 3) == (10, 3, 3)
-    assert p_case_inverse(3, (4,), 1) == (6,)
-    assert p_case_inverse(1, (3, 3), 3) == (6, 3, 3)
+    assert inverse("P-case", 1, (), 1) == (2,)
+    assert inverse("P-case", 2, (6, 4), 3) == (10, 3, 3)
+    assert inverse("P-case", 3, (4,), 1) == (6,)
+    assert inverse("P-case", 1, (3, 3), 3) == (6, 3, 3)
 
 
 def test_p_case_inverse_validation():
     with pytest.raises(ValueError):
-        p_case_inverse(4, (), 1)
+        inverse("P-case", 4, (), 1)
     with pytest.raises(BijectionDomainError):
-        p_case_inverse(3, (), 0)  # empty preimage target
+        inverse("P-case", 3, (), 0)  # empty preimage target
     with pytest.raises(BijectionDomainError):
-        p_case_inverse(1, (4,), 3)  # even part 4 < 2*target_m
+        inverse("P-case", 1, (4,), 3)  # even part 4 < 2*m
     with pytest.raises(BijectionDomainError):
-        p_case_inverse(2, (3, 3), 3)  # no even part equal to 2*(m-1)
+        inverse("P-case", 2, (3, 3), 3)  # no even part equal to 2*(m-1)
     with pytest.raises(BijectionDomainError):
-        p_case_inverse(3, (4,), 2)  # wrong length
+        inverse("P-case", 3, (4,), 2)  # wrong length
 
 
 def test_p_case_map_rejects():
     with pytest.raises(BijectionDomainError):
-        p_case_map(())
+        forward("P-case", ())
     with pytest.raises(BijectionDomainError):
-        p_case_map((5, 1))  # part equal to 1
+        forward("P-case", (5, 1))  # part equal to 1
     with pytest.raises(BijectionDomainError):
-        p_case_map((4, 2))  # not a member
+        forward("P-case", (4, 2))  # not a member
 
 
 def test_b_maps_examples():
-    assert b_drop_one((5, 1)) == (3,)
-    assert b_drop_one((1,)) == ()
-    assert b_drop_one_inverse((3,)) == (5, 1)
-    assert b_case_map((2,)) == (1, ())
-    assert b_case_map((4, 2)) == (1, (2,))
-    assert b_case_map((6, 3)) == (2, (4, 1))
-    assert b_case_inverse(1, (2,)) == (4, 2)
-    assert b_case_inverse(2, (4, 1)) == (6, 3)
+    assert forward("B-drop-one", (5, 1)) == (None, (3,))
+    assert forward("B-drop-one", (1,)) == (None, ())
+    assert inverse("B-drop-one", None, (3,)) == (5, 1)
+    assert forward("B-case", (2,)) == (1, ())
+    assert forward("B-case", (4, 2)) == (1, (2,))
+    assert forward("B-case", (6, 3)) == (2, (4, 1))
+    assert inverse("B-case", 1, (2,)) == (4, 2)
+    assert inverse("B-case", 2, (4, 1)) == (6, 3)
     with pytest.raises(BijectionDomainError):
-        b_case_map(())
+        forward("B-case", ())
     with pytest.raises(BijectionDomainError):
-        b_case_inverse(2, ())
+        inverse("B-case", 2, ())
     with pytest.raises(BijectionDomainError):
-        b_drop_one((3, 1, 1))
+        forward("B-drop-one", (3, 1, 1))
 
 
 def test_shift_examples():
-    assert shift_sub_2k((5,), 1) == (3,)
-    assert shift_sub_2k((), 1) == ()
-    assert shift_sub_2k_inverse((3,), 1) == (5,)
-    assert shift_add_one((4, 2), 1) == (5, 3)
-    assert shift_add_one((), 2, "B", 1) == ()
-    assert shift_add_one_inverse((5, 3), 1) == (4, 2)
+    assert forward("shift-sub-2k", (5,), 1) == (None, (3,))
+    assert forward("shift-sub-2k", (), 1) == (None, ())
+    assert inverse("shift-sub-2k", None, (3,), k=1) == (5,)
+    assert forward("shift-add-one", (4, 2), 1) == (None, (5, 3))
+    assert forward("shift-add-one", (), 2, "B", 1) == (None, ())
+    assert inverse("shift-add-one", None, (5, 3), k=1) == (4, 2)
     with pytest.raises(BijectionDomainError):
-        shift_sub_2k((2,), 1)  # part below minimum 3
+        forward("shift-sub-2k", (2,), 1)  # part below minimum 3
     with pytest.raises(BijectionDomainError):
-        shift_sub_2k((5,), 1, "A", 2)
+        forward("shift-sub-2k", (5,), 1, "A", 2)
     with pytest.raises(ValueError):
-        shift_sub_2k((5,), 0)
+        forward("shift-sub-2k", (5,), 0)
 
 
 @pytest.mark.parametrize("nmax", [24])
@@ -222,8 +263,8 @@ def test_p_drop_one_round_trip_and_transport(nmax):
         for p in enumerate_family(n, P2):
             if p.count(1) != 1:
                 continue
-            q = p_drop_one(p)
-            assert p_drop_one_inverse(q) == p
+            _, q = forward("P-drop-one", p)
+            assert inverse("P-drop-one", None, q) == p
             cells[(len(p), sum(q))] += 1
         for (m, n2), c in cells.items():
             assert c == count_family(n2, P2, fixed_length=m - 1)
@@ -236,9 +277,9 @@ def test_p_case_map_partitions_domain_and_transports(nmax):
         for p in enumerate_family(n, P1):
             if not p:
                 continue
-            case, q = p_case_map(p)
+            case, q = forward("P-case", p)
             m = len(p)
-            assert p_case_inverse(case, q, m) == p
+            assert inverse("P-case", case, q, m) == p
             if case in (1, 2):
                 assert (len(q), sum(q)) == (m - 1, n - 2 * m)
                 low[(m - 1, n - 2 * m)] += 1
@@ -257,13 +298,14 @@ def test_b_maps_round_trip_and_transport(nmax):
     for n in range(0, nmax + 1):
         for p in enumerate_family(n, B2):
             if p.count(1) == 1:
-                assert b_drop_one_inverse(b_drop_one(p)) == p
+                _, q = forward("B-drop-one", p)
+                assert inverse("B-drop-one", None, q) == p
         one, two = Counter(), Counter()
         for p in enumerate_family(n, B1):
             if not p:
                 continue
-            case, q = b_case_map(p)
-            assert b_case_inverse(case, q) == p
+            case, q = forward("B-case", p)
+            assert inverse("B-case", case, q) == p
             m = len(p)
             (one if case == 1 else two)[(len(q), sum(q))] += 1
         for (mq, nq), c in one.items():
@@ -278,27 +320,66 @@ def test_shift_round_trips(k, kind):
     for i in (1, 2):
         for n in range(0, 20):
             for p in enumerate_family(n, FamilySpec(kind, i, 2 * k + 1)):
-                q = shift_sub_2k(p, k, kind, i)
+                _, q = forward("shift-sub-2k", p, k, kind, i)
                 assert sum(q) == n - 2 * len(p) * k
-                assert shift_sub_2k_inverse(q, k, kind, i) == p
+                assert inverse("shift-sub-2k", None, q, None, k, kind, i) == p
             for p in enumerate_family(n, FamilySpec(kind, i, 2 * k)):
-                q = shift_add_one(p, k, kind, i)
+                _, q = forward("shift-add-one", p, k, kind, i)
                 assert sum(q) == n + len(p)
-                assert shift_add_one_inverse(q, k, kind, i) == p
+                assert inverse("shift-add-one", None, q, None, k, kind, i) == p
             # totality of the inverses on their stated domains
             for q in enumerate_family(n, FamilySpec(kind, i, 1)):
-                assert shift_sub_2k(shift_sub_2k_inverse(q, k, kind, i), k, kind, i) == q
+                p = inverse("shift-sub-2k", None, q, None, k, kind, i)
+                assert forward("shift-sub-2k", p, k, kind, i) == (None, q)
             for q in enumerate_family(n, FamilySpec(kind, i, 2 * k + 1)):
-                assert shift_add_one(shift_add_one_inverse(q, k, kind, i), k, kind, i) == q
+                p = inverse("shift-add-one", None, q, None, k, kind, i)
+                assert forward("shift-add-one", p, k, kind, i) == (None, q)
 
 
 def test_shift_add_one_swaps_parities():
     for n in range(0, 18):
         for p in enumerate_family(n, FamilySpec("P", 2, 2)):
-            q = shift_add_one(p, 1)
+            _, q = forward("shift-add-one", p, 1)
             evens_p = sum(1 for x in p if x % 2 == 0)
             evens_q = sum(1 for x in q if x % 2 == 0)
             assert evens_q == len(p) - evens_p
+
+
+def _smallest_even_is_twice_the_length(q):
+    evens = [x for x in q if x % 2 == 0]
+    return bool(evens) and evens[-1] == 2 * len(q)
+
+
+# each record but the shifts (test_shift_round_trips checks theirs): its
+# codomain family, its case, the rule that picks its images out of that
+# family, and the preimage length less the image length
+IMAGES = {
+    "P-drop-one": (P2, None, lambda q: True, 1),
+    "P-case-even-eq": (P1, 1, lambda q: not _smallest_even_is_twice_the_length(q), 1),
+    "P-case-two-threes": (P1, 2, _smallest_even_is_twice_the_length, 1),
+    "P-case-generic": (P2, 3, bool, 0),
+    "B-drop-one": (B2, None, lambda q: True, 1),
+    "B-case-min2": (B1, 1, lambda q: True, 1),
+    "B-case-min3": (B2, 2, bool, 0),
+}
+
+
+def test_every_map_is_onto_its_images():
+    # every codomain member under a record's image rule is an image: its
+    # preimage maps back to it; one outside the rule has no preimage
+    assert set(IMAGES) == {name for name in BIJECTION_NAMES if not bijections.takes_k(name)}
+    seen = Counter()
+    for name, (codomain, case, rule, extra) in IMAGES.items():
+        for n in range(31):
+            for q in enumerate_family(n, codomain):
+                m = len(q) + extra
+                if rule(q):
+                    assert forward(name, inverse(name, case, q, m)) == (case, q), (name, q)
+                else:
+                    with pytest.raises(BijectionDomainError):
+                        inverse(name, case, q, m)
+                seen[rule(q)] += 1
+    assert seen == {True: 4706, False: 570}
 
 
 def test_trace_p_drop_one_at_six():
@@ -350,30 +431,12 @@ def test_case_images_split_by_smallest_even():
         for p in enumerate_family(n, P1):
             if not p:
                 continue
-            case, q = p_case_map(p)
+            case, q = forward("P-case", p)
             evens = [x for x in q if x % 2 == 0]
             if case == 1:
                 assert not evens or evens[-1] >= 2 * len(q) + 2
             elif case == 2:
                 assert evens and evens[-1] == 2 * len(q)
-
-
-def _public_row(name, p, k, kind, i):
-    """(case, image) from the public forward map of the named traced map, and
-    the public inverse's preimage of the image."""
-    if name.endswith("drop-one"):
-        fwd, inv = (p_drop_one, p_drop_one_inverse) if name[0] == "P" else (b_drop_one, b_drop_one_inverse)
-        q = fwd(p)
-        return None, q, inv(q)
-    if name.startswith("P-case"):
-        case, q = p_case_map(p)
-        return case, q, p_case_inverse(case, q, len(p))
-    if name.startswith("B-case"):
-        case, q = b_case_map(p)
-        return case, q, b_case_inverse(case, q)
-    fwd, inv = (shift_sub_2k, shift_sub_2k_inverse) if name == "shift-sub-2k" else (shift_add_one, shift_add_one_inverse)
-    q = fwd(p, k, kind, i)
-    return None, q, inv(q, k, kind, i)
 
 
 # every traced map with the shift maps' k, kind and index
@@ -394,8 +457,8 @@ def test_trace_rows_equal_the_public_maps(name, k, kind, i):
         rows = trace_bijection(name, bijection_domain(name, n, k=k, kind=kind, i=i), k=k, kind=kind, i=i)
         assert [r.input for r in rows] == list(bijection_domain(name, n, k=k, kind=kind, i=i))
         for r in rows:
-            case, image, preimage = _public_row(name, r.input, k, kind, i)
-            assert preimage == r.input
+            case, image = forward(name, r.input, k, kind, i)
+            assert inverse(name, case, image, len(r.input), k, kind, i) == r.input
             got = (r.bijection, r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok)
             assert got == (name, case, image, True, True, True)
         seen += len(rows)
