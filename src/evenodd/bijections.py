@@ -7,7 +7,7 @@ validates p (as_partition, then the domain and the record's case), runs
 private arithmetic that checks the remaining clauses, and checks the image
 against the codomain of the case the arithmetic returns (an executable
 restatement of the corresponding proof step, never assumed).
-inverse(name, case, q, m) checks q against that codomain, reconstructs
+inverse(name, case, q) checks q against that codomain, reconstructs
 exactly, and checks the preimage against the domain and the case rule; a
 trace makes each check once.  A name is a BIJECTION_NAMES entry or a whole
 case split, "P-case" or "B-case".
@@ -39,8 +39,9 @@ Weight and length bookkeeping, with m the input length and n its weight:
   (m-1, n-2m), case 3 in the i=2 family at (m, n-2m).  So a case 1 image
   has every even part at least 2m (an image with no even part, as (3, 3)
   from (6, 3, 3), is one), and a case 2 image has smallest even part 2m-2;
-  the inverse reads m for both, and case 2's inverse deletes that part,
-  adds 4 to the rest and appends two parts 3.
+  the inverse reads m off the case and the image (len(q) + 1 for cases 1
+  and 2, len(q) for case 3), and case 2's inverse deletes that part, adds
+  4 to the rest and appends two parts 3.
 * B-case splits the gap members with no part 1 two ways.  Case 1
   (B-case-min2: the smallest part is 2) deletes it and removes 2 from the
   rest, landing at (m-1, n-2m) in the same family.  Case 2 (B-case-min3:
@@ -81,7 +82,7 @@ def _drop_one(p: Partition) -> tuple[None, Partition]:
     return None, tuple([x - 2 for x in p[:-1]])
 
 
-def _drop_one_inverse(case: None, q: Partition, m: int) -> Partition:
+def _drop_one_inverse(case: None, q: Partition) -> Partition:
     return tuple([x + 2 for x in q]) + (1,)
 
 
@@ -113,12 +114,11 @@ def _p_case_map(p: Partition) -> tuple[int, Partition]:
     return 3, tuple([x - 2 for x in p])
 
 
-def _p_case_inverse(case: int, q: Partition, m: Optional[int]) -> Partition:
-    _require(m is not None and m >= 1, "the preimage length m must be given, at least 1")
+def _p_case_inverse(case: int, q: Partition) -> Partition:
     if case == 3:
-        _require(len(q) == m, "case 3 needs len(q) == m")
+        _require(q, "case 3 preimages are nonempty")
         return tuple([x + 2 for x in q])
-    _require(len(q) == m - 1, "cases 1 and 2 need len(q) == m - 1")
+    m = len(q) + 1
     evens = [x for x in q if x % 2 == 0]
     if case == 1:
         clause = "case 1 needs every even part of q to be at least 2*m"
@@ -138,7 +138,7 @@ def _b_case_map(p: Partition) -> tuple[int, Partition]:
     return 2, tuple([x - 2 for x in p])
 
 
-def _b_case_inverse(case: int, q: Partition, m: int) -> Partition:
+def _b_case_inverse(case: int, q: Partition) -> Partition:
     _require(case == 1 or q, "case 2 preimages are nonempty")
     return tuple([x + 2 for x in q]) + ((2,) if case == 1 else ())
 
@@ -147,7 +147,7 @@ def _shift(p: Partition, delta: int) -> tuple[None, Partition]:
     return None, tuple([x + delta for x in p])
 
 
-def _unshift(case: None, q: Partition, m: int, delta: int) -> Partition:
+def _unshift(case: None, q: Partition, delta: int) -> Partition:
     return tuple([x - delta for x in q])
 
 
@@ -156,10 +156,10 @@ class _Map(NamedTuple):
     parts as functions of k), takes(p), true when a nonempty member of the
     domain family is in the map's domain (a case map's case rule), the case
     a case map's domain falls under, and its private arithmetic by module
-    name: forward(p) -> (case, image) and inverse(case, q, m) -> the preimage
-    of q, of length m, each checking the clauses of its steps that membership
-    does not (a shift map's also take the shift, delta).  _resolve returns a
-    record with FamilySpecs and functions."""
+    name: forward(p) -> (case, image) and inverse(case, q) -> the preimage
+    of q, each checking the clauses of its steps that membership does not
+    (a shift map's also take the shift, delta).  _resolve returns a record
+    with FamilySpecs and functions."""
 
     domain: object
     takes: Callable[[Partition], bool]
@@ -254,15 +254,15 @@ def forward(name, p, k=None, kind="P", i=None) -> tuple[Optional[int], Partition
     return case, image
 
 
-def inverse(name, case, q, m=None, k=None, kind="P", i=None) -> Partition:
+def inverse(name, case, q, k=None, kind="P", i=None) -> Partition:
     """The preimage of q under the given case of the named map (None for a
     map with no cases), checked against the domain and that case's rule.
-    Only the P case maps read m, the preimage's length."""
+    Shift maps need k >= 1; their kind defaults to P and their index to 2."""
     cases = _cases(name, k, kind, i)
     rec = cases.get(case)
     if rec is None:
         raise ValueError("case must be one of %s" % sorted(cases))
-    image = rec.inverse(case, _input(q, rec.codomain), m)
+    image = rec.inverse(case, _input(q, rec.codomain))
     if not (is_member_unchecked(image, rec.domain) and rec.takes(image)):
         raise CodomainError("%s inverse image %r invalid" % (name, image), image)
     return image
@@ -370,7 +370,7 @@ def trace_groups(name, groups, k=None, kind="P", i=None):
                 rows.append(TraceRow(name, p, None, image, True, False, False))
                 continue
             try:
-                rt_ok = inverse(case, image, len(p)) == p
+                rt_ok = inverse(case, image) == p
             except BijectionDomainError:
                 rt_ok = False
             rows.append(TraceRow(name, p, case, image, True, True, rt_ok))

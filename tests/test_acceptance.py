@@ -160,7 +160,7 @@ def _sweep_p_cases(nmax) -> int:
         for p in members:
             case, q = forward("P-case", p)
             m = len(p)
-            assert inverse("P-case", case, q, m) == p
+            assert inverse("P-case", case, q) == p
             if case in (1, 2):
                 assert is_member(q, P1) and (len(q), sum(q)) == (m - 1, n - 2 * m)
                 low[(m - 1, n - 2 * m)] += 1
@@ -219,7 +219,7 @@ def _sweep_shifts(nmax) -> int:
                         if not p:
                             continue
                         _, q = forward("shift-sub-2k", p, k, kind, i)
-                        assert inverse("shift-sub-2k", None, q, None, k, kind, i) == p
+                        assert inverse("shift-sub-2k", None, q, k, kind, i) == p
                         assert is_member(q, base)
                         sub_cells[(len(p), sum(q))] += 1
                         seen += 1
@@ -227,7 +227,7 @@ def _sweep_shifts(nmax) -> int:
                         if not p:
                             continue
                         _, q = forward("shift-add-one", p, k, kind, i)
-                        assert inverse("shift-add-one", None, q, None, k, kind, i) == p
+                        assert inverse("shift-add-one", None, q, k, kind, i) == p
                         assert is_member(q, odd)
                         add_cells[(len(p), sum(q))] += 1
                         seen += 1

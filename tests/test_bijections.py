@@ -37,28 +37,28 @@ def test_p_drop_one_domain_errors(bad):
 
 
 # every map name in each direction with an input it maps without error,
-# and the case, length and k that the call passes with it
+# and the case and k that the call passes with it
 PUBLIC_MAPS = {
-    ("P-drop-one", "forward"): ((5, 1), None, None, None),
-    ("P-drop-one", "inverse"): ((3,), None, None, None),
-    ("B-drop-one", "forward"): ((5, 1), None, None, None),
-    ("B-drop-one", "inverse"): ((3,), None, None, None),
-    ("P-case", "forward"): ((6, 3, 3), None, None, None),
-    ("P-case", "inverse"): ((3, 3), 1, 3, None),
-    ("B-case", "forward"): ((6, 3), None, None, None),
-    ("B-case", "inverse"): ((4, 1), 2, None, None),
-    ("shift-sub-2k", "forward"): ((5, 3), None, None, 1),
-    ("shift-sub-2k", "inverse"): ((3, 1), None, None, 1),
-    ("shift-add-one", "forward"): ((4, 2), None, None, 1),
-    ("shift-add-one", "inverse"): ((5, 3), None, None, 1),
+    ("P-drop-one", "forward"): ((5, 1), None, None),
+    ("P-drop-one", "inverse"): ((3,), None, None),
+    ("B-drop-one", "forward"): ((5, 1), None, None),
+    ("B-drop-one", "inverse"): ((3,), None, None),
+    ("P-case", "forward"): ((6, 3, 3), None, None),
+    ("P-case", "inverse"): ((3, 3), 1, None),
+    ("B-case", "forward"): ((6, 3), None, None),
+    ("B-case", "inverse"): ((4, 1), 2, None),
+    ("shift-sub-2k", "forward"): ((5, 3), None, 1),
+    ("shift-sub-2k", "inverse"): ((3, 1), None, 1),
+    ("shift-add-one", "forward"): ((4, 2), None, 1),
+    ("shift-add-one", "inverse"): ((5, 3), None, 1),
 }
 
 
 def _apply(key, x):
-    """The map of key, a PUBLIC_MAPS key, applied to x with its case,
-    length and k."""
-    (name, direction), (_, case, m, k) = key, PUBLIC_MAPS[key]
-    return forward(name, x, k) if direction == "forward" else inverse(name, case, x, m, k)
+    """The map of key, a PUBLIC_MAPS key, applied to x with its case
+    and k."""
+    (name, direction), (_, case, k) = key, PUBLIC_MAPS[key]
+    return forward(name, x, k) if direction == "forward" else inverse(name, case, x, k)
 
 
 def _ids(key):
@@ -154,7 +154,7 @@ def test_maps_refuse_a_name_outside_the_table(name):
         forward(name, (2,), k=1)
     assert type(raised.value) is ValueError
     with pytest.raises(ValueError, match="unknown bijection") as raised:
-        inverse(name, 1, (2,), 2, k=1)
+        inverse(name, 1, (2,), k=1)
     assert type(raised.value) is ValueError
 
 
@@ -176,15 +176,9 @@ def test_case_records_refuse_another_case(name):
     with pytest.raises(BijectionDomainError):
         forward(name, p)
     with pytest.raises(ValueError, match="case must be one of"):
-        inverse(name, case, image, len(p))
+        inverse(name, case, image)
     [row] = trace_bijection(name, [p])
     assert (row.case, row.output, row.domain_ok, row.codomain_ok, row.roundtrip_ok) == (None, None, False, False, False)
-
-
-def test_p_case_inverse_needs_the_length():
-    for name in ("P-case", "P-case-generic"):
-        with pytest.raises(BijectionDomainError):
-            inverse(name, 3, (4,))
 
 
 def test_p_case_map_examples():
@@ -196,23 +190,23 @@ def test_p_case_map_examples():
 
 
 def test_p_case_inverse_examples():
-    assert inverse("P-case", 1, (), 1) == (2,)
-    assert inverse("P-case", 2, (6, 4), 3) == (10, 3, 3)
-    assert inverse("P-case", 3, (4,), 1) == (6,)
-    assert inverse("P-case", 1, (3, 3), 3) == (6, 3, 3)
+    assert inverse("P-case", 1, ()) == (2,)
+    assert inverse("P-case", 2, (6, 4)) == (10, 3, 3)
+    assert inverse("P-case", 3, (4,)) == (6,)
+    assert inverse("P-case", 1, (3, 3)) == (6, 3, 3)
 
 
 def test_p_case_inverse_validation():
     with pytest.raises(ValueError):
-        inverse("P-case", 4, (), 1)
+        inverse("P-case", 4, ())
     with pytest.raises(BijectionDomainError):
-        inverse("P-case", 3, (), 0)  # empty preimage target
+        inverse("P-case", 3, ())  # empty preimage target
     with pytest.raises(BijectionDomainError):
-        inverse("P-case", 1, (4,), 3)  # even part 4 < 2*m
+        inverse("P-case", 1, (4, 3))  # even part 4 < 2*m, m = 3
     with pytest.raises(BijectionDomainError):
-        inverse("P-case", 2, (3, 3), 3)  # no even part equal to 2*(m-1)
+        inverse("P-case", 2, (3, 3))  # no even part equal to 2*(m-1), m = 3
     with pytest.raises(BijectionDomainError):
-        inverse("P-case", 3, (4,), 2)  # wrong length
+        inverse("P-case", 2, (6,))  # smallest even part 6, not 2*(m-1) = 2
 
 
 def test_p_case_map_rejects():
@@ -279,7 +273,7 @@ def test_p_case_map_partitions_domain_and_transports(nmax):
                 continue
             case, q = forward("P-case", p)
             m = len(p)
-            assert inverse("P-case", case, q, m) == p
+            assert inverse("P-case", case, q) == p
             if case in (1, 2):
                 assert (len(q), sum(q)) == (m - 1, n - 2 * m)
                 low[(m - 1, n - 2 * m)] += 1
@@ -322,17 +316,17 @@ def test_shift_round_trips(k, kind):
             for p in enumerate_family(n, FamilySpec(kind, i, 2 * k + 1)):
                 _, q = forward("shift-sub-2k", p, k, kind, i)
                 assert sum(q) == n - 2 * len(p) * k
-                assert inverse("shift-sub-2k", None, q, None, k, kind, i) == p
+                assert inverse("shift-sub-2k", None, q, k, kind, i) == p
             for p in enumerate_family(n, FamilySpec(kind, i, 2 * k)):
                 _, q = forward("shift-add-one", p, k, kind, i)
                 assert sum(q) == n + len(p)
-                assert inverse("shift-add-one", None, q, None, k, kind, i) == p
+                assert inverse("shift-add-one", None, q, k, kind, i) == p
             # totality of the inverses on their stated domains
             for q in enumerate_family(n, FamilySpec(kind, i, 1)):
-                p = inverse("shift-sub-2k", None, q, None, k, kind, i)
+                p = inverse("shift-sub-2k", None, q, k, kind, i)
                 assert forward("shift-sub-2k", p, k, kind, i) == (None, q)
             for q in enumerate_family(n, FamilySpec(kind, i, 2 * k + 1)):
-                p = inverse("shift-add-one", None, q, None, k, kind, i)
+                p = inverse("shift-add-one", None, q, k, kind, i)
                 assert forward("shift-add-one", p, k, kind, i) == (None, q)
 
 
@@ -351,16 +345,16 @@ def _smallest_even_is_twice_the_length(q):
 
 
 # each record but the shifts (test_shift_round_trips checks theirs): its
-# codomain family, its case, the rule that picks its images out of that
-# family, and the preimage length less the image length
+# codomain family, its case, and the rule that picks its images out of that
+# family
 IMAGES = {
-    "P-drop-one": (P2, None, lambda q: True, 1),
-    "P-case-even-eq": (P1, 1, lambda q: not _smallest_even_is_twice_the_length(q), 1),
-    "P-case-two-threes": (P1, 2, _smallest_even_is_twice_the_length, 1),
-    "P-case-generic": (P2, 3, bool, 0),
-    "B-drop-one": (B2, None, lambda q: True, 1),
-    "B-case-min2": (B1, 1, lambda q: True, 1),
-    "B-case-min3": (B2, 2, bool, 0),
+    "P-drop-one": (P2, None, lambda q: True),
+    "P-case-even-eq": (P1, 1, lambda q: not _smallest_even_is_twice_the_length(q)),
+    "P-case-two-threes": (P1, 2, _smallest_even_is_twice_the_length),
+    "P-case-generic": (P2, 3, bool),
+    "B-drop-one": (B2, None, lambda q: True),
+    "B-case-min2": (B1, 1, lambda q: True),
+    "B-case-min3": (B2, 2, bool),
 }
 
 
@@ -369,15 +363,14 @@ def test_every_map_is_onto_its_images():
     # preimage maps back to it; one outside the rule has no preimage
     assert set(IMAGES) == {name for name in BIJECTION_NAMES if not bijections.takes_k(name)}
     seen = Counter()
-    for name, (codomain, case, rule, extra) in IMAGES.items():
+    for name, (codomain, case, rule) in IMAGES.items():
         for n in range(31):
             for q in enumerate_family(n, codomain):
-                m = len(q) + extra
                 if rule(q):
-                    assert forward(name, inverse(name, case, q, m)) == (case, q), (name, q)
+                    assert forward(name, inverse(name, case, q)) == (case, q), (name, q)
                 else:
                     with pytest.raises(BijectionDomainError):
-                        inverse(name, case, q, m)
+                        inverse(name, case, q)
                 seen[rule(q)] += 1
     assert seen == {True: 4706, False: 570}
 
@@ -458,7 +451,7 @@ def test_trace_rows_equal_the_public_maps(name, k, kind, i):
         assert [r.input for r in rows] == list(bijection_domain(name, n, k=k, kind=kind, i=i))
         for r in rows:
             case, image = forward(name, r.input, k, kind, i)
-            assert inverse(name, case, image, len(r.input), k, kind, i) == r.input
+            assert inverse(name, case, image, k, kind, i) == r.input
             got = (r.bijection, r.case, r.output, r.domain_ok, r.codomain_ok, r.roundtrip_ok)
             assert got == (name, case, image, True, True, True)
         seen += len(rows)
@@ -656,7 +649,7 @@ def _member_fields(name, members, k, kind, i):
             out.append((name, p, None, image, True, False, False))
         else:
             try:
-                back = rec.inverse(case, image, len(p))
+                back = rec.inverse(case, image)
             except BijectionDomainError:
                 back = None
             out.append((name, p, case, image, True, True, back == p))
